@@ -123,20 +123,21 @@ Status QueryRouter::PrepareCluster() {
 Result<QueryResult> QueryRouter::RunLocalFragment(int node,
                                                   const QuerySpec& spec) {
   Engine& engine = cluster_->node(node);
-  // Charge this fragment's estimated demand to the node's ledger for the
-  // duration of the run — the same charge/release discipline the serving
-  // loop applies, kept per node so a hot shard's commitment is visible.
-  CostEstimate cost;
-  Result<std::vector<RankedPlacement>> variants = engine.PlanVariants(spec);
-  if (variants.ok() && !variants.ValueOrDie().empty()) {
-    cost = variants.ValueOrDie()[0].cost;
-  }
+  // Compile the fragment once (placement enumeration, lowering and
+  // verification) and charge the chosen program's demand to the node's
+  // ledger for the duration of the run — the same charge/release
+  // discipline the serving loop applies, kept per node so a hot shard's
+  // commitment is visible.
+  DFLOW_ASSIGN_OR_RETURN(compile::ProgramPtr program,
+                         engine.Compile(spec, options_.placement,
+                                        options_.verify,
+                                        compile::FuseMode::kOff));
+  const CostEstimate cost = program->demand();
   ledgers_[node]->Charge(*schedulers_[node], cost);
   ledger_charges_++;
   ExecOptions exec;
-  exec.placement = options_.placement;
   exec.verify = options_.verify;
-  Result<QueryResult> result = engine.Execute(spec, exec);
+  Result<QueryResult> result = engine.ExecuteProgram(*program, exec);
   ledgers_[node]->Release(*schedulers_[node], cost);
   ledger_releases_++;
   return result;

@@ -1,8 +1,11 @@
-// The plan compiler: lowers a prepared, strict-verified query into an
-// immutable DflowProgram and rebuilds dataflow graphs from programs without
-// re-planning. These are Engine member functions (lowering needs the
-// engine's private query preparation); they live here because the program
-// format, the fusion pass, and the cache they feed are this subsystem.
+// The plan compiler: the one lowering from a prepared query to an
+// immutable, verified DflowProgram, and the one builder that turns a
+// program into a dataflow graph. Every simulated entry point (Execute,
+// ExecuteWithPlacement, Verify, ExecuteConcurrent, CompileVariant, the
+// serving loop) goes through LowerProgram and BuildProgramGraph. These are
+// Engine member functions (lowering needs the engine's private query
+// preparation); they live here because the program format, the fusion
+// pass, and the cache they feed are this subsystem.
 
 #include <utility>
 
@@ -44,11 +47,11 @@ struct LoweredOps {
   std::vector<Value> literals;
 };
 
-/// Lowers (prepared, placement) to the final instruction list — the same
-/// normalization BuildQueryPipeline applies when interpreting a plan: a
-/// CPU-placed partial aggregate collapses into a single complete aggregate,
-/// and compress_uplink inserts the encode/decode pair around the network
-/// hop. Prototype operators are constructed once to type the schema table.
+/// Lowers (prepared, placement) to the final instruction list, normalizing
+/// the plan on the way: a CPU-placed partial aggregate collapses into a
+/// single complete aggregate, and compress_uplink inserts the encode/decode
+/// pair around the network hop. Prototype operators are constructed once
+/// to type the schema table.
 Result<LoweredOps> LowerStages(const QuerySpec& spec,
                                const Engine::PreparedQuery& prepared,
                                const Placement& placement) {
@@ -170,8 +173,10 @@ Result<LoweredOps> LowerStages(const QuerySpec& spec,
   return out;
 }
 
-/// Instantiates the live operator for one program op against the running
-/// input schema (updated in place).
+}  // namespace
+
+namespace compile {
+
 Result<OperatorPtr> InstantiateOp(const DflowProgram& program,
                                   const ProgramOp& pop, Schema* current) {
   const QuerySpec& spec = program.spec();
@@ -233,27 +238,80 @@ Result<OperatorPtr> InstantiateOp(const DflowProgram& program,
   return Status::Internal("unknown opcode in program");
 }
 
-struct BuiltProgram {
-  DataflowGraph::NodeId source = 0;
-  DataflowGraph::NodeId sink = 0;
-  bool has_network_edge = false;
-  DataflowGraph::NodeId net_from = 0;
-  DataflowGraph::NodeId net_to = 0;
-};
+}  // namespace compile
 
-/// The program "VM": replays the instruction list into a dataflow graph —
-/// one stage per op, or one fused stage per FusedGroup — and wires the
-/// chain with the program's credit layout. Mirrors BuildQueryPipeline's
-/// wiring exactly; the DiffRunner's compiled lane holds the two builders
-/// result-identical.
-Result<BuiltProgram> BuildProgramGraph(Engine* engine, sim::Fabric* fabric,
-                                       DataflowGraph* graph,
-                                       const DflowProgram& program, int node,
-                                       std::vector<ScanBatch> batches,
-                                       const std::string& label) {
-  BuiltProgram built;
+Result<compile::ProgramPtr> Engine::LowerProgram(
+    const QuerySpec& spec, const PreparedQuery& prepared,
+    const Placement& placement, compile::FuseMode fuse,
+    const ExecOptions& options, const std::string& label,
+    const CostEstimate& demand) {
+  if (placement.sites.size() != prepared.kinds.size()) {
+    return Status::InvalidArgument("placement '" + placement.name +
+                                   "' does not match query stages");
+  }
+  DFLOW_ASSIGN_OR_RETURN(LoweredOps lowered,
+                         LowerStages(spec, prepared, placement));
+  DflowProgram::Builder b;
+  b.spec = spec;
+  b.table = prepared.table;
+  b.scan_columns = prepared.scan_columns;
+  b.scan_schema = prepared.scan_schema;
+  b.filter = prepared.filter;
+  b.projections = prepared.projections;
+  b.ops = std::move(lowered.ops);
+  b.literals = std::move(lowered.literals);
+  if (fuse == compile::FuseMode::kOn) b.fused_groups = PlanFusion(b.ops);
+  b.fuse = fuse;
+  b.placement = placement;
+  b.credits = options.credits;
+  b.node = options.node;
+  b.demand = demand;
+  b.plan_fingerprint = FingerprintQuerySpec(spec);
+  b.fabric_epoch = fabric_epoch_;
+  b.verifier_version = verify::kVerifierVersion;
+  b.compile_cost_ns = compile::kLowerPerOpCostNs * b.ops.size();
+  if (options.verify == verify::VerifyMode::kOff) return std::move(b).Build();
+
+  // The one verifier entry. The program's graph is built without scan rows:
+  // building schedules nothing and charges no fabric work, and the only
+  // check that reads batch occupancy (credit starvation) inspects cycles,
+  // which a linear query pipeline has none of.
+  compile::ProgramPtr unstamped = DflowProgram::Builder(b).Build();
+  DataflowGraph scratch(&fabric_.simulator());
+  DFLOW_RETURN_NOT_OK(
+      BuildProgramGraph(&scratch, *unstamped, {}, label, 0.0).status());
+  b.verify_stamp = VerifyGraphSpec(scratch.Describe());
+  const uint64_t num_stages = b.ops.size() + 2;  // + source + sink
+  b.compile_cost_ns += compile::kVerifyPerStageCostNs * num_stages +
+                       compile::kVerifyPerEdgeCostNs * (num_stages - 1);
+  for (const verify::VerifyIssue& issue : b.verify_stamp.issues) {
+    DFLOW_LOG(Warning) << "verify: " << issue.ToString();
+  }
+  if (options.verify == verify::VerifyMode::kStrict && !b.verify_stamp.ok()) {
+    return Status::InvalidArgument("plan rejected by static verifier: " +
+                                   b.verify_stamp.ToString());
+  }
+  return std::move(b).Build();
+}
+
+Result<std::vector<ScanBatch>> Engine::DecodeScan(
+    const compile::DflowProgram& program,
+    TableScanSource::ScanStats* stats) const {
+  DFLOW_ASSIGN_OR_RETURN(
+      TableScanSource scan,
+      TableScanSource::Make(program.table(), program.scan_columns(),
+                            program.filter()));
+  return scan.Produce(stats);
+}
+
+Result<Engine::AdmittedPipeline> Engine::BuildProgramGraph(
+    DataflowGraph* graph, const compile::DflowProgram& program,
+    std::vector<ScanBatch> batches, const std::string& label,
+    double rate_limit_gbps) {
+  AdmittedPipeline built;
+  built.variant = program.variant();
   built.source =
-      graph->AddSource("scan:" + label, fabric->store_media(),
+      graph->AddSource("scan:" + label, fabric_.store_media(),
                        sim::CostClass::kScan, std::move(batches),
                        program.scan_schema());
 
@@ -262,7 +320,7 @@ Result<BuiltProgram> BuildProgramGraph(Engine* engine, sim::Fabric* fabric,
   Schema current = program.scan_schema();
   for (const ProgramOp& pop : program.ops()) {
     DFLOW_ASSIGN_OR_RETURN(OperatorPtr op,
-                           InstantiateOp(program, pop, &current));
+                           compile::InstantiateOp(program, pop, &current));
     live.push_back(std::move(op));
   }
 
@@ -299,23 +357,20 @@ Result<BuiltProgram> BuildProgramGraph(Engine* engine, sim::Fabric* fabric,
     }
   }
 
+  // Wire the chain: source -> stages -> sink (client colocated with CPU).
+  const int node = program.node();
   DataflowGraph::NodeId prev = built.source;
   int prev_site = -1;  // media, before kStorageProc
   auto connect = [&](DataflowGraph::NodeId from, DataflowGraph::NodeId to,
                      int from_site, int to_site) -> Status {
-    std::vector<sim::Link*> path;
-    if (from_site < 0) {
-      path = engine->PathBetween(Site::kStorageProc,
-                                 static_cast<Site>(to_site), node);
-    } else {
-      path = engine->PathBetween(static_cast<Site>(from_site),
-                                 static_cast<Site>(to_site), node);
-    }
+    const Site path_from =
+        from_site < 0 ? Site::kStorageProc : static_cast<Site>(from_site);
     const bool crosses_network =
         from_site < static_cast<int>(Site::kComputeNic) &&
         to_site >= static_cast<int>(Site::kComputeNic);
-    DFLOW_RETURN_NOT_OK(graph->Connect(from, to, std::move(path),
-                                       program.credits()));
+    DFLOW_RETURN_NOT_OK(graph->Connect(
+        from, to, PathBetween(path_from, static_cast<Site>(to_site), node),
+        program.credits()));
     if (crosses_network && !built.has_network_edge) {
       built.has_network_edge = true;
       built.net_from = from;
@@ -324,9 +379,9 @@ Result<BuiltProgram> BuildProgramGraph(Engine* engine, sim::Fabric* fabric,
     return Status::OK();
   };
   for (Stage& stage : stages) {
-    const DataflowGraph::NodeId id = graph->AddStage(
-        stage.name + ":" + label, std::move(stage.op),
-        engine->SiteDevice(stage.site, node));
+    const DataflowGraph::NodeId id =
+        graph->AddStage(stage.name + ":" + label, std::move(stage.op),
+                        SiteDevice(stage.site, node));
     DFLOW_RETURN_NOT_OK(
         connect(prev, id, prev_site, static_cast<int>(stage.site)));
     prev = id;
@@ -335,39 +390,27 @@ Result<BuiltProgram> BuildProgramGraph(Engine* engine, sim::Fabric* fabric,
   built.sink = graph->AddSink("client:" + label);
   DFLOW_RETURN_NOT_OK(connect(prev, built.sink, prev_site,
                               static_cast<int>(Site::kCpu)));
+  if (rate_limit_gbps > 0 && built.has_network_edge) {
+    DFLOW_RETURN_NOT_OK(
+        graph->SetEdgeRateLimit(built.net_from, built.net_to, rate_limit_gbps));
+  }
   return built;
 }
-
-}  // namespace
 
 Result<std::shared_ptr<compile::CompiledQuery>> Engine::CompilePlan(
     const QuerySpec& spec) {
   DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
-  DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource scan,
-      TableScanSource::Make(prepared.table, prepared.scan_columns,
-                            prepared.filter));
-  TableScanSource::ScanStats stats;
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce(&stats));
-  uint64_t decoded = 0;
-  for (const ScanBatch& b : batches) {
-    for (const ScanChunk& sc : b.chunks) decoded += sc.chunk.ByteSize();
-  }
-  DFLOW_ASSIGN_OR_RETURN(
-      PlacementOptimizer::Input input,
-      MakeOptimizerInput(spec, prepared, stats.encoded_bytes_read, decoded,
-                         batches.size()));
-  PlacementOptimizer optimizer(input);
   auto plan = std::make_shared<compile::CompiledQuery>();
-  plan->variants = optimizer.Enumerate();
-  if (plan->variants.empty()) {
-    return Status::Internal("no valid placement found");
-  }
+  DFLOW_ASSIGN_OR_RETURN(plan->variants, EnumerateVariants(prepared));
+  DFLOW_ASSIGN_OR_RETURN(
+      plan->cpu_only,
+      ResolvePlacement(prepared, PlacementChoice::kCpuOnly, /*node=*/0));
+  DFLOW_ASSIGN_OR_RETURN(
+      plan->full_offload,
+      ResolvePlacement(prepared, PlacementChoice::kFullOffload, /*node=*/0));
   plan->spec = spec;
   plan->plan_fingerprint = FingerprintQuerySpec(spec);
   plan->fabric_epoch = fabric_epoch_;
-  plan->cpu_only = optimizer.CpuOnly();
-  plan->full_offload = optimizer.FullOffload();
   plan->plan_cost_ns = compile::kPlanPrepareCostNs +
                        compile::kPlanScanSizingCostNs +
                        compile::kPlanPerVariantCostNs * plan->variants.size();
@@ -382,98 +425,37 @@ Result<compile::ProgramPtr> Engine::CompileVariant(
     compile::CompiledQuery* plan, const Placement& placement,
     verify::VerifyMode mode, compile::FuseMode fuse, int node) {
   DFLOW_CHECK(plan != nullptr);
-  if (compile::ProgramPtr existing = plan->ProgramFor(placement.name)) {
-    return existing;
-  }
-  const QuerySpec& spec = plan->spec;
-  DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
-  if (placement.sites.size() != prepared.kinds.size()) {
-    return Status::InvalidArgument("placement '" + placement.name +
-                                   "' does not match query stages");
-  }
-  CostEstimate demand;
-  bool demand_found = false;
+  compile::ProgramPtr existing = plan->ProgramFor(placement.name);
+  if (existing != nullptr && existing->node() == node) return existing;
+  const RankedPlacement* variant = nullptr;
   for (const RankedPlacement& v : plan->variants) {
     if (v.placement.sites == placement.sites) {
-      demand = v.cost;
-      demand_found = true;
+      variant = &v;
       break;
     }
   }
-  if (!demand_found) {
+  if (variant == nullptr) {
     return Status::Internal("compiler: placement '" + placement.name +
                             "' is not among the enumerated plan variants");
   }
-  DFLOW_ASSIGN_OR_RETURN(LoweredOps lowered,
-                         LowerStages(spec, prepared, placement));
-
-  auto fill_builder = [&]() {
-    DflowProgram::Builder b;
-    b.spec = spec;
-    b.table = prepared.table;
-    b.scan_columns = prepared.scan_columns;
-    b.scan_schema = prepared.scan_schema;
-    b.filter = prepared.filter;
-    b.projections = prepared.projections;
-    b.ops = lowered.ops;
-    b.literals = lowered.literals;
-    if (fuse == compile::FuseMode::kOn) b.fused_groups = PlanFusion(b.ops);
-    b.placement = placement;
-    b.credits = ExecOptions().credits;
-    b.demand = demand;
-    b.plan_fingerprint = plan->plan_fingerprint;
-    b.fabric_epoch = fabric_epoch_;
-    b.verifier_version = verify::kVerifierVersion;
-    b.compile_cost_ns = compile::kLowerPerOpCostNs * lowered.ops.size();
-    return b;
-  };
-
-  // Verify once, at compile time, against the live fabric and health
-  // registry. The scratch graph schedules nothing and charges no fabric
-  // work (same guarantee Engine::Verify relies on).
-  verify::VerifyReport stamp;
-  uint64_t verify_cost_ns = 0;
-  if (mode != verify::VerifyMode::kOff) {
-    compile::ProgramPtr pre = fill_builder().Build();
-    DFLOW_ASSIGN_OR_RETURN(
-        TableScanSource scan,
-        TableScanSource::Make(prepared.table, prepared.scan_columns,
-                              prepared.filter));
-    DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce());
-    DataflowGraph scratch(&fabric_.simulator());
-    DFLOW_ASSIGN_OR_RETURN(
-        BuiltProgram built,
-        BuildProgramGraph(this, &fabric_, &scratch, *pre, node,
-                          std::move(batches), "compile"));
-    (void)built;
-    stamp = VerifyGraphSpec(scratch.Describe());
-    const uint64_t num_stages = lowered.ops.size() + 2;  // + source + sink
-    verify_cost_ns = compile::kVerifyPerStageCostNs * num_stages +
-                     compile::kVerifyPerEdgeCostNs * (num_stages - 1);
-    for (const verify::VerifyIssue& issue : stamp.issues) {
-      DFLOW_LOG(Warning) << "compile verify: " << issue.ToString();
-    }
-    if (mode == verify::VerifyMode::kStrict && !stamp.ok()) {
-      return Status::InvalidArgument(
-          "plan rejected by static verifier at compile time: " +
-          stamp.ToString());
-    }
-  }
-
-  DflowProgram::Builder builder = fill_builder();
-  builder.verify_stamp = std::move(stamp);
-  builder.compile_cost_ns += verify_cost_ns;
-  const size_t num_fused = builder.fused_groups.size();
-  compile::ProgramPtr program = std::move(builder).Build();
+  DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(plan->spec));
+  ExecOptions options;
+  options.verify = mode;
+  options.node = node;
+  DFLOW_ASSIGN_OR_RETURN(
+      compile::ProgramPtr program,
+      LowerProgram(plan->spec, prepared, placement, fuse, options, "compile",
+                   variant->cost));
   DFLOW_TRACE(tracer_.get(),
               Instant("compile", "compiler", "compile",
                       fabric_.simulator().now(),
                       /*value=*/program->ops().size(),
-                      spec.table + " -> " + placement.name));
-  if (num_fused > 0) {
+                      plan->spec.table + " -> " + placement.name));
+  if (!program->fused_groups().empty()) {
     DFLOW_TRACE(tracer_.get(),
                 Instant("compile", "compiler", "fuse",
-                        fabric_.simulator().now(), /*value=*/num_fused,
+                        fabric_.simulator().now(),
+                        /*value=*/program->fused_groups().size(),
                         placement.name));
   }
   plan->programs[placement.name] = program;
@@ -486,50 +468,42 @@ Result<compile::ProgramPtr> Engine::Compile(const QuerySpec& spec,
                                             compile::FuseMode fuse, int node) {
   DFLOW_ASSIGN_OR_RETURN(std::shared_ptr<compile::CompiledQuery> plan,
                          CompilePlan(spec));
-  Placement placement;
-  switch (choice) {
-    case PlacementChoice::kAuto: {
-      placement = plan->variants.front().placement;
-      for (const RankedPlacement& v : plan->variants) {
-        if (PlacementHealthy(v.placement, node)) {
-          placement = v.placement;
-          break;
-        }
-      }
-      break;
-    }
-    case PlacementChoice::kCpuOnly:
-      placement = plan->cpu_only;
-      break;
-    case PlacementChoice::kFullOffload:
-      placement = plan->full_offload;
-      break;
+  Placement placement = plan->full_offload;
+  if (choice == PlacementChoice::kAuto) {
+    placement = HealthiestVariant(plan->variants, node);
+  } else if (choice == PlacementChoice::kCpuOnly) {
+    placement = plan->cpu_only;
   }
   return CompileVariant(plan.get(), placement, mode, fuse, node);
 }
 
 Result<QueryResult> Engine::ExecuteProgram(const compile::DflowProgram& program,
                                            const ExecOptions& options) {
-  return ExecuteProgramImpl(program, options, /*allow_fallback=*/true);
+  if (options.node != program.node()) {
+    return Status::InvalidArgument(
+        "program was compiled for compute node " +
+        std::to_string(program.node()) + ", not node " +
+        std::to_string(options.node));
+  }
+  return RunProgram(program, options, /*allow_fallback=*/true);
 }
 
-Result<QueryResult> Engine::ExecuteProgramImpl(
-    const compile::DflowProgram& program, const ExecOptions& options,
-    bool allow_fallback) {
-  DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource scan,
-      TableScanSource::Make(program.table(), program.scan_columns(),
-                            program.filter()));
+Result<QueryResult> Engine::RunProgram(const compile::DflowProgram& program,
+                                       const ExecOptions& options,
+                                       bool allow_fallback) {
   TableScanSource::ScanStats stats;
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce(&stats));
-
+  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches,
+                         DecodeScan(program, &stats));
   if (options.trace.enabled && tracer_ == nullptr) {
     EnableTracing(options.trace);
   }
   if (options.reset_fabric) {
     fabric_.Reset();
+    // Trace and report describe the same window: the events of this run.
     if (tracer_ != nullptr) tracer_->Clear();
   } else {
+    // Chained run: keep the clock and timing state but zero the byte/busy
+    // counters so this run's report counts only its own traffic.
     fabric_.ResetMetrics();
   }
   DataflowGraph graph(&fabric_.simulator());
@@ -537,46 +511,48 @@ Result<QueryResult> Engine::ExecuteProgramImpl(
   DFLOW_TRACE(tracer_.get(),
               Instant("engine", "engine", "plan_choice",
                       fabric_.simulator().now(), /*value=*/0,
-                      program.variant() + " (compiled)"));
+                      program.variant()));
+  const QuerySpec& spec = program.spec();
   DFLOW_ASSIGN_OR_RETURN(
-      BuiltProgram built,
-      BuildProgramGraph(this, &fabric_, &graph, program, options.node,
-                        std::move(batches), program.spec().table));
-  if (options.network_rate_limit_gbps > 0 && built.has_network_edge) {
-    DFLOW_RETURN_NOT_OK(graph.SetEdgeRateLimit(
-        built.net_from, built.net_to, options.network_rate_limit_gbps));
-  }
+      AdmittedPipeline built,
+      BuildProgramGraph(&graph, program, std::move(batches), spec.table,
+                        options.network_rate_limit_gbps));
   const Status run_status = graph.Run();
   if (!run_status.ok()) {
     const std::string dead = graph.failed_device();
     if (allow_fallback && !dead.empty()) {
-      // Same graceful degradation as the interpreted path, except the
-      // recovery plan is a compiled artifact too: quarantine the device
-      // (which bumps the fabric epoch, stranding stale cache entries) and
-      // recompile the CPU-only variant.
+      // Graceful degradation (§7): a processing element died permanently
+      // mid-query. Quarantine it (which bumps the fabric epoch, stranding
+      // stale cache entries) and re-run the traditional CPU-centric plan,
+      // which touches only the media, the links, and the CPU.
       MarkDeviceUnhealthy(dead);
+      DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
+      DFLOW_ASSIGN_OR_RETURN(
+          Placement cpu_only,
+          ResolvePlacement(prepared, PlacementChoice::kCpuOnly,
+                           program.node()));
       const bool dead_is_unavoidable =
           dead == fabric_.store_media()->name() ||
-          dead == fabric_.node(options.node).cpu->name();
-      if (!dead_is_unavoidable) {
+          dead == fabric_.node(program.node()).cpu->name();
+      if (!dead_is_unavoidable &&
+          cpu_only.sites != program.placement().sites) {
+        ExecOptions retry = options;
+        retry.reset_fabric = true;  // fresh timeline for the recovery run
+        retry.credits = program.credits();
         DFLOW_ASSIGN_OR_RETURN(
             compile::ProgramPtr fallback,
-            Compile(program.spec(), PlacementChoice::kCpuOnly, options.verify,
-                    compile::DefaultFuseMode(), options.node));
-        if (fallback->placement().sites != program.placement().sites) {
-          ExecOptions retry = options;
-          retry.reset_fabric = true;  // fresh timeline for the recovery run
-          DFLOW_ASSIGN_OR_RETURN(
-              QueryResult result,
-              ExecuteProgramImpl(*fallback, retry, /*allow_fallback=*/false));
-          result.report.fault.cpu_fallback = true;
-          result.report.fault.failed_device = dead;
-          result.report.variant += "(fallback:" + dead + ")";
-          DFLOW_TRACE(tracer_.get(),
-                      Instant("engine", "engine", "cpu_fallback",
-                              fabric_.simulator().now(), /*value=*/0, dead));
-          return result;
-        }
+            LowerProgram(spec, prepared, cpu_only, program.fuse(), retry,
+                         spec.table));
+        DFLOW_ASSIGN_OR_RETURN(
+            QueryResult result,
+            RunProgram(*fallback, retry, /*allow_fallback=*/false));
+        result.report.fault.cpu_fallback = true;
+        result.report.fault.failed_device = dead;
+        result.report.variant += "(fallback:" + dead + ")";
+        DFLOW_TRACE(tracer_.get(),
+                    Instant("engine", "engine", "cpu_fallback",
+                            fabric_.simulator().now(), /*value=*/0, dead));
+        return result;
       }
     }
     return run_status;
@@ -593,28 +569,10 @@ Result<Engine::AdmittedPipeline> Engine::BuildProgramPipeline(
     DataflowGraph* graph, const compile::DflowProgram& program,
     const std::string& label, double rate_limit_gbps) {
   DFLOW_CHECK(graph != nullptr);
-  DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource scan,
-      TableScanSource::Make(program.table(), program.scan_columns(),
-                            program.filter()));
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce());
+  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, DecodeScan(program));
   ArmGraph(graph);
-  DFLOW_ASSIGN_OR_RETURN(
-      BuiltProgram b,
-      BuildProgramGraph(this, &fabric_, graph, program, /*node=*/0,
-                        std::move(batches), label));
-  if (rate_limit_gbps > 0 && b.has_network_edge) {
-    DFLOW_RETURN_NOT_OK(
-        graph->SetEdgeRateLimit(b.net_from, b.net_to, rate_limit_gbps));
-  }
-  AdmittedPipeline admitted;
-  admitted.source = b.source;
-  admitted.sink = b.sink;
-  admitted.has_network_edge = b.has_network_edge;
-  admitted.net_from = b.net_from;
-  admitted.net_to = b.net_to;
-  admitted.variant = program.variant();
-  return admitted;
+  return BuildProgramGraph(graph, program, std::move(batches), label,
+                           rate_limit_gbps);
 }
 
 }  // namespace dflow

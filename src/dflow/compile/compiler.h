@@ -3,15 +3,28 @@
 
 #include <cstdint>
 
+#include "dflow/common/result.h"
+#include "dflow/compile/program.h"
+#include "dflow/exec/operator.h"
+
 // The plan compiler's entry points are Engine methods (Engine::CompilePlan,
 // Engine::CompileVariant, Engine::Compile, Engine::ExecuteProgram,
-// Engine::BuildProgramPipeline — see engine.h); their implementation lives
-// in this subsystem (compiler.cc) because lowering needs the engine's
-// private query preparation. This header carries the compiler's modeled
-// cost constants, shared by the serving loop's cache accounting and the
-// bench gates.
+// Engine::BuildProgramPipeline — see engine.h), and every simulated and
+// parallel Execute entry point lowers through the same private
+// Engine::LowerProgram. Their implementation lives in this subsystem
+// (compiler.cc) because lowering needs the engine's private query
+// preparation. This header carries the one opcode -> operator table and
+// the compiler's modeled cost constants, shared by the serving loop's
+// cache accounting and the bench gates.
 
 namespace dflow::compile {
+
+/// Instantiates the live operator for one op of `program` against the
+/// schema entering it (`*current`, updated to the op's output schema). The
+/// dataflow graph builder and the real-parallel executor both dispatch on
+/// opcodes through this one table.
+Result<OperatorPtr> InstantiateOp(const DflowProgram& program,
+                                  const ProgramOp& op, Schema* current);
 
 /// Modeled virtual-time cost of planning and compilation, in nanoseconds.
 /// These are *accounting* constants, not simulation events: admission

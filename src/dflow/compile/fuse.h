@@ -9,12 +9,6 @@
 
 namespace dflow::compile {
 
-/// Whether the compiler's operator-fusion pass runs. On by default; the
-/// --dflow_fuse=off escape hatch exists so any suspected fusion bug can be
-/// bisected in one flag flip (the DiffRunner's compiled lane cross-checks
-/// fused vs unfused result fingerprints continuously).
-enum class FuseMode { kOff, kOn };
-
 std::string_view FuseModeToString(FuseMode m);
 
 /// Parses "on" / "off" (as in --dflow_fuse=).

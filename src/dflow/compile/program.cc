@@ -105,9 +105,11 @@ std::shared_ptr<const DflowProgram> DflowProgram::Builder::Build() && {
   program->projections_ = std::move(projections);
   program->ops_ = std::move(ops);
   program->fused_groups_ = std::move(fused_groups);
+  program->fuse_ = fuse;
   program->literals_ = std::move(literals);
   program->placement_ = std::move(placement);
   program->credits_ = credits;
+  program->node_ = node;
   program->demand_ = demand;
   program->verify_stamp_ = std::move(verify_stamp);
   program->plan_fingerprint_ = plan_fingerprint;

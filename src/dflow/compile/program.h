@@ -16,6 +16,14 @@
 
 namespace dflow::compile {
 
+/// Whether the compiler's operator-fusion pass runs (see compile/fuse.h).
+/// On by default for Engine::Compile; the Execute entry points lower
+/// unfused. The --dflow_fuse=off escape hatch exists so any suspected
+/// fusion bug can be bisected in one flag flip; the DiffRunner holds the
+/// fused compiled:* lanes and the unfused cpu_only/variant:* lanes to the
+/// same reference fingerprint continuously.
+enum class FuseMode { kOff, kOn };
+
 /// Opcode of one lowered pipeline stage. The list is the *final* stage
 /// sequence after plan normalization: a CPU-placed partial aggregate has
 /// already been collapsed into a single kCompleteAgg, and the optional
@@ -68,7 +76,8 @@ struct FusedGroup {
 /// plan. The *execution* face — the resolved expression trees and the
 /// pinned table — is the in-memory payload Engine::ExecuteProgram feeds to
 /// the operator constructors; it references the same literals the slots
-/// index. Programs are created through Builder (by Engine::Compile) and
+/// index. Programs are created through Builder (by the engine's one
+/// lowering, behind Engine::Compile and every Execute entry point) and
 /// never mutated afterwards, so they are safe to share across admissions.
 class DflowProgram {
  public:
@@ -81,9 +90,11 @@ class DflowProgram {
     std::vector<ExprPtr> projections;  // resolved against scan_schema
     std::vector<ProgramOp> ops;
     std::vector<FusedGroup> fused_groups;
+    FuseMode fuse = FuseMode::kOff;
     std::vector<Value> literals;
     Placement placement;
     uint32_t credits = 8;
+    int node = 0;
     CostEstimate demand;
     verify::VerifyReport verify_stamp;
     uint64_t plan_fingerprint = 0;
@@ -111,6 +122,13 @@ class DflowProgram {
   const Placement& placement() const { return placement_; }
   const std::string& variant() const { return placement_.name; }
   uint32_t credits() const { return credits_; }
+  /// Compute node the program was lowered and verified for; its graph is
+  /// built there and nowhere else.
+  int node() const { return node_; }
+  /// Whether the fusion pass ran; a crash fallback relowers the CPU-only
+  /// variant with the same setting. Not serialized: fused_groups already
+  /// renders what fusion did to this plan.
+  FuseMode fuse() const { return fuse_; }
   /// The chosen variant's cost-model output — the demand vector the
   /// scheduler charges the ledger from on a cache hit.
   const CostEstimate& demand() const { return demand_; }
@@ -149,9 +167,11 @@ class DflowProgram {
   std::vector<ExprPtr> projections_;
   std::vector<ProgramOp> ops_;
   std::vector<FusedGroup> fused_groups_;
+  FuseMode fuse_ = FuseMode::kOff;
   std::vector<Value> literals_;
   Placement placement_;
   uint32_t credits_ = 8;
+  int node_ = 0;
   CostEstimate demand_;
   verify::VerifyReport verify_stamp_;
   uint64_t plan_fingerprint_ = 0;

@@ -153,10 +153,11 @@ class Engine {
                                             int node);
 
   // --------------------------------------------------- static verification
-  /// Statically checks the graph the engine would build for (spec,
-  /// placement) — structure, schema flow, credit safety, placement legality
-  /// — without executing it (no simulation events, no fabric state change).
-  /// Returns the diagnostics; callers decide whether errors are fatal.
+  /// Statically checks the program Execute would run for (spec, placement)
+  /// — structure, schema flow, credit safety, placement legality — on its
+  /// graph built without scan rows: no decode, no simulation events, no
+  /// fabric state change. Returns the diagnostics; callers decide whether
+  /// errors are fatal.
   Result<verify::VerifyReport> Verify(
       const QuerySpec& spec, const Placement& placement,
       const ExecOptions& options = ExecOptions());
@@ -170,7 +171,10 @@ class Engine {
   /// fabric topology, device-health registry, and fault injector.
   verify::VerifyReport VerifyGraphSpec(const verify::GraphSpec& spec);
 
-  /// Runs a query on the data-flow architecture.
+  /// Runs a query on the data-flow architecture: lowers it to an unfused
+  /// DflowProgram for the chosen placement (verified per options.verify)
+  /// and runs the program. ExecMode::kParallel lowers the CPU-only program
+  /// and runs it on the morsel-driven executor instead.
   Result<QueryResult> Execute(const QuerySpec& spec,
                               const ExecOptions& options = ExecOptions());
 
@@ -199,11 +203,13 @@ class Engine {
       verify::VerifyMode mode = verify::DefaultMode(),
       compile::FuseMode fuse = compile::DefaultFuseMode(), int node = 0);
 
-  /// Executes a compiled program on the simulated fabric. No planning, no
-  /// placement enumeration, no re-verification — the program's embedded
-  /// stamp and its epoch key already cover those. Keeps the engine's
-  /// crash-fallback semantics: if a device dies permanently mid-run, the
-  /// CPU-only variant is compiled (a recompile, not a re-plan) and re-run.
+  /// Executes a compiled program on the simulated fabric, on the compute
+  /// node it was compiled (and verified) for: `options.node` must match
+  /// the program's node. No planning, no placement enumeration, no
+  /// re-verification — the program's embedded stamp and its epoch key
+  /// already cover those. If a device dies permanently mid-run, the
+  /// CPU-only variant is relowered with the program's fusion setting (a
+  /// recompile, not a re-plan) and re-run.
   Result<QueryResult> ExecuteProgram(const compile::DflowProgram& program,
                                      const ExecOptions& options =
                                          ExecOptions());
@@ -228,20 +234,12 @@ class Engine {
     std::string variant;  // placement name
   };
 
-  /// Builds (spec, placement) into `graph`, which must run on this
-  /// engine's fabric simulator. Arms the graph with the engine's fault
-  /// injector and tracer, and applies `rate_limit_gbps` to the pipeline's
-  /// network edge (0 = uncapped). Launching and draining the simulator
-  /// stay with the caller — see DataflowGraph::Launch.
-  Result<AdmittedPipeline> BuildServicePipeline(DataflowGraph* graph,
-                                                const QuerySpec& spec,
-                                                const Placement& placement,
-                                                const std::string& label,
-                                                double rate_limit_gbps = 0.0);
-
-  /// BuildServicePipeline's warm-path twin: builds `program` into an
-  /// externally-owned graph without Prepare or re-verification. Launching
-  /// stays with the caller.
+  /// Builds `program` into `graph`, which must run on this engine's fabric
+  /// simulator, on the compute node the program was compiled for. Arms the
+  /// graph with the engine's fault injector and tracer and applies
+  /// `rate_limit_gbps` to the pipeline's network edge (0 = uncapped). No
+  /// Prepare, no re-verification; launching and draining the simulator stay
+  /// with the caller — see DataflowGraph::Launch.
   Result<AdmittedPipeline> BuildProgramPipeline(
       DataflowGraph* graph, const compile::DflowProgram& program,
       const std::string& label, double rate_limit_gbps = 0.0);
@@ -284,7 +282,7 @@ class Engine {
                                             size_t pool_pages,
                                             int repeats = 1);
 
-  // Implementation helpers exposed for the pipeline builder (and useful to
+  // Implementation helpers exposed for the plan compiler (and useful to
   // power users assembling custom graphs on the engine's fabric).
   struct PreparedQuery {
     enum class StageKind {
@@ -316,17 +314,57 @@ class Engine {
 
  private:
   Result<PreparedQuery> Prepare(const QuerySpec& spec) const;
-  /// ExecMode::kParallel implementations (engine/parallel_runner.cc):
-  /// plan the query with Prepare, then run it on the morsel-driven
-  /// work-stealing executor with real threads.
+  /// Sizes the prepared query's scan (one decode) and enumerates + costs
+  /// its placement variants, best first.
+  Result<std::vector<RankedPlacement>> EnumerateVariants(
+      const PreparedQuery& prepared) const;
+  /// Resolves `choice` for a prepared query: kAuto enumerates (one sizing
+  /// decode) and takes HealthiestVariant; the forced extremes need no data.
+  Result<Placement> ResolvePlacement(const PreparedQuery& prepared,
+                                     PlacementChoice choice, int node);
+  /// The best-ranked variant whose devices on `node` are all healthy; the
+  /// best variant when every one touches a dead device (fallback handles
+  /// it).
+  Placement HealthiestVariant(const std::vector<RankedPlacement>& variants,
+                              int node);
+
+  // Program lowering, verification and execution live in
+  // src/dflow/compile/compiler.cc.
+  /// The one path from a prepared query to something executable: lowers
+  /// (spec, placement) into a DflowProgram with `fuse`, options.credits and
+  /// options.node, and — unless options.verify is kOff — stamps it with the
+  /// verifier's verdict on the program's graph built without scan rows and
+  /// labelled `label`. Strict mode refuses a stamp with errors.
+  Result<compile::ProgramPtr> LowerProgram(
+      const QuerySpec& spec, const PreparedQuery& prepared,
+      const Placement& placement, compile::FuseMode fuse,
+      const ExecOptions& options, const std::string& label,
+      const CostEstimate& demand = CostEstimate());
+  /// Decodes the program's surviving row groups.
+  Result<std::vector<ScanBatch>> DecodeScan(
+      const compile::DflowProgram& program,
+      TableScanSource::ScanStats* stats = nullptr) const;
+  /// Replays the program's instruction list into `graph` (one stage per op
+  /// or per fused group, wired on the program's node with its credit
+  /// layout) over `batches`, which may be empty for a verification graph.
+  Result<AdmittedPipeline> BuildProgramGraph(
+      DataflowGraph* graph, const compile::DflowProgram& program,
+      std::vector<ScanBatch> batches, const std::string& label,
+      double rate_limit_gbps);
+  /// Runs a program on the fabric and collects its report. Never verifies:
+  /// the program's stamp is the report's verdict. On a permanent device
+  /// death (with `allow_fallback`) quarantines the device and re-runs the
+  /// CPU-only variant relowered with the program's fusion setting.
+  Result<QueryResult> RunProgram(const compile::DflowProgram& program,
+                                 const ExecOptions& options,
+                                 bool allow_fallback);
+  /// ExecMode::kParallel implementations (engine/parallel_runner.cc) on
+  /// the morsel-driven work-stealing executor with real threads: a query
+  /// runs its CPU-only program, a join its hand-built build/probe tasks.
   Result<QueryResult> ExecuteParallel(const QuerySpec& spec,
                                       const ExecOptions& options);
   Result<JoinRunResult> ExecuteParallelJoin(const JoinSpec& spec,
                                             const ExecOptions& options);
-  Result<PlacementOptimizer::Input> MakeOptimizerInput(
-      const QuerySpec& spec, const PreparedQuery& prepared,
-      uint64_t encoded_bytes, uint64_t decoded_bytes,
-      size_t num_batches) const;
   ExecutionReport CollectReport(const DataflowGraph& graph,
                                 DataflowGraph::NodeId sink,
                                 const std::string& variant,
@@ -334,10 +372,6 @@ class Engine {
   /// Attaches the active injector and recovery policy to a graph (no-op
   /// when fault injection is off).
   void ArmGraph(DataflowGraph* graph);
-  Result<QueryResult> ExecuteWithPlacementImpl(const QuerySpec& spec,
-                                               const Placement& placement,
-                                               const ExecOptions& options,
-                                               bool allow_fallback);
 
   sim::FabricConfig config_;
   sim::Fabric fabric_;
@@ -350,12 +384,6 @@ class Engine {
   uint64_t fabric_epoch_ = 0;
   /// Indexed by compute node; grown lazily (see fabric_epoch(int)).
   std::vector<uint64_t> node_epochs_;
-
-  /// Program lowering + graph construction from bytecode live in
-  /// src/dflow/compile/compiler.cc.
-  Result<QueryResult> ExecuteProgramImpl(const compile::DflowProgram& program,
-                                         const ExecOptions& options,
-                                         bool allow_fallback);
 };
 
 }  // namespace dflow

@@ -1,179 +1,161 @@
 // ExecMode::kParallel: Engine entry points for the morsel-driven real-
-// thread executor, plus the QuerySpec -> ParallelPipelineSpec lowering.
+// thread executor, plus the DflowProgram -> ParallelPipelineSpec lowering.
 //
 // The simulator stays the oracle: these paths must produce byte-identical
 // canonical results (DiffRunner's real-parallel lane enforces it against
 // the Volcano reference for every fuzzed plan).
 
-#include "dflow/engine/parallel_runner.h"
-
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "dflow/compile/compiler.h"
+#include "dflow/engine/engine.h"
 #include "dflow/exec/aggregate.h"
-#include "dflow/exec/filter.h"
-#include "dflow/exec/misc_ops.h"
 #include "dflow/exec/parallel/parallel_join.h"
-#include "dflow/exec/project.h"
 #include "dflow/exec/scan.h"
 
 namespace dflow {
 
 namespace {
 
-/// Output schema of the worker chain: what the merge chain receives.
-Result<Schema> WorkerOutputSchema(const Engine::PreparedQuery& prepared,
-                                  const QuerySpec& spec) {
-  if (spec.count_only) return CountOperator().output_schema();
-  if (!spec.aggregates.empty()) {
-    DFLOW_ASSIGN_OR_RETURN(
-        OperatorPtr proto,
-        HashAggregateOperator::Make(prepared.after_project, spec.group_by,
-                                    spec.aggregates, AggMode::kPartial));
-    return proto->output_schema();
-  }
-  return prepared.after_project;
-}
+using compile::OpCode;
+using compile::ProgramOp;
 
-/// Output schema of the merge chain: what ORDER BY / LIMIT receive.
-Result<Schema> MergedOutputSchema(const Engine::PreparedQuery& prepared,
-                                  const QuerySpec& spec) {
-  if (spec.count_only) return CountOperator().output_schema();
-  if (!spec.aggregates.empty()) {
-    DFLOW_ASSIGN_OR_RETURN(Schema partial,
-                           WorkerOutputSchema(prepared, spec));
-    DFLOW_ASSIGN_OR_RETURN(
-        OperatorPtr proto,
-        HashAggregateOperator::Make(partial, spec.group_by,
-                                    MakeMergeSpecs(spec.aggregates),
-                                    AggMode::kFinal));
-    return proto->output_schema();
-  }
-  return prepared.after_project;
-}
+/// One operator of a chain, instantiated afresh per chain.
+using OpFactory = std::function<Result<OperatorPtr>()>;
 
-}  // namespace
-
-Result<parallel::ParallelPipelineSpec> BuildParallelPipelineSpec(
-    const Engine::PreparedQuery& prepared, const QuerySpec& spec) {
-  parallel::ParallelPipelineSpec pipeline;
-
-  // Worker chain: streaming stages plus worker-local bounded state. One
-  // instance per worker; the captured resolved expressions are shared and
-  // const-evaluated, which is thread-safe.
-  pipeline.make_worker_chain =
-      [prepared, spec]() -> Result<std::vector<OperatorPtr>> {
+parallel::ChainFactory MakeChain(std::vector<OpFactory> factories) {
+  return [factories]() -> Result<std::vector<OperatorPtr>> {
     std::vector<OperatorPtr> ops;
-    if (prepared.filter != nullptr) {
-      DFLOW_ASSIGN_OR_RETURN(
-          OperatorPtr op,
-          FilterOperator::Make(prepared.filter, prepared.scan_schema));
-      ops.push_back(std::move(op));
-    }
-    if (!prepared.projections.empty()) {
-      std::vector<ExprPtr> exprs = prepared.projections;
-      DFLOW_ASSIGN_OR_RETURN(
-          OperatorPtr op,
-          ProjectOperator::Make(std::move(exprs), spec.projection_names,
-                                prepared.scan_schema));
-      ops.push_back(std::move(op));
-    }
-    if (spec.count_only) {
-      ops.push_back(OperatorPtr(new CountOperator()));
-    } else if (!spec.aggregates.empty()) {
-      // Unbounded worker-local pre-aggregation (max_groups = 0): the
-      // worker never flushes early, so the merge sees exactly one partial
-      // state per (worker, group).
-      DFLOW_ASSIGN_OR_RETURN(
-          OperatorPtr op,
-          HashAggregateOperator::Make(prepared.after_project, spec.group_by,
-                                      spec.aggregates, AggMode::kPartial));
+    for (const OpFactory& make : factories) {
+      DFLOW_ASSIGN_OR_RETURN(OperatorPtr op, make());
       ops.push_back(std::move(op));
     }
     return ops;
   };
+}
 
-  // Merge chain: combines the workers' partial states exactly.
-  if (spec.count_only) {
-    pipeline.make_merge_chain =
-        [prepared, spec]() -> Result<std::vector<OperatorPtr>> {
-      DFLOW_ASSIGN_OR_RETURN(Schema count_schema,
-                             WorkerOutputSchema(prepared, spec));
-      // Each worker's CountOperator emits one row (possibly zero); the sum
-      // of the per-worker counts is the global COUNT(*).
-      std::vector<AggSpec> sum_counts{{AggFunc::kSum, "count", "count"}};
-      DFLOW_ASSIGN_OR_RETURN(
-          OperatorPtr op,
-          HashAggregateOperator::Make(count_schema, {}, sum_counts,
-                                      AggMode::kComplete));
-      std::vector<OperatorPtr> ops;
-      ops.push_back(std::move(op));
-      return ops;
+/// Lowers a CPU-only program to the real-parallel executor's three-layer
+/// pipeline shape (see parallel::ParallelPipelineSpec) by dispatching on
+/// its opcodes:
+///
+///   worker chain   FILTER, PROJECT, the worker half of COUNT (a count) and
+///                  of COMPLETE_AGG (an unbounded partial aggregate)
+///   merge chain    the merge half: a SUM of the counts | the final agg
+///   output chain   SORT, LIMIT
+///
+/// with canonical ordering enabled whenever the query lacks an ORDER BY.
+/// DECODE is skipped: it is identity on data and models a wire size the
+/// real executor doesn't have. Any other opcode (a placement that keeps
+/// work off the CPU) is Status::Internal.
+Result<parallel::ParallelPipelineSpec> BuildParallelPipelineSpec(
+    const compile::ProgramPtr& program) {
+  const QuerySpec& spec = program->spec();
+  // Factories share the immutable program; its resolved expressions are
+  // const-evaluated, which is thread-safe.
+  std::vector<OpFactory> worker, merge, output;
+  Schema input = program->scan_schema();
+  auto instantiate = [&program, &input](const ProgramOp& op) -> OpFactory {
+    return [program, op, input]() {
+      Schema current = input;
+      return compile::InstantiateOp(*program, op, &current);
     };
-  } else if (!spec.aggregates.empty()) {
-    pipeline.make_merge_chain =
-        [prepared, spec]() -> Result<std::vector<OperatorPtr>> {
-      DFLOW_ASSIGN_OR_RETURN(Schema partial,
-                             WorkerOutputSchema(prepared, spec));
-      DFLOW_ASSIGN_OR_RETURN(
-          OperatorPtr op,
-          HashAggregateOperator::Make(partial, spec.group_by,
-                                      MakeMergeSpecs(spec.aggregates),
-                                      AggMode::kFinal));
-      std::vector<OperatorPtr> ops;
-      ops.push_back(std::move(op));
-      return ops;
-    };
+  };
+  for (const ProgramOp& op : program->ops()) {
+    switch (op.code) {
+      case OpCode::kDecode:
+        break;  // identity on data; models a wire size this executor lacks
+      case OpCode::kFilter:
+      case OpCode::kProject:
+        worker.push_back(instantiate(op));
+        break;
+      case OpCode::kCount: {
+        // Each worker's CountOperator emits one row (possibly zero); the
+        // sum of the per-worker counts is the global COUNT(*).
+        worker.push_back(instantiate(op));
+        const Schema counted = op.output_schema;
+        merge.push_back([counted]() {
+          std::vector<AggSpec> sum_counts{{AggFunc::kSum, "count", "count"}};
+          return HashAggregateOperator::Make(counted, {}, sum_counts,
+                                             AggMode::kComplete);
+        });
+        break;
+      }
+      case OpCode::kCompleteAgg: {
+        // Unbounded worker-local pre-aggregation (max_groups = 0): the
+        // worker never flushes early, so the merge sees exactly one partial
+        // state per (worker, group).
+        DFLOW_ASSIGN_OR_RETURN(
+            OperatorPtr partial,
+            HashAggregateOperator::Make(input, spec.group_by, spec.aggregates,
+                                        AggMode::kPartial));
+        const Schema partial_schema = partial->output_schema();
+        worker.push_back([program, input]() {
+          return HashAggregateOperator::Make(
+              input, program->spec().group_by, program->spec().aggregates,
+              AggMode::kPartial);
+        });
+        merge.push_back([program, partial_schema]() {
+          return HashAggregateOperator::Make(
+              partial_schema, program->spec().group_by,
+              MakeMergeSpecs(program->spec().aggregates), AggMode::kFinal);
+        });
+        break;
+      }
+      case OpCode::kSort:
+      case OpCode::kLimit:
+        output.push_back(instantiate(op));
+        break;
+      default:
+        return Status::Internal(
+            "parallel executor cannot run opcode " +
+            std::string(compile::OpCodeToString(op.code)));
+    }
+    input = op.output_schema;
   }
 
+  parallel::ParallelPipelineSpec pipeline;
+  pipeline.make_worker_chain = MakeChain(std::move(worker));
+  if (!merge.empty()) pipeline.make_merge_chain = MakeChain(std::move(merge));
+  if (!output.empty()) {
+    pipeline.make_output_chain = MakeChain(std::move(output));
+  }
   // Without a total order from the query itself, canonically order the
   // merged rows so downstream stages (and the client) see a stream that
   // never depends on scheduling.
   pipeline.canonical_order = !spec.order_by.has_value();
-
-  if (spec.order_by.has_value() || spec.limit > 0) {
-    pipeline.make_output_chain =
-        [prepared, spec]() -> Result<std::vector<OperatorPtr>> {
-      DFLOW_ASSIGN_OR_RETURN(Schema merged,
-                             MergedOutputSchema(prepared, spec));
-      std::vector<OperatorPtr> ops;
-      if (spec.order_by.has_value()) {
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr op,
-            SortOperator::Make(merged, spec.order_by->column,
-                               spec.order_by->descending,
-                               spec.order_by->limit));
-        ops.push_back(std::move(op));
-      }
-      if (spec.limit > 0) {
-        ops.push_back(OperatorPtr(new LimitOperator(merged, spec.limit)));
-      }
-      return ops;
-    };
-  }
-
   return pipeline;
 }
 
+}  // namespace
+
 Result<QueryResult> Engine::ExecuteParallel(const QuerySpec& spec,
                                             const ExecOptions& options) {
+  // The CPU-only placement comes from Prepare alone (no sizing decode), and
+  // there is no graph to verify: the executor dispatches on the opcodes.
   DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
   DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource scan,
-      TableScanSource::Make(prepared.table, prepared.scan_columns,
-                            prepared.filter));
+      Placement cpu_only,
+      ResolvePlacement(prepared, PlacementChoice::kCpuOnly, options.node));
+  ExecOptions unverified = options;
+  unverified.verify = verify::VerifyMode::kOff;
+  DFLOW_ASSIGN_OR_RETURN(
+      compile::ProgramPtr program,
+      LowerProgram(spec, prepared, cpu_only, compile::FuseMode::kOff,
+                   unverified, spec.table));
   TableScanSource::ScanStats scan_stats;
   DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches,
-                         scan.Produce(&scan_stats));
+                         DecodeScan(*program, &scan_stats));
   std::vector<DataChunk> inputs;
   for (ScanBatch& b : batches) {
     for (ScanChunk& sc : b.chunks) inputs.push_back(std::move(sc.chunk));
   }
 
   DFLOW_ASSIGN_OR_RETURN(parallel::ParallelPipelineSpec pipeline,
-                         BuildParallelPipelineSpec(prepared, spec));
+                         BuildParallelPipelineSpec(program));
   parallel::ParallelExecOptions popt;
   popt.workers = std::max(1u, options.parallel_workers);
   popt.morsel_rows = options.morsel_rows;

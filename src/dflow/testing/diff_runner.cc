@@ -348,56 +348,51 @@ Result<DiffResult> DiffRunner::Run(const GeneratedCase& c) const {
   }
 
   // --- Compiled-program lanes: compile once, execute the program. --------
-  // The plan is lowered to an immutable DflowProgram (verified at compile
-  // time under strict mode) and run through Engine::ExecuteProgram — the
-  // admission path repeat queries take in the serving loop. Fused and
-  // unfused compilations of the same plan must both match the Volcano
-  // reference, which is the fused-vs-unfused equivalence check.
-  if (options_.compiled) {
-    auto run_compiled = [&](const std::string& lane_name, Engine* eng,
-                            PlacementChoice choice, compile::FuseMode fuse,
-                            bool fault_free) {
-      auto prog = eng->Compile(c.query, choice, verify::VerifyMode::kStrict,
-                               fuse);
-      if (!prog.ok()) {
-        add_failure(lane_name, prog.status());
-        note_divergence("lane '" + lane_name +
-                        "' failed to compile: " + prog.status().message());
-        return;
-      }
-      auto r = eng->ExecuteProgram(*prog.ValueOrDie(), strict);
-      if (!r.ok()) {
-        add_failure(lane_name, r.status());
-        note_divergence("lane '" + lane_name +
-                        "' failed: " + r.status().message());
-        return;
-      }
-      CanonicalResult canon = CanonicalizeChunks(r.ValueOrDie().chunks);
-      LaneResult& lane = add_lane(
-          lane_name, canon,
-          static_cast<uint64_t>(r.ValueOrDie().report.sim_ns));
-      if (r.ValueOrDie().report.result_rows != canon.rows.size()) {
-        note_divergence("lane '" + lane_name + "' report.result_rows " +
-                        std::to_string(r.ValueOrDie().report.result_rows) +
-                        " != materialized rows " +
-                        std::to_string(canon.rows.size()));
-      }
-      check_lane(lane, fault_free, r.ValueOrDie().report);
-    };
-
-    run_compiled("compiled:auto", &engine, PlacementChoice::kAuto,
-                 compile::FuseMode::kOn, /*fault_free=*/true);
-    run_compiled("compiled:cpu_only", &engine, PlacementChoice::kCpuOnly,
-                 compile::FuseMode::kOn, /*fault_free=*/true);
-    run_compiled("compiled:unfused", &engine, PlacementChoice::kAuto,
-                 compile::FuseMode::kOff, /*fault_free=*/true);
-    if (options_.sample_faults) {
-      Engine cfaulty(config);
-      DFLOW_RETURN_NOT_OK(RegisterTables(&cfaulty, c));
-      cfaulty.EnableFaultInjection(MakeFaultConfig(MixSeed(c.seed, 0xcf17ULL)));
-      run_compiled("compiled:faults", &cfaulty, PlacementChoice::kAuto,
-                   compile::FuseMode::kOn, /*fault_free=*/false);
+  // The plan is lowered to an immutable fused DflowProgram (verified at
+  // compile time under strict mode) and run through Engine::ExecuteProgram
+  // — the admission path repeat queries take in the serving loop. The
+  // cpu_only and variant:* lanes above run unfused programs of the same
+  // plan, so every fused lane matching the Volcano reference is the
+  // fused-vs-unfused equivalence check.
+  auto run_compiled = [&](const std::string& lane_name, Engine* eng,
+                          PlacementChoice choice, bool fault_free) {
+    auto prog = eng->Compile(c.query, choice, verify::VerifyMode::kStrict,
+                             compile::FuseMode::kOn);
+    if (!prog.ok()) {
+      add_failure(lane_name, prog.status());
+      note_divergence("lane '" + lane_name +
+                      "' failed to compile: " + prog.status().message());
+      return;
     }
+    auto r = eng->ExecuteProgram(*prog.ValueOrDie(), strict);
+    if (!r.ok()) {
+      add_failure(lane_name, r.status());
+      note_divergence("lane '" + lane_name +
+                      "' failed: " + r.status().message());
+      return;
+    }
+    CanonicalResult canon = CanonicalizeChunks(r.ValueOrDie().chunks);
+    LaneResult& lane = add_lane(
+        lane_name, canon, static_cast<uint64_t>(r.ValueOrDie().report.sim_ns));
+    if (r.ValueOrDie().report.result_rows != canon.rows.size()) {
+      note_divergence("lane '" + lane_name + "' report.result_rows " +
+                      std::to_string(r.ValueOrDie().report.result_rows) +
+                      " != materialized rows " +
+                      std::to_string(canon.rows.size()));
+    }
+    check_lane(lane, fault_free, r.ValueOrDie().report);
+  };
+
+  run_compiled("compiled:auto", &engine, PlacementChoice::kAuto,
+               /*fault_free=*/true);
+  run_compiled("compiled:cpu_only", &engine, PlacementChoice::kCpuOnly,
+               /*fault_free=*/true);
+  if (options_.sample_faults) {
+    Engine cfaulty(config);
+    DFLOW_RETURN_NOT_OK(RegisterTables(&cfaulty, c));
+    cfaulty.EnableFaultInjection(MakeFaultConfig(MixSeed(c.seed, 0xcf17ULL)));
+    run_compiled("compiled:faults", &cfaulty, PlacementChoice::kAuto,
+                 /*fault_free=*/false);
   }
 
   // --- Real-parallel lanes: the morsel-driven work-stealing executor. ---

@@ -39,14 +39,6 @@ struct DiffOptions {
   /// scheduling. (fuzz_plans --parallel, default on)
   bool real_parallel = true;
   std::vector<uint32_t> parallel_worker_counts = {1, 2, 8};
-  /// Adds the "compiled" lanes: the case is lowered to a DflowProgram
-  /// (Engine::Compile, strict verification at compile time) and executed
-  /// via Engine::ExecuteProgram — auto placement, CPU-only, a fusion-off
-  /// cross-check, and (with sample_faults) a fault-schedule run. Every
-  /// lane's fingerprint must match the Volcano reference, proving the
-  /// compiled admission path is result-identical to interpretation.
-  /// (fuzz_plans --compiled, default on)
-  bool compiled = true;
   /// Adds the "chaos-serve" lane: the query is served repeatedly through a
   /// ServiceLoop on a faulty fabric with a flapping (crash + restore)
   /// accelerator, deadlines, a scheduled cancellation, circuit breakers,
@@ -87,8 +79,9 @@ struct DiffResult {
 };
 
 /// The differential oracle: executes a generated case on the Volcano
-/// engine, the dataflow engine CPU-only, and K sampled placement variants —
-/// plus optional fault-schedule lanes — under the strict static verifier,
+/// engine, the dataflow engine CPU-only, K sampled placement variants, and
+/// fused compiled programs — plus optional fault-schedule, real-parallel,
+/// chaos-serve and cluster lanes — under the strict static verifier,
 /// and asserts canonicalized result equality and ExecutionReport sanity.
 /// Deterministic: the same case yields byte-identical DiffResults.
 class DiffRunner {

@@ -49,8 +49,6 @@ std::string ReproToJson(const Repro& repro) {
          (repro.diff.chaos_serve ? "true" : "false") + ",\n";
   out += std::string("    \"real_parallel\": ") +
          (repro.diff.real_parallel ? "true" : "false") + ",\n";
-  out += std::string("    \"compiled\": ") +
-         (repro.diff.compiled ? "true" : "false") + ",\n";
   out += std::string("    \"cluster\": ") +
          (repro.diff.cluster ? "true" : "false") + ",\n";
   out += "    \"cluster_node_counts\": [";
@@ -131,9 +129,9 @@ Result<Repro> ReproFromJson(const std::string& json) {
   // Optional (added with the real-parallel lanes): same compatibility rule.
   const trace::JsonValue* par = diff->Find("real_parallel");
   if (par != nullptr) repro.diff.real_parallel = par->AsBool();
-  // Optional (added with the compiled-program lanes): same rule again.
-  const trace::JsonValue* compiled = diff->Find("compiled");
-  if (compiled != nullptr) repro.diff.compiled = compiled->AsBool();
+  // Older repro files may carry a "compiled" key from when the
+  // compiled-program lanes were optional; they always run now, so the key
+  // is accepted and ignored.
   // Optional (added with the cluster lanes): same rule; the node-count
   // list round-trips so a distributed divergence replays at the exact
   // cluster shape that caught it.

@@ -117,7 +117,7 @@ class CompileTest : public ::testing::Test {
     return testing::CanonicalizeChunks(result.ValueOrDie().chunks).fingerprint;
   }
 
-  std::string RunInterpretedFingerprint(const QuerySpec& spec) {
+  std::string RunExecuteFingerprint(const QuerySpec& spec) {
     ExecOptions options;
     options.verify = verify::VerifyMode::kStrict;
     auto result = engine_->Execute(spec, options);
@@ -198,12 +198,13 @@ TEST_F(CompileTest, StrictCompileEmbedsCleanVerifyStamp) {
 
 // --------------------------------------------------- result equivalence --
 
-// Fused and unfused programs — and the interpreted engine — must agree on
-// every catalogue plan, at auto placement and forced CPU-only.
-TEST_F(CompileTest, FusedUnfusedAndInterpretedResultsAgree) {
+// Fused and unfused programs — and Engine::Execute, which lowers its own
+// unfused program — must agree on every catalogue plan, at auto placement
+// and forced CPU-only.
+TEST_F(CompileTest, FusedUnfusedAndExecuteResultsAgree) {
   for (const CataloguedPlan& plan : BuildCatalogue()) {
     SCOPED_TRACE(plan.name);
-    const std::string reference = RunInterpretedFingerprint(plan.spec);
+    const std::string reference = RunExecuteFingerprint(plan.spec);
     for (PlacementChoice choice :
          {PlacementChoice::kAuto, PlacementChoice::kCpuOnly}) {
       ProgramPtr fused = MustCompile(plan.spec, choice, FuseMode::kOn);
@@ -334,6 +335,51 @@ TEST_F(CompileTest, CompileVariantIsLazyAndMemoized) {
   EXPECT_EQ(first.ValueOrDie().get(), again.ValueOrDie().get());
   EXPECT_EQ(plan->programs.size(), 1u);
   EXPECT_EQ(plan->ProgramFor(plan->cpu_only.name), first.ValueOrDie());
+}
+
+// A program runs on the compute node it was lowered and verified for: its
+// graph is built there, and asking ExecuteProgram for another node is an
+// error rather than a silent run of a stamp checked against other devices.
+TEST(CompileNodeTest, ProgramRunsOnlyOnTheNodeItWasCompiledFor) {
+  sim::FabricConfig config;
+  config.num_compute_nodes = 2;
+  Engine engine(config);
+  LineitemSpec table;
+  table.rows = 4'000;
+  ASSERT_TRUE(
+      engine.catalog().Register(MakeLineitemTable(table).ValueOrDie()).ok());
+  const QuerySpec q6 = BuildCatalogue()[0].spec;
+  auto program = engine.Compile(q6, PlacementChoice::kCpuOnly,
+                                verify::VerifyMode::kStrict, FuseMode::kOn,
+                                /*node=*/1);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  EXPECT_EQ(program.ValueOrDie()->node(), 1);
+
+  auto wrong_node = engine.ExecuteProgram(*program.ValueOrDie());
+  ASSERT_FALSE(wrong_node.ok());
+  EXPECT_EQ(wrong_node.status().code(), StatusCode::kInvalidArgument)
+      << wrong_node.status().ToString();
+
+  ExecOptions on_node1;
+  on_node1.node = 1;
+  auto result = engine.ExecuteProgram(*program.ValueOrDie(), on_node1);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const auto& busy = result.ValueOrDie().report.device_busy_ns;
+  EXPECT_GT(busy.count("cpu1"), 0u);
+  EXPECT_EQ(busy.count("cpu0"), 0u);
+
+  // The serving hook builds the same node-1 graph.
+  DataflowGraph graph(&engine.fabric().simulator());
+  auto pipeline = engine.BuildProgramPipeline(&graph, *program.ValueOrDie(),
+                                              "tenant#0");
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  const verify::GraphSpec described = graph.Describe();
+  bool on_cpu1 = false;
+  for (const verify::NodeSpec& n : described.nodes) {
+    EXPECT_NE(n.device, "cpu0") << n.name;
+    on_cpu1 = on_cpu1 || n.device == "cpu1";
+  }
+  EXPECT_TRUE(on_cpu1);
 }
 
 // --------------------------------------------------- serving integration --

@@ -656,6 +656,25 @@ TEST_F(EngineVerifyTest, StrictModeRefusesDeadDevicePlacement) {
   EXPECT_TRUE(
       warned.ValueOrDie().report.verify.HasCode("VY_PLACE_DEAD_DEVICE"));
 
+  // Every entry point shares one verifier: the unfused compile-time stamp,
+  // Verify and the kWarn run's embedded report are the same verdict. They
+  // differ only in the graph label their stage names carry ("compile" for
+  // the stamp, the table name otherwise).
+  auto plan = engine_.CompilePlan(spec);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto program = engine_.CompileVariant(plan.ValueOrDie().get(),
+                                        offloaded->placement,
+                                        verify::VerifyMode::kWarn,
+                                        compile::FuseMode::kOff);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  std::string stamp = program.ValueOrDie()->verify_stamp().ToString();
+  for (size_t at = stamp.find(":compile"); at != std::string::npos;
+       at = stamp.find(":compile", at)) {
+    stamp.replace(at, std::string(":compile").size(), ":" + spec.table);
+  }
+  EXPECT_EQ(stamp, report.ToString());
+  EXPECT_EQ(warned.ValueOrDie().report.verify.ToString(), report.ToString());
+
   // kOff skips the pass entirely.
   options.verify = verify::VerifyMode::kOff;
   auto off = engine_.ExecuteWithPlacement(spec, offloaded->placement, options);

@@ -59,7 +59,6 @@ struct Args {
   bool faults = true;
   bool parallel = true;
   bool deadlines = false;
-  bool compiled = true;
   bool cluster = true;
   testing::BugKind inject_bug = testing::BugKind::kNone;
   std::string repro_dir;
@@ -134,10 +133,6 @@ int main(int argc, char** argv) {
       args.deadlines = value != "0";
     } else if (std::strcmp(argv[i], "--deadlines") == 0) {
       args.deadlines = true;
-    } else if (dflow::ParseFlag(argv[i], "--compiled", &value)) {
-      args.compiled = value != "0";
-    } else if (std::strcmp(argv[i], "--compiled") == 0) {
-      args.compiled = true;
     } else if (dflow::ParseFlag(argv[i], "--cluster", &value)) {
       args.cluster = value != "0";
     } else if (std::strcmp(argv[i], "--cluster") == 0) {
@@ -160,7 +155,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: fuzz_plans [--seeds=N] [--seed_base=S] "
                    "[--variants=K] [--faults=0|1] [--parallel=0|1] "
-                   "[--deadlines] [--compiled=0|1] [--cluster=0|1] "
+                   "[--deadlines] [--cluster=0|1] "
                    "[--inject_bug=KIND] "
                    "[--repro_dir=DIR] [--replay=FILE] [--verbose]\n");
       return 2;
@@ -178,7 +173,6 @@ int main(int argc, char** argv) {
   diff_options.sample_faults = args.faults;
   diff_options.real_parallel = args.parallel;
   diff_options.chaos_serve = args.deadlines;
-  diff_options.compiled = args.compiled;
   diff_options.cluster = args.cluster;
   diff_options.inject_bug = args.inject_bug;
   dflow::testing::DiffRunner runner(diff_options);
