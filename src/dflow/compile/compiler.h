@@ -35,7 +35,8 @@ Result<OperatorPtr> InstantiateOp(const DflowProgram& program,
 /// + resolution tens of microseconds, per-variant costing microseconds,
 /// verification per graph element, cache lookup sub-microsecond.
 inline constexpr uint64_t kPlanPrepareCostNs = 20'000;
-/// Sizing scan the optimizer runs to learn encoded/decoded byte counts.
+/// Scan sizing: the optimizer reads encoded/decoded byte counts from
+/// row-group metadata.
 inline constexpr uint64_t kPlanScanSizingCostNs = 50'000;
 inline constexpr uint64_t kPlanPerVariantCostNs = 5'000;
 inline constexpr uint64_t kLowerPerOpCostNs = 1'000;

@@ -32,6 +32,7 @@ class ByteWriter {
   void PutDouble(double v) { PutRaw(v); }
 
   void PutBytes(const void* data, size_t len) {
+    if (len == 0) return;  // `data` may be null; memcpy forbids that
     const size_t offset = out_->size();
     out_->resize(offset + len);
     std::memcpy(out_->data() + offset, data, len);
@@ -78,10 +79,23 @@ class ByteReader {
     if (remaining() < len) {
       return Status::OutOfRange("ByteReader: truncated input");
     }
+    if (len == 0) return Status::OK();  // `out` may be null
     std::memcpy(out, data_ + pos_, len);
     pos_ += len;
     return Status::OK();
   }
+
+  /// Advances past `len` bytes without reading them.
+  Status Skip(size_t len) {
+    if (remaining() < len) {
+      return Status::OutOfRange("ByteReader: truncated input");
+    }
+    pos_ += len;
+    return Status::OK();
+  }
+
+  /// The unread bytes, starting at the cursor.
+  const uint8_t* cursor() const { return data_ + pos_; }
 
   Status GetString(std::string* out) {
     uint32_t len = 0;

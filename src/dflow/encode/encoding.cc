@@ -1,5 +1,6 @@
 #include "dflow/encode/encoding.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "dflow/common/logging.h"
@@ -307,7 +308,43 @@ Result<EncodedColumn> EncodeColumn(const ColumnVector& col, Encoding encoding) {
   return out;
 }
 
+namespace {
+
+// Refuses (type, encoding) pairs no encoder produces, so corrupt headers
+// surface as a Status instead of reaching a typed accessor.
+Status CheckDecodable(const EncodedColumn& encoded) {
+  switch (encoded.type) {
+    case DataType::kBool:
+    case DataType::kInt32:
+    case DataType::kInt64:
+    case DataType::kDouble:
+    case DataType::kString:
+    case DataType::kDate32:
+      break;
+    default:
+      return Status::OutOfRange("encoded column: corrupt type byte");
+  }
+  switch (encoded.encoding) {
+    case Encoding::kPlain:
+      return Status::OK();
+    case Encoding::kRle:
+    case Encoding::kForBitPack:
+      if (IsIntLike(encoded.type)) return Status::OK();
+      break;
+    case Encoding::kDictionary:
+      if (encoded.type == DataType::kString) return Status::OK();
+      break;
+  }
+  return Status::OutOfRange("encoded column: encoding " +
+                            std::string(EncodingToString(encoded.encoding)) +
+                            " cannot hold " +
+                            std::string(DataTypeToString(encoded.type)));
+}
+
+}  // namespace
+
 Result<ColumnVector> DecodeColumn(const EncodedColumn& encoded) {
+  DFLOW_RETURN_NOT_OK(CheckDecodable(encoded));
   ColumnVector col(encoded.type);
   const size_t n = encoded.num_rows;
   col.Reserve(n);
@@ -341,6 +378,57 @@ Result<ColumnVector> DecodeColumn(const EncodedColumn& encoded) {
     if (!validity[i]) col.SetNull(i);
   }
   return col;
+}
+
+Result<uint64_t> DecodedByteSize(const EncodedColumn& encoded) {
+  DFLOW_RETURN_NOT_OK(CheckDecodable(encoded));
+  const size_t n = encoded.num_rows;
+  ByteReader r(encoded.data);
+  uint64_t bytes = 0;
+  uint8_t has_nulls = 0;
+  DFLOW_RETURN_NOT_OK(r.GetU8(&has_nulls));
+  if (has_nulls) {
+    const uint8_t* validity = r.cursor();
+    DFLOW_RETURN_NOT_OK(r.Skip(n));
+    if (std::find(validity, validity + n, 0) != validity + n) bytes += n;
+  }
+  if (encoded.type != DataType::kString) {
+    const uint64_t width = FixedWidthBytes(encoded.type);
+    if (encoded.encoding == Encoding::kPlain) {
+      DFLOW_RETURN_NOT_OK(r.Skip(n * width));
+    }
+    return bytes + n * width;
+  }
+  // Strings: 4 bytes of length prefix per row plus the payload.
+  bytes += 4 * static_cast<uint64_t>(n);
+  if (encoded.encoding == Encoding::kPlain) {
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t len = 0;
+      DFLOW_RETURN_NOT_OK(r.GetU32(&len));
+      DFLOW_RETURN_NOT_OK(r.Skip(len));
+      bytes += len;
+    }
+    return bytes;
+  }
+  uint32_t dict_size = 0;
+  DFLOW_RETURN_NOT_OK(r.GetU32(&dict_size));
+  if (dict_size > r.remaining() / 4) {
+    return Status::OutOfRange("dictionary: corrupt entry count");
+  }
+  std::vector<uint32_t> entry_lengths(dict_size);
+  for (uint32_t& entry_len : entry_lengths) {
+    DFLOW_RETURN_NOT_OK(r.GetU32(&entry_len));
+    DFLOW_RETURN_NOT_OK(r.Skip(entry_len));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t code = 0;
+    DFLOW_RETURN_NOT_OK(r.GetU32(&code));
+    if (code >= dict_size) {
+      return Status::OutOfRange("dictionary: code out of range");
+    }
+    bytes += entry_lengths[code];
+  }
+  return bytes;
 }
 
 Encoding ChooseEncoding(const ColumnVector& col) {

@@ -46,6 +46,13 @@ Result<EncodedColumn> EncodeColumn(const ColumnVector& col, Encoding encoding);
 /// Decodes back to a full column. Exact roundtrip for all encodings.
 Result<ColumnVector> DecodeColumn(const EncodedColumn& encoded);
 
+/// `DecodeColumn(encoded)->ByteSize()` without decoding: a walk over the
+/// encoded bytes that reads only the validity header and string lengths
+/// (or dictionary codes). The decoder allocates a validity mask only when
+/// it meets a null, so an all-valid mask on the wire adds nothing here
+/// either. Errors on bytes the decoder would also refuse.
+Result<uint64_t> DecodedByteSize(const EncodedColumn& encoded);
+
 /// Picks the cheapest supported encoding for the column by trial encoding
 /// (small columns) or heuristics: run-heavy ints -> RLE, narrow ints -> FOR,
 /// low-cardinality strings -> dictionary, else plain.

@@ -298,17 +298,14 @@ Result<std::vector<RankedPlacement>> Engine::EnumerateVariants(
       TableScanSource scan,
       TableScanSource::Make(prepared.table, prepared.scan_columns,
                             prepared.filter));
-  TableScanSource::ScanStats stats;
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce(&stats));
-  uint64_t decoded = 0;
-  for (const ScanBatch& b : batches) {
-    for (const ScanChunk& sc : b.chunks) decoded += sc.chunk.ByteSize();
-  }
+  // Sized from row-group metadata: planning decodes nothing.
+  const TableScanSource::ScanStats stats = scan.Stats();
   const uint64_t encoded = stats.encoded_bytes_read;
+  const uint64_t decoded = stats.decoded_bytes;
   PlacementOptimizer::Input input;
   input.input_bytes = static_cast<double>(encoded);
   input.media_ns = static_cast<double>(encoded) / config_.store_media_gbps +
-                   static_cast<double>(batches.size()) *
+                   static_cast<double>(stats.row_groups_read()) *
                        static_cast<double>(config_.store_request_latency_ns);
   input.stages = prepared.descs;
   // Decode expands the stream from at-rest to in-memory size.

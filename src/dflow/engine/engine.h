@@ -314,12 +314,12 @@ class Engine {
 
  private:
   Result<PreparedQuery> Prepare(const QuerySpec& spec) const;
-  /// Sizes the prepared query's scan (one decode) and enumerates + costs
-  /// its placement variants, best first.
+  /// Sizes the prepared query's scan from row-group metadata (no decode)
+  /// and enumerates + costs its placement variants, best first.
   Result<std::vector<RankedPlacement>> EnumerateVariants(
       const PreparedQuery& prepared) const;
-  /// Resolves `choice` for a prepared query: kAuto enumerates (one sizing
-  /// decode) and takes HealthiestVariant; the forced extremes need no data.
+  /// Resolves `choice` for a prepared query: kAuto enumerates and takes
+  /// HealthiestVariant; the forced extremes need no scan sizes.
   Result<Placement> ResolvePlacement(const PreparedQuery& prepared,
                                      PlacementChoice choice, int node);
   /// The best-ranked variant whose devices on `node` are all healthy; the

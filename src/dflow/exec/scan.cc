@@ -68,11 +68,8 @@ Result<TableScanSource> TableScanSource::Make(
   return src;
 }
 
-Result<std::vector<ScanBatch>> TableScanSource::Produce(
-    ScanStats* stats) const {
-  ScanStats local;
-  local.row_groups_total = table_->num_row_groups();
-  std::vector<ScanBatch> batches;
+std::vector<size_t> TableScanSource::SurvivingRowGroups() const {
+  std::vector<size_t> survivors;
   for (size_t rg_idx = 0; rg_idx < table_->num_row_groups(); ++rg_idx) {
     const RowGroup& rg = table_->row_group(rg_idx);
     bool may_match = true;
@@ -82,19 +79,44 @@ Result<std::vector<ScanBatch>> TableScanSource::Produce(
         break;
       }
     }
-    if (!may_match) {
-      local.row_groups_pruned++;
-      continue;
-    }
+    if (may_match) survivors.push_back(rg_idx);
+  }
+  return survivors;
+}
+
+TableScanSource::ScanStats TableScanSource::StatsOver(
+    const std::vector<size_t>& survivors) const {
+  ScanStats stats;
+  stats.row_groups_total = table_->num_row_groups();
+  stats.row_groups_pruned = stats.row_groups_total - survivors.size();
+  for (size_t rg_idx : survivors) {
+    const RowGroup& rg = table_->row_group(rg_idx);
+    stats.rows_produced += rg.num_rows();
+    stats.encoded_bytes_read += rg.EncodedBytes(column_indices_);
+    stats.decoded_bytes += rg.DecodedBytes(column_indices_);
+  }
+  return stats;
+}
+
+TableScanSource::ScanStats TableScanSource::Stats() const {
+  return StatsOver(SurvivingRowGroups());
+}
+
+Result<std::vector<ScanBatch>> TableScanSource::Produce(
+    ScanStats* stats) const {
+  const std::vector<size_t> survivors = SurvivingRowGroups();
+  std::vector<ScanBatch> batches;
+  batches.reserve(survivors.size());
+  for (size_t rg_idx : survivors) {
+    const RowGroup& rg = table_->row_group(rg_idx);
     const uint64_t encoded_bytes = rg.EncodedBytes(column_indices_);
-    local.encoded_bytes_read += encoded_bytes;
     DFLOW_ASSIGN_OR_RETURN(std::vector<DataChunk> chunks,
                            rg.DecodeChunks(column_indices_));
     ScanBatch batch;
     batch.device_bytes = encoded_bytes;
+    batch.chunks.reserve(chunks.size());
     const uint64_t rg_rows = rg.num_rows();
     for (DataChunk& chunk : chunks) {
-      local.rows_produced += chunk.num_rows();
       // Pro-rate the row group's encoded size across its chunks.
       const uint64_t wire =
           rg_rows == 0 ? 0
@@ -103,7 +125,7 @@ Result<std::vector<ScanBatch>> TableScanSource::Produce(
     }
     batches.push_back(std::move(batch));
   }
-  if (stats != nullptr) *stats = local;
+  if (stats != nullptr) *stats = StatsOver(survivors);
   return batches;
 }
 

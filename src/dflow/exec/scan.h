@@ -48,7 +48,18 @@ class TableScanSource {
     size_t row_groups_pruned = 0;
     uint64_t rows_produced = 0;
     uint64_t encoded_bytes_read = 0;
+    /// Sum of DataChunk::ByteSize() over every produced chunk.
+    uint64_t decoded_bytes = 0;
+
+    size_t row_groups_read() const {
+      return row_groups_total - row_groups_pruned;
+    }
   };
+
+  /// The stats Produce would report, from row-group metadata alone: zone
+  /// maps prune, and the encoded and decoded sizes are recorded per column.
+  /// Nothing is decoded.
+  ScanStats Stats() const;
 
   /// Decodes the surviving row groups into batches. Host-side work; the
   /// simulator charges the time to whatever device hosts the scan.
@@ -56,6 +67,11 @@ class TableScanSource {
 
  private:
   TableScanSource() = default;
+
+  /// Indices of the row groups the prune conjuncts cannot rule out: the one
+  /// zone-map pruning loop, shared by Stats and Produce.
+  std::vector<size_t> SurvivingRowGroups() const;
+  ScanStats StatsOver(const std::vector<size_t>& survivors) const;
 
   std::shared_ptr<const Table> table_;
   std::vector<size_t> column_indices_;

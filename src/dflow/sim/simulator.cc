@@ -1,18 +1,27 @@
 #include "dflow/sim/simulator.h"
 
+#include <algorithm>
+
 #include "dflow/common/logging.h"
 
 namespace dflow::sim {
 
 void Simulator::ScheduleAt(SimTime time, std::function<void()> fn) {
   DFLOW_CHECK_GE(time, now_);
-  queue_.push(Event{time, next_seq_++, std::move(fn)});
+  heap_.push_back(Event{time, next_seq_++, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), EventLater{});
+}
+
+Simulator::Event Simulator::PopNext() {
+  std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
+  return ev;
 }
 
 SimTime Simulator::Run() {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
+  while (!heap_.empty()) {
+    Event ev = PopNext();
     now_ = ev.time;
     ++events_processed_;
     ev.fn();
@@ -22,10 +31,9 @@ SimTime Simulator::Run() {
 
 bool Simulator::RunWithLimit(uint64_t max_events) {
   uint64_t executed = 0;
-  while (!queue_.empty()) {
+  while (!heap_.empty()) {
     if (executed >= max_events) return false;
-    Event ev = queue_.top();
-    queue_.pop();
+    Event ev = PopNext();
     now_ = ev.time;
     ++events_processed_;
     ++executed;
@@ -38,7 +46,7 @@ void Simulator::Reset() {
   now_ = 0;
   next_seq_ = 0;
   events_processed_ = 0;
-  while (!queue_.empty()) queue_.pop();
+  heap_.clear();
 }
 
 }  // namespace dflow::sim

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace dflow::sim {
@@ -60,10 +59,16 @@ class Simulator {
     }
   };
 
+  /// Moves the earliest event out of the heap. Events are moved, never
+  /// copied: their closures capture whole DataChunks.
+  Event PopNext();
+
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  // A binary min-heap on (time, seq) under EventLater. Not a
+  // std::priority_queue: its top() only hands out a const reference.
+  std::vector<Event> heap_;
 };
 
 }  // namespace dflow::sim

@@ -4,6 +4,28 @@
 
 namespace dflow {
 
+Result<RowGroup> RowGroup::Make(uint32_t num_rows,
+                                std::vector<EncodedColumn> columns,
+                                std::vector<ZoneMap> zones) {
+  if (zones.size() != columns.size()) {
+    return Status::InvalidArgument("row group needs one zone map per column");
+  }
+  std::vector<uint64_t> decoded_bytes;
+  decoded_bytes.reserve(columns.size());
+  for (const EncodedColumn& col : columns) {
+    if (col.num_rows != num_rows) {
+      return Status::InvalidArgument("row group column has " +
+                                     std::to_string(col.num_rows) +
+                                     " rows, expected " +
+                                     std::to_string(num_rows));
+    }
+    DFLOW_ASSIGN_OR_RETURN(uint64_t bytes, DecodedByteSize(col));
+    decoded_bytes.push_back(bytes);
+  }
+  return RowGroup(num_rows, std::move(columns), std::move(zones),
+                  std::move(decoded_bytes));
+}
+
 Result<ColumnVector> RowGroup::DecodeColumnAt(size_t i) const {
   if (i >= columns_.size()) {
     return Status::OutOfRange("column index out of range");
@@ -19,22 +41,14 @@ Result<std::vector<DataChunk>> RowGroup::DecodeChunks(
     DFLOW_ASSIGN_OR_RETURN(ColumnVector col, DecodeColumnAt(idx));
     full_columns.push_back(std::move(col));
   }
-  std::vector<DataChunk> out;
-  const size_t n = num_rows_;
-  for (size_t start = 0; start < n; start += kVectorSize) {
-    const size_t count = std::min(kVectorSize, n - start);
-    SelectionVector sel;
-    for (size_t r = 0; r < count; ++r) {
-      sel.Append(static_cast<uint32_t>(start + r));
-    }
+  return ChunkRows(num_rows_, [&](size_t start, size_t count) {
     std::vector<ColumnVector> cols;
     cols.reserve(full_columns.size());
-    for (const ColumnVector& col : full_columns) {
-      cols.push_back(col.Gather(sel));
+    for (ColumnVector& col : full_columns) {
+      cols.push_back(col.TakeRange(start, count));
     }
-    out.emplace_back(std::move(cols));
-  }
-  return out;
+    return DataChunk(std::move(cols));
+  });
 }
 
 uint64_t RowGroup::EncodedBytes(const std::vector<size_t>& indices) const {
@@ -42,6 +56,15 @@ uint64_t RowGroup::EncodedBytes(const std::vector<size_t>& indices) const {
   for (size_t idx : indices) {
     DFLOW_CHECK_LT(idx, columns_.size());
     bytes += columns_[idx].ByteSize();
+  }
+  return bytes;
+}
+
+uint64_t RowGroup::DecodedBytes(const std::vector<size_t>& indices) const {
+  uint64_t bytes = 0;
+  for (size_t idx : indices) {
+    DFLOW_CHECK_LT(idx, decoded_bytes_.size());
+    bytes += decoded_bytes_[idx];
   }
   return bytes;
 }
@@ -131,8 +154,10 @@ Status TableBuilder::FlushRowGroup() {
     encoded.push_back(std::move(ec));
     zones.push_back(ZoneMap::Compute(col));
   }
-  row_groups_.emplace_back(static_cast<uint32_t>(pending_.num_rows()),
-                           std::move(encoded), std::move(zones));
+  DFLOW_ASSIGN_OR_RETURN(
+      RowGroup rg, RowGroup::Make(static_cast<uint32_t>(pending_.num_rows()),
+                                  std::move(encoded), std::move(zones)));
+  row_groups_.push_back(std::move(rg));
   pending_ = DataChunk::EmptyFromSchema(schema_);
   return Status::OK();
 }

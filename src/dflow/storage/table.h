@@ -21,12 +21,14 @@ inline constexpr size_t kDefaultRowGroupSize = 65536;
 /// and of scan parallelism.
 class RowGroup {
  public:
-  RowGroup() = default;
-  RowGroup(uint32_t num_rows, std::vector<EncodedColumn> columns,
-           std::vector<ZoneMap> zones)
-      : num_rows_(num_rows),
-        columns_(std::move(columns)),
-        zones_(std::move(zones)) {}
+  /// The one way to build a row group, from freshly encoded columns or from
+  /// bytes read back from a store. Checks that every column has `num_rows`
+  /// rows and a zone map, and records each column's decoded size by walking
+  /// its encoding (DecodedByteSize). Bytes the decoder would refuse are a
+  /// Status here, so a bad store object never reaches a decode.
+  static Result<RowGroup> Make(uint32_t num_rows,
+                               std::vector<EncodedColumn> columns,
+                               std::vector<ZoneMap> zones);
 
   uint32_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
@@ -37,7 +39,8 @@ class RowGroup {
   Result<ColumnVector> DecodeColumnAt(size_t i) const;
 
   /// Decodes the given columns into a chunk-sized batch sequence. `indices`
-  /// selects and orders the output columns.
+  /// selects and orders the output columns. Each column decodes once; its
+  /// kVectorSize-row ranges are then moved, not copied, into the chunks.
   Result<std::vector<DataChunk>> DecodeChunks(
       const std::vector<size_t>& indices) const;
 
@@ -45,10 +48,22 @@ class RowGroup {
   uint64_t EncodedBytes(const std::vector<size_t>& indices) const;
   uint64_t EncodedBytes() const;
 
+  /// In-memory size of the selected columns once decoded: exactly the sum
+  /// of DataChunk::ByteSize() over DecodeChunks(indices), from metadata.
+  uint64_t DecodedBytes(const std::vector<size_t>& indices) const;
+
  private:
+  RowGroup(uint32_t num_rows, std::vector<EncodedColumn> columns,
+           std::vector<ZoneMap> zones, std::vector<uint64_t> decoded_bytes)
+      : num_rows_(num_rows),
+        columns_(std::move(columns)),
+        zones_(std::move(zones)),
+        decoded_bytes_(std::move(decoded_bytes)) {}
+
   uint32_t num_rows_ = 0;
   std::vector<EncodedColumn> columns_;
   std::vector<ZoneMap> zones_;
+  std::vector<uint64_t> decoded_bytes_;  // per column
 };
 
 /// An immutable columnar table: schema + row groups. Build with TableBuilder.

@@ -231,9 +231,16 @@ Result<Table> ReadTableFromStore(const ObjectStore& store,
     columns.reserve(rgm.columns.size());
     for (size_t c = 0; c < rgm.columns.size(); ++c) {
       DFLOW_ASSIGN_OR_RETURN(EncodedColumn ec, reader.ReadColumn(i, c));
+      if (ec.type != reader.schema().field(c).type) {
+        return Status::IOError("stored column type does not match schema in '" +
+                               name + "'");
+      }
       columns.push_back(std::move(ec));
     }
-    row_groups.emplace_back(rgm.num_rows, std::move(columns), rgm.zones);
+    DFLOW_ASSIGN_OR_RETURN(
+        RowGroup rg, RowGroup::Make(rgm.num_rows, std::move(columns),
+                                    rgm.zones));
+    row_groups.push_back(std::move(rg));
   }
   return Table(reader.name(), reader.schema(), std::move(row_groups));
 }

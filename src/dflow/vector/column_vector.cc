@@ -1,5 +1,7 @@
 #include "dflow/vector/column_vector.h"
 
+#include <iterator>
+
 #include "dflow/common/logging.h"
 
 namespace dflow {
@@ -219,6 +221,23 @@ uint64_t ColumnVector::ByteSize() const {
   }
   if (HasNulls()) bytes += size();
   return bytes;
+}
+
+ColumnVector ColumnVector::TakeRange(size_t start, size_t count) {
+  DFLOW_CHECK_LE(start + count, size());
+  ColumnVector out(type_);
+  std::visit(
+      [&](auto& src) {
+        auto& dst = std::get<std::decay_t<decltype(src)>>(out.data_);
+        dst.assign(std::make_move_iterator(src.begin() + start),
+                   std::make_move_iterator(src.begin() + start + count));
+      },
+      data_);
+  if (HasNulls()) {
+    out.validity_.assign(validity_.begin() + start,
+                         validity_.begin() + start + count);
+  }
+  return out;
 }
 
 }  // namespace dflow

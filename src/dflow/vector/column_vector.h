@@ -107,6 +107,11 @@ class ColumnVector {
   /// New column containing the selected rows, in selection order.
   ColumnVector Gather(const SelectionVector& sel) const;
 
+  /// Moves rows [start, start + count) into a new column; those rows of
+  /// this one are left valid but unspecified. Like Gather, the new column
+  /// carries a validity mask iff this one does.
+  ColumnVector TakeRange(size_t start, size_t count);
+
   /// Wire size in bytes: fixed width * rows, or string byte total plus a
   /// 4-byte length per row, plus the validity mask if present.
   uint64_t ByteSize() const;

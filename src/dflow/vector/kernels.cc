@@ -214,6 +214,59 @@ Status CompareColumns(const ColumnVector& a, CompareOp op,
   return Status::OK();
 }
 
+namespace {
+
+// A LIKE pattern reduced to one string test. `literal` is the pattern with
+// its leading and trailing '%' runs stripped; kGeneral keeps LikeMatch for
+// patterns with '_' or an interior '%'.
+struct LikeShape {
+  enum Kind { kEquals, kPrefix, kSuffix, kContains, kGeneral } kind;
+  std::string_view literal;
+};
+
+LikeShape ClassifyLike(std::string_view pattern) {
+  if (pattern.find('_') != std::string_view::npos) {
+    return {LikeShape::kGeneral, pattern};
+  }
+  const size_t begin = pattern.find_first_not_of('%');
+  if (begin == std::string_view::npos) {
+    // "" matches only the empty string; "%", "%%", ... match everything.
+    return {pattern.empty() ? LikeShape::kEquals : LikeShape::kContains, ""};
+  }
+  const size_t end = pattern.find_last_not_of('%') + 1;
+  const std::string_view literal = pattern.substr(begin, end - begin);
+  if (literal.find('%') != std::string_view::npos) {
+    return {LikeShape::kGeneral, pattern};
+  }
+  const bool leading = begin > 0;
+  const bool trailing = end < pattern.size();
+  if (leading && trailing) return {LikeShape::kContains, literal};
+  if (leading) return {LikeShape::kSuffix, literal};
+  if (trailing) return {LikeShape::kPrefix, literal};
+  return {LikeShape::kEquals, literal};
+}
+
+bool MatchesShape(const LikeShape& shape, std::string_view value) {
+  const std::string_view lit = shape.literal;
+  switch (shape.kind) {
+    case LikeShape::kEquals:
+      return value == lit;
+    case LikeShape::kPrefix:
+      return value.size() >= lit.size() &&
+             value.compare(0, lit.size(), lit) == 0;
+    case LikeShape::kSuffix:
+      return value.size() >= lit.size() &&
+             value.compare(value.size() - lit.size(), lit.size(), lit) == 0;
+    case LikeShape::kContains:
+      return value.find(lit) != std::string_view::npos;
+    case LikeShape::kGeneral:
+      return LikeMatch(value, lit);
+  }
+  return false;
+}
+
+}  // namespace
+
 Status ComputeLikeMask(const ColumnVector& col, std::string_view pattern,
                        Mask* mask) {
   if (col.type() != DataType::kString) {
@@ -222,8 +275,10 @@ Status ComputeLikeMask(const ColumnVector& col, std::string_view pattern,
   const size_t n = col.size();
   mask->assign(n, 0);
   const auto& d = col.strs();
+  // Classified once per call; LikeMatch stays the reference matcher.
+  const LikeShape shape = ClassifyLike(pattern);
   for (size_t i = 0; i < n; ++i) {
-    (*mask)[i] = col.IsValid(i) && LikeMatch(d[i], pattern) ? 1 : 0;
+    (*mask)[i] = col.IsValid(i) && MatchesShape(shape, d[i]) ? 1 : 0;
   }
   return Status::OK();
 }

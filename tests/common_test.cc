@@ -212,7 +212,11 @@ INSTANTIATE_TEST_SUITE_P(
         LikeCase{"ab", "a%b%c", false}, LikeCase{"abc", "%%c", true},
         LikeCase{"special offer", "%cial off%", true},
         LikeCase{"abcabc", "%abc", true}, LikeCase{"abcabc", "abc%abc", true},
-        LikeCase{"abcaabc", "abc%abc", true}));
+        LikeCase{"abcaabc", "abc%abc", true},
+        // A '%' or '_' in the value is an ordinary character.
+        LikeCase{"%_", "%", true}, LikeCase{"a%b", "a%", true},
+        LikeCase{"50%", "%0%", true}, LikeCase{"%x", "%%", true},
+        LikeCase{"_", "%_", true}));
 
 // ------------------------------------------------------- lock-rank checker
 

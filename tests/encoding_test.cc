@@ -259,6 +259,39 @@ TEST(EncodingTest, CorruptDictionaryCodeIsRejected) {
   EXPECT_FALSE(DecodeColumn(ec).ok());
 }
 
+TEST(EncodingTest, DecodedByteSizeIgnoresAllValidMask) {
+  // Gathering only valid rows keeps the mask, all ones: the encoder writes
+  // it, the decoder allocates none, and the size walk must agree.
+  ColumnVector with_null = ColumnVector::FromString({"xx", "yyy", "z"});
+  with_null.SetNull(1);
+  ColumnVector all_valid = with_null.Gather(SelectionVector({0, 2}));
+  ASSERT_TRUE(all_valid.HasNulls());
+  for (Encoding encoding : {Encoding::kPlain, Encoding::kDictionary}) {
+    EncodedColumn ec = EncodeColumn(all_valid, encoding).ValueOrDie();
+    ColumnVector decoded = DecodeColumn(ec).ValueOrDie();
+    EXPECT_FALSE(decoded.HasNulls());
+    EXPECT_EQ(DecodedByteSize(ec).ValueOrDie(), decoded.ByteSize());
+    EXPECT_EQ(DecodedByteSize(ec).ValueOrDie(), all_valid.ByteSize() - 2);
+  }
+}
+
+TEST(EncodingTest, CorruptBytesFailTheSizeWalkToo) {
+  ColumnVector strs = ColumnVector::FromString({"abc", "de"});
+  EncodedColumn plain = EncodeColumn(strs, Encoding::kPlain).ValueOrDie();
+  plain.data.resize(plain.data.size() - 1);
+  EXPECT_TRUE(DecodedByteSize(plain).status().IsOutOfRange());
+  EncodedColumn dict = EncodeColumn(strs, Encoding::kDictionary).ValueOrDie();
+  dict.data[dict.data.size() - 4] = 0xff;
+  EXPECT_TRUE(DecodedByteSize(dict).status().IsOutOfRange());
+  // A (type, encoding) pair no encoder writes is refused, not decoded.
+  EncodedColumn rle =
+      EncodeColumn(ColumnVector::FromInt64({1, 1}), Encoding::kRle)
+          .ValueOrDie();
+  rle.type = DataType::kDouble;
+  EXPECT_TRUE(DecodeColumn(rle).status().IsOutOfRange());
+  EXPECT_TRUE(DecodedByteSize(rle).status().IsOutOfRange());
+}
+
 // ------------------------- fuzzer-driven sweeps over every (type, encoding)
 
 const DataType kAllTypes[] = {DataType::kBool,   DataType::kInt32,
@@ -301,6 +334,10 @@ void RoundTripAllEncodings(const ColumnVector& col,
     ExpectColumnsEqual(col, decoded.ValueOrDie(),
                        context + " via " +
                            std::string(EncodingToString(encoding)));
+    Result<uint64_t> decoded_bytes = DecodedByteSize(encoded.ValueOrDie());
+    ASSERT_TRUE(decoded_bytes.ok()) << context;
+    EXPECT_EQ(decoded_bytes.ValueOrDie(), decoded.ValueOrDie().ByteSize())
+        << context << " via " << EncodingToString(encoding);
   }
   EXPECT_GE(accepted, 1u) << context << ": even kPlain rejected the column";
 }

@@ -63,6 +63,45 @@ TEST(SimulatorTest, ResetClearsState) {
   EXPECT_EQ(sim.events_processed(), 0u);
 }
 
+// Counts copies of itself. Event closures capture DataChunks by value, so a
+// copy of the closure is a deep copy of the data in flight.
+struct CopyCounter {
+  explicit CopyCounter(int* copies) : copies(copies) {}
+  CopyCounter(const CopyCounter& other) : copies(other.copies) { ++*copies; }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter& other) {
+    copies = other.copies;
+    ++*copies;
+    return *this;
+  }
+  CopyCounter& operator=(CopyCounter&&) noexcept = default;
+  int* copies;
+};
+
+TEST(SimulatorTest, EventsAreMovedNeverCopied) {
+  Simulator sim;
+  int copies = 0;
+  std::vector<int> order;
+  // Four timestamps, each shared by eight events scheduled out of time
+  // order, so the heap reorders across times and ties.
+  for (int i = 0; i < 32; ++i) {
+    CopyCounter payload(&copies);
+    sim.Schedule(static_cast<SimTime>(3 - i % 4),
+                 [payload = std::move(payload), i, &order] {
+                   order.push_back(i);
+                 });
+  }
+  sim.Run();
+  EXPECT_EQ(copies, 0);
+  std::vector<int> expected;
+  for (int t = 0; t < 4; ++t) {
+    for (int i = 0; i < 32; ++i) {
+      if (3 - i % 4 == t) expected.push_back(i);
+    }
+  }
+  EXPECT_EQ(order, expected);
+}
+
 TEST(LinkTest, WireTimeFromBandwidth) {
   Link link("l", /*gbps=*/1.0, /*latency=*/100);
   // 1 GB/s == 1 byte per ns.

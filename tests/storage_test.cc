@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "dflow/cluster/cluster.h"
 #include "dflow/common/random.h"
+#include "dflow/exec/scan.h"
 #include "dflow/storage/catalog.h"
 #include "dflow/storage/object_store.h"
 #include "dflow/storage/table.h"
 #include "dflow/storage/table_io.h"
 #include "dflow/storage/zone_map.h"
+#include "dflow/workload/tpch_like.h"
 
 namespace dflow {
 namespace {
@@ -237,6 +240,232 @@ TEST(TableIoTest, StoredZoneMapsSurvive) {
 TEST(TableIoTest, OpenMissingTableIsNotFound) {
   ObjectStore store;
   EXPECT_TRUE(StoredTableReader::Open(&store, "nope").status().IsNotFound());
+}
+
+// ---------------------------------------------- decoded-size metadata ----
+
+// What the recorded size must equal: the bytes a real decode produces.
+uint64_t DecodeAndMeasure(const RowGroup& rg,
+                          const std::vector<size_t>& indices) {
+  const std::vector<DataChunk> chunks = rg.DecodeChunks(indices).ValueOrDie();
+  uint64_t bytes = 0;
+  for (const DataChunk& chunk : chunks) bytes += chunk.ByteSize();
+  return bytes;
+}
+
+// Checks every row group of `table` over all columns, each single column,
+// a reordered subset and the empty projection.
+void ExpectDecodedBytesExact(const Table& table, const std::string& context) {
+  const size_t n = table.schema().num_fields();
+  std::vector<std::vector<size_t>> subsets = {{}};
+  std::vector<size_t> all, odd_reversed;
+  for (size_t c = 0; c < n; ++c) {
+    all.push_back(c);
+    subsets.push_back({c});
+    if (c % 2 == 1) odd_reversed.insert(odd_reversed.begin(), c);
+  }
+  subsets.push_back(all);
+  subsets.push_back(odd_reversed);
+  ASSERT_GT(table.num_row_groups(), 0u) << context;
+  for (size_t i = 0; i < table.num_row_groups(); ++i) {
+    const RowGroup& rg = table.row_group(i);
+    for (const std::vector<size_t>& subset : subsets) {
+      EXPECT_EQ(rg.DecodedBytes(subset), DecodeAndMeasure(rg, subset))
+          << context << " row group " << i << ", " << subset.size()
+          << " column(s)";
+    }
+  }
+}
+
+LineitemSpec SmallLineitem() {
+  LineitemSpec spec;
+  spec.rows = 12'000;
+  spec.row_group_size = 5'000;  // row groups end mid-chunk
+  return spec;
+}
+
+TEST(DecodedBytesTest, TpchLikeTablesMatchDecode) {
+  ExpectDecodedBytesExact(*MakeLineitemTable(SmallLineitem()).ValueOrDie(),
+                          "lineitem");
+  OrdersSpec orders;
+  orders.rows = 6'000;
+  orders.row_group_size = 4'096;
+  ExpectDecodedBytesExact(*MakeOrdersTable(orders).ValueOrDie(), "orders");
+  KvSpec kv;
+  kv.rows = 9'000;
+  kv.row_group_size = 3'000;
+  ExpectDecodedBytesExact(*MakeKvTable(kv).ValueOrDie(), "kv");
+}
+
+TEST(DecodedBytesTest, NullableColumnsMatchDecode) {
+  // Nulls only in the first chunk of each row group: every later chunk of
+  // the group still carries a (clean) validity mask and pays for it.
+  TableBuilder builder("t", TwoColSchema(), /*row_group_size=*/5'000);
+  DataChunk chunk = DataChunk::EmptyFromSchema(TwoColSchema());
+  for (int64_t i = 0; i < 12'000; ++i) {
+    if (i % 5'000 < 7) {
+      chunk.column(0).AppendNull();
+      chunk.column(1).AppendNull();
+    } else {
+      chunk.column(0).AppendValue(Value::Int64(i));
+      chunk.column(1).AppendValue(Value::String("name_" + std::to_string(i)));
+    }
+  }
+  ASSERT_TRUE(builder.Append(chunk).ok());
+  Table table = builder.Finish().ValueOrDie();
+  ExpectDecodedBytesExact(table, "nullable");
+  const RowGroup& rg = table.row_group(0);
+  EXPECT_GT(rg.DecodedBytes({0}), uint64_t{8} * rg.num_rows());
+}
+
+TEST(DecodedBytesTest, AllValidSourceMaskIsNotCounted) {
+  // A mask of all ones in the source is written to the wire, but the
+  // decoder allocates none: the recorded size must follow the decoder.
+  ColumnVector source = ColumnVector::FromInt64({1, 2, 3, 4});
+  source.SetNull(3);
+  ColumnVector all_valid = source.Gather(SelectionVector({0, 1, 2}));
+  ASSERT_TRUE(all_valid.HasNulls());
+  std::vector<EncodedColumn> columns;
+  columns.push_back(EncodeColumn(all_valid, Encoding::kPlain).ValueOrDie());
+  std::vector<ZoneMap> zones = {ZoneMap::Compute(all_valid)};
+  RowGroup rg = RowGroup::Make(3, std::move(columns), zones).ValueOrDie();
+  EXPECT_EQ(rg.DecodedBytes({0}), DecodeAndMeasure(rg, {0}));
+  EXPECT_EQ(rg.DecodedBytes({0}), 24u);
+}
+
+TEST(DecodedBytesTest, StoreRoundTripKeepsSizes) {
+  auto table = MakeLineitemTable(SmallLineitem()).ValueOrDie();
+  ObjectStore store;
+  ASSERT_TRUE(WriteTableToStore(*table, &store).ok());
+  Table loaded = ReadTableFromStore(store, "lineitem").ValueOrDie();
+  ExpectDecodedBytesExact(loaded, "store round trip");
+  std::vector<size_t> all(table->schema().num_fields());
+  for (size_t c = 0; c < all.size(); ++c) all[c] = c;
+  ASSERT_EQ(loaded.num_row_groups(), table->num_row_groups());
+  for (size_t i = 0; i < loaded.num_row_groups(); ++i) {
+    EXPECT_EQ(loaded.row_group(i).DecodedBytes(all),
+              table->row_group(i).DecodedBytes(all));
+  }
+}
+
+TEST(DecodedBytesTest, ClusterShardsMatchDecode) {
+  cluster::ClusterConfig config;
+  config.num_nodes = 3;
+  cluster::Cluster cl(config);
+  auto lineitem = MakeLineitemTable(SmallLineitem()).ValueOrDie();
+  ASSERT_TRUE(cl.RegisterSharded(lineitem).ok());
+  for (int node = 0; node < cl.num_nodes(); ++node) {
+    auto shard = cl.node(node).catalog().Lookup("lineitem").ValueOrDie();
+    ExpectDecodedBytesExact(*shard, "shard " + std::to_string(node));
+  }
+}
+
+TEST(DecodedBytesTest, ScanStatsNeedNoDecode) {
+  auto table = MakeLineitemTable(SmallLineitem()).ValueOrDie();
+  // Prunes on the generator's clustered order key.
+  ExprPtr filter = Expr::Cmp(CompareOp::kLt, Expr::Col("l_orderkey"),
+                             Expr::Lit(Value::Int64(2'000)));
+  TableScanSource scan =
+      TableScanSource::Make(table, {"l_comment", "l_quantity"}, filter)
+          .ValueOrDie();
+  const TableScanSource::ScanStats planned = scan.Stats();
+  TableScanSource::ScanStats produced;
+  std::vector<ScanBatch> batches = scan.Produce(&produced).ValueOrDie();
+  uint64_t decoded = 0, rows = 0;
+  for (const ScanBatch& batch : batches) {
+    for (const ScanChunk& sc : batch.chunks) {
+      decoded += sc.chunk.ByteSize();
+      rows += sc.chunk.num_rows();
+    }
+  }
+  EXPECT_EQ(planned.decoded_bytes, decoded);
+  EXPECT_EQ(planned.rows_produced, rows);
+  EXPECT_EQ(planned.row_groups_read(), batches.size());
+  EXPECT_EQ(planned.row_groups_total, produced.row_groups_total);
+  EXPECT_EQ(planned.row_groups_pruned, produced.row_groups_pruned);
+  EXPECT_EQ(planned.rows_produced, produced.rows_produced);
+  EXPECT_EQ(planned.encoded_bytes_read, produced.encoded_bytes_read);
+  EXPECT_EQ(planned.decoded_bytes, produced.decoded_bytes);
+}
+
+TEST(DecodedBytesTest, DecodeChunksSplitsLongStringsWithNulls) {
+  // 2*2048+1 rows of strings too long for the small-string buffer.
+  const size_t rows = 2 * kVectorSize + 1;
+  const Schema schema({{"s", DataType::kString}});
+  ColumnVector col(DataType::kString);
+  for (size_t i = 0; i < rows; ++i) {
+    if (i % 97 == 3) {
+      col.AppendNull();
+    } else {
+      col.AppendValue(Value::String("a long string value, row number " +
+                                    std::to_string(i)));
+    }
+  }
+  TableBuilder builder("strings", schema, /*row_group_size=*/rows);
+  ASSERT_TRUE(builder.Append(DataChunk({col})).ok());
+  Table table = builder.Finish().ValueOrDie();
+  ASSERT_EQ(table.num_row_groups(), 1u);
+  std::vector<DataChunk> chunks =
+      table.row_group(0).DecodeChunks({0}).ValueOrDie();
+  ASSERT_EQ(chunks.size(), 3u);
+  EXPECT_EQ(chunks[0].num_rows(), kVectorSize);
+  EXPECT_EQ(chunks[1].num_rows(), kVectorSize);
+  EXPECT_EQ(chunks[2].num_rows(), 1u);
+  size_t row = 0;
+  for (const DataChunk& chunk : chunks) {
+    ASSERT_TRUE(chunk.IsWellFormed());
+    EXPECT_TRUE(chunk.column(0).HasNulls());
+    for (size_t r = 0; r < chunk.num_rows(); ++r, ++row) {
+      const ColumnVector& got = chunk.column(0);
+      ASSERT_EQ(got.IsValid(r), col.IsValid(row)) << "row " << row;
+      if (col.IsValid(row)) {
+        EXPECT_EQ(got.strs()[r], col.strs()[row]) << "row " << row;
+      }
+    }
+  }
+  EXPECT_EQ(row, rows);
+  EXPECT_EQ(table.row_group(0).DecodedBytes({0}),
+            DecodeAndMeasure(table.row_group(0), {0}));
+}
+
+TEST(DecodedBytesTest, BadBytesAreAStatus) {
+  // Row counts that disagree, and payloads the decoder would refuse, fail
+  // RowGroup::Make instead of reaching a decode.
+  ColumnVector ids = ColumnVector::FromInt64({1, 2, 3});
+  const std::vector<ZoneMap> zones = {ZoneMap::Compute(ids)};
+  std::vector<EncodedColumn> short_rows;
+  short_rows.push_back(EncodeColumn(ids, Encoding::kPlain).ValueOrDie());
+  Result<RowGroup> miscounted = RowGroup::Make(4, std::move(short_rows), zones);
+  EXPECT_TRUE(miscounted.status().IsInvalidArgument());
+  std::vector<EncodedColumn> truncated;
+  truncated.push_back(EncodeColumn(ids, Encoding::kPlain).ValueOrDie());
+  truncated[0].data.pop_back();
+  Result<RowGroup> cut = RowGroup::Make(3, std::move(truncated), zones);
+  EXPECT_TRUE(cut.status().IsOutOfRange());
+
+  // The same through the store: a truncated row-group object.
+  ObjectStore store;
+  Table table = MakeBigTable(1'500);
+  ASSERT_TRUE(WriteTableToStore(table, &store).ok());
+  std::vector<uint8_t> rg0 = store.Get("tables/big/rg0").ValueOrDie();
+  rg0.resize(rg0.size() - 3);
+  ASSERT_TRUE(store.Put("tables/big/rg0", std::move(rg0)).ok());
+  EXPECT_FALSE(ReadTableFromStore(store, "big").ok());
+
+  // A stored column type that disagrees with the schema. Metadata layout:
+  // magic, table name, field count, (name, type) per field, row-group
+  // count, then row group 0's row count and column 0's offset, length,
+  // encoding and type.
+  ObjectStore typed;
+  ASSERT_TRUE(WriteTableToStore(table, &typed).ok());
+  std::vector<uint8_t> meta = typed.Get("tables/big/meta").ValueOrDie();
+  size_t pos = 4 + (4 + 3) + 4;
+  for (const Field& f : table.schema().fields()) pos += 4 + f.name.size() + 1;
+  pos += 4 + 4 + 8 + 8 + 1;
+  ASSERT_EQ(meta[pos], static_cast<uint8_t>(DataType::kInt64));
+  meta[pos] = static_cast<uint8_t>(DataType::kInt32);
+  ASSERT_TRUE(typed.Put("tables/big/meta", std::move(meta)).ok());
+  EXPECT_TRUE(ReadTableFromStore(typed, "big").status().IsIOError());
 }
 
 TEST(CatalogTest, RegisterAndLookup) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "dflow/common/random.h"
+#include "dflow/common/string_util.h"
 #include "dflow/vector/column_vector.h"
 #include "dflow/vector/data_chunk.h"
 #include "dflow/vector/kernels.h"
@@ -45,6 +49,24 @@ TEST(ColumnVectorTest, GatherPreservesOrderAndNulls) {
   EXPECT_EQ(g.i64()[0], 40);
   EXPECT_TRUE(g.GetValue(1).is_null());
   EXPECT_EQ(g.i64()[2], 10);
+}
+
+TEST(ColumnVectorTest, TakeRangeMovesRowsAndKeepsMask) {
+  ColumnVector c = ColumnVector::FromString({"a", "bb", "ccc", "dddd"});
+  c.SetNull(0);
+  const uint64_t gathered_bytes = c.Gather(SelectionVector({1, 2})).ByteSize();
+  ColumnVector mid = c.TakeRange(1, 2);
+  ASSERT_EQ(mid.size(), 2u);
+  EXPECT_EQ(mid.strs()[0], "bb");
+  EXPECT_EQ(mid.strs()[1], "ccc");
+  // No null among the taken rows, but the mask travels, as with Gather.
+  EXPECT_TRUE(mid.HasNulls());
+  EXPECT_EQ(mid.ByteSize(), gathered_bytes);
+  EXPECT_EQ(c.size(), 4u);
+  ColumnVector whole = ColumnVector::FromInt64({1, 2, 3});
+  ColumnVector all = whole.TakeRange(0, 3);
+  EXPECT_EQ(all.i64(), (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_FALSE(all.HasNulls());
 }
 
 TEST(ColumnVectorTest, ByteSizeFixedWidth) {
@@ -191,6 +213,40 @@ TEST(KernelsTest, LikeMask) {
   Mask mask;
   ASSERT_TRUE(ComputeLikeMask(c, "promo%", &mask).ok());
   EXPECT_EQ(mask, (Mask{1, 0, 1}));
+}
+
+// ComputeLikeMask classifies the pattern into equality, prefix, suffix or
+// substring tests; LikeMatch is the reference it must agree with.
+TEST(KernelsTest, LikeMaskAgreesWithLikeMatch) {
+  Random rng(0x11CEULL);
+  auto random_text = [&rng](const char* alphabet, size_t max_len) {
+    std::string out(rng.NextUint64(max_len + 1), ' ');
+    const size_t k = std::char_traits<char>::length(alphabet);
+    for (char& c : out) c = alphabet[rng.NextUint64(k)];
+    return out;
+  };
+  std::vector<std::string> values = {"", "a", "b", "%", "_", "ab", "ba"};
+  for (int i = 0; i < 200; ++i) values.push_back(random_text("ab%_", 7));
+  ColumnVector col = ColumnVector::FromString(values);
+  for (size_t i = 0; i < values.size(); i += 5) col.SetNull(i);
+
+  std::vector<std::string> patterns = {""};
+  std::istringstream shapes(
+      "% %% %%% a ab a% %a %a% %%a% a%% %%a%% %ab% _ a_ %a_% "
+      "a%b %a%b a%b% %a%b% %_% __% a%%b");
+  for (std::string p; shapes >> p;) patterns.push_back(p);
+  for (int i = 0; i < 300; ++i) patterns.push_back(random_text("ab%_", 5));
+
+  for (const std::string& pattern : patterns) {
+    Mask mask;
+    ASSERT_TRUE(ComputeLikeMask(col, pattern, &mask).ok());
+    ASSERT_EQ(mask.size(), values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      const bool expected = col.IsValid(i) && LikeMatch(values[i], pattern);
+      EXPECT_EQ(mask[i] != 0, expected)
+          << "'" << values[i] << "' LIKE '" << pattern << "'";
+    }
+  }
 }
 
 TEST(KernelsTest, MaskCombinators) {
