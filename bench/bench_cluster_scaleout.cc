@@ -10,7 +10,7 @@
 // The bench is its own gate: the partitioned-join cell must show >= 1.7x
 // throughput at 2 nodes and >= 3.0x at 4 nodes vs 1 node (and the joined
 // row count must be identical at every node count), or the binary exits
-// non-zero. CI (cluster-smoke) also reruns it and requires a
+// non-zero. CI (bench-gates, cluster row) also reruns it and requires a
 // byte-identical report at fixed --dflow_seed, then pins the counters —
 // including the cluster.* exchange/shed/straggler sections — against
 // bench/expectations/cluster_scaleout.json.

@@ -8,9 +8,9 @@
 //
 // The bench is its own gate: in the warm cell the hit rate must be >= 90%
 // and the per-admission warm planning cost must sit >= 10x below the cold
-// per-compile cost, or the binary exits non-zero. CI (cache-smoke) also
-// reruns it and requires a byte-identical report, then pins the counters
-// against bench/expectations/plan_cache.json.
+// per-compile cost, or the binary exits non-zero. CI (bench-gates, cache
+// row) also reruns it and requires a byte-identical report, then pins the
+// counters against bench/expectations/plan_cache.json.
 
 #include <cstdio>
 #include <cstdlib>

@@ -15,8 +15,9 @@
 //   * the scheduler ledger drains to zero — cancelled and retried queries
 //     leak no credits (DFLOW_INVARIANTs inside ServiceLoop::Run).
 //
-// The CI chaos-smoke job runs this binary under --dflow_verify=strict and
-// gates the report against bench/expectations/serve_chaos.json.
+// CI's bench-gates job (chaos row) runs this binary under
+// --dflow_verify=strict and gates the report against
+// bench/expectations/serve_chaos.json.
 
 #include <iostream>
 #include <map>

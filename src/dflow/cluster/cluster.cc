@@ -1,10 +1,26 @@
 #include "dflow/cluster/cluster.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "dflow/vector/kernels.h"
 
 namespace dflow::cluster {
+
+std::vector<bool> FlagStragglers(const std::vector<sim::SimTime>& times,
+                                 double factor) {
+  std::vector<bool> flags(times.size(), false);
+  if (times.size() < 2) return flags;
+  std::vector<sim::SimTime> sorted = times;
+  std::sort(sorted.begin(), sorted.end());
+  const sim::SimTime median = sorted[sorted.size() / 2];
+  if (median == 0) return flags;
+  const double threshold = static_cast<double>(median) * factor;
+  for (size_t i = 0; i < times.size(); ++i) {
+    flags[i] = static_cast<double>(times[i]) > threshold;
+  }
+  return flags;
+}
 
 Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   if (config_.num_nodes < 1) config_.num_nodes = 1;

@@ -72,6 +72,13 @@ struct ExchangeStats {
   }
 };
 
+/// The straggler rule, shared by the router (per-query local fragment times)
+/// and the cluster serving loop (per-node makespans): flags each time above
+/// `factor` x the median of `times` (the upper median for an even count).
+/// Fewer than two times, or a median of 0, flag nothing.
+std::vector<bool> FlagStragglers(const std::vector<sim::SimTime>& times,
+                                 double factor);
+
 /// N independent fabrics composed into a shared-nothing cluster: one
 /// Engine (catalog + fabric + optimizer + executors) per node, joined by a
 /// full mesh of credit-windowed, checksummed inter-node links. The cluster

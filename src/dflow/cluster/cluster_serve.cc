@@ -59,21 +59,11 @@ Result<ClusterServiceResult> ClusterServiceLoop::Run() {
     result.node_results[node] = std::move(node_result);
   }
 
-  // Straggler detection over the per-node serving makespans, same rule as
-  // the router's per-query detection.
-  if (node_makespans.size() >= 2) {
-    std::vector<sim::SimTime> sorted = node_makespans;
-    std::sort(sorted.begin(), sorted.end());
-    const sim::SimTime median = sorted[sorted.size() / 2];
-    if (median > 0) {
-      const double threshold = static_cast<double>(median) *
-                               cluster_->config().straggler_factor;
-      for (sim::SimTime m : node_makespans) {
-        if (static_cast<double>(m) > threshold) {
-          result.cluster.straggler_events++;
-        }
-      }
-    }
+  // Stragglers among the per-node serving makespans (the router applies
+  // the same rule to each query's local fragments).
+  for (bool slow : FlagStragglers(node_makespans,
+                                  cluster_->config().straggler_factor)) {
+    if (slow) result.cluster.straggler_events++;
   }
 
   for (sim::SimTime m : node_makespans) {

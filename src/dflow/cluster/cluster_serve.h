@@ -41,8 +41,8 @@ struct ClusterServiceResult {
   std::vector<serve::ServiceResult> node_results;
 };
 
-/// The serving layer over the cluster: shards tenants across alive nodes
-/// (stable hash, same as QueryRouter::HomeNode) and runs one
+/// The serving layer over the cluster: shards tenants round-robin over the
+/// alive nodes (tenant t to the (t mod alive)-th alive node) and runs one
 /// serve::ServiceLoop per node over that node's tenant subset — admission,
 /// lifecycle, breakers, brownout, and the program cache all per node, each
 /// node on its own fabric. Nodes serve concurrently, so the cluster

@@ -21,45 +21,54 @@ std::string_view ExchangeOutcomeToString(ExchangeOutcome outcome) {
   return "?";
 }
 
-ExchangeOperator::ExchangeOperator(Cluster* cluster, Options options)
-    : cluster_(cluster), options_(std::move(options)) {}
-
-Result<ExchangeResult> ExchangeOperator::Run(
-    const std::vector<std::vector<DataChunk>>& inputs,
-    const std::vector<sim::SimTime>& ready_ns) {
-  const int n = cluster_->num_nodes();
+Result<ExchangeResult> RunExchange(Cluster* cluster,
+                                   const verify::ExchangeSpec& spec,
+                                   sim::SimTime cancel_at_ns,
+                                   const NodeChunks& inputs,
+                                   const std::vector<sim::SimTime>& ready_ns) {
+  const int n = cluster->num_nodes();
   if (static_cast<int>(inputs.size()) != n ||
       static_cast<int>(ready_ns.size()) != n) {
     return Status::InvalidArgument(
         "exchange inputs/ready must be indexed by node id over the cluster");
   }
-  const std::vector<int> alive = cluster_->AliveNodes();
-  if (alive.empty()) {
-    return Status::InvalidArgument("exchange over a cluster with no nodes");
+  if (spec.to_nodes.empty()) {
+    return Status::InvalidArgument("exchange " + spec.name +
+                                   " has no destination nodes");
+  }
+  for (const std::vector<int>* nodes : {&spec.from_nodes, &spec.to_nodes}) {
+    for (int node : *nodes) {
+      if (node < 0 || node >= n) {
+        return Status::InvalidArgument("exchange " + spec.name +
+                                       " endpoint outside the cluster");
+      }
+    }
   }
 
   ExchangeResult result;
   result.received.resize(n);
   result.done_ns.assign(n, 0);
-  for (int d : alive) result.done_ns[d] = ready_ns[d];
+  for (int d : spec.to_nodes) result.done_ns[d] = ready_ns[d];
 
-  const ClusterFaultConfig& fault = cluster_->config().fault;
+  const ClusterFaultConfig& fault = cluster->config().fault;
   const bool loss_armed = fault.lose_node >= 0 && fault.lose_node < n &&
-                          cluster_->node_alive(fault.lose_node);
-  const uint64_t frame_cap = std::max<uint64_t>(1, cluster_->config().frame_bytes);
-  const ExchangeStats before = cluster_->TotalExchangeStats();
+                          cluster->node_alive(fault.lose_node);
+  const uint64_t frame_cap =
+      std::max<uint64_t>(1, cluster->config().frame_bytes);
+  const ExchangeStats before = cluster->TotalExchangeStats();
 
-  // Ends the exchange: returns every in-flight credit (delivered frames'
+  // Ends the exchange: returns every in-flight credit on the source ->
+  // destination links, the only ones its frames use (delivered frames'
   // acks are all in the virtual past by construction; cancelled frames are
   // explicitly released — either way the window must come back empty), and
   // reports only this exchange's delta of the link counters.
   auto finish = [&](ExchangeOutcome outcome) {
-    for (int s : alive) {
-      for (int d : alive) {
-        if (s != d) cluster_->link(s, d).CancelWindow();
+    for (int s : spec.from_nodes) {
+      for (int d : spec.to_nodes) {
+        if (s != d) cluster->link(s, d).CancelWindow();
       }
     }
-    const ExchangeStats after = cluster_->TotalExchangeStats();
+    const ExchangeStats after = cluster->TotalExchangeStats();
     result.stats.bytes = after.bytes - before.bytes;
     result.stats.frames = after.frames - before.frames;
     result.stats.retransmits = after.retransmits - before.retransmits;
@@ -69,42 +78,42 @@ Result<ExchangeResult> ExchangeOperator::Run(
     return result;
   };
 
-  const uint32_t fanout = static_cast<uint32_t>(alive.size());
+  const uint32_t fanout = static_cast<uint32_t>(spec.to_nodes.size());
   std::vector<uint64_t> hashes;
 
   // Deterministic frame layout: source nodes ascending, that source's
   // chunks in order, destinations ascending, frames of a chunk in row
   // order. Same inputs => same schedule => byte-identical counters.
-  for (int src : alive) {
+  for (int src : spec.from_nodes) {
     for (const DataChunk& chunk : inputs[src]) {
       if (chunk.num_rows() == 0) continue;
 
       // Route this chunk: per destination node, the piece it receives.
       std::vector<std::pair<int, DataChunk>> routed;
-      switch (options_.kind) {
+      switch (spec.kind) {
         case verify::ExchangeKind::kShuffle: {
-          if (options_.key_col >= chunk.num_columns()) {
+          if (spec.key_col < 0 ||
+              static_cast<size_t>(spec.key_col) >= chunk.num_columns()) {
             return Status::InvalidArgument("shuffle key column out of range");
           }
           hashes.clear();  // non-empty switches HashColumn into combine mode
-          DFLOW_RETURN_NOT_OK(HashColumn(chunk.column(options_.key_col),
-                                         &hashes));
+          DFLOW_RETURN_NOT_OK(HashColumn(chunk.column(spec.key_col), &hashes));
           std::vector<SelectionVector> sel(fanout);
           for (size_t r = 0; r < hashes.size(); ++r) {
             sel[hashes[r] % fanout].Append(static_cast<uint32_t>(r));
           }
           for (uint32_t p = 0; p < fanout; ++p) {
             if (sel[p].empty()) continue;
-            routed.emplace_back(alive[p], chunk.Gather(sel[p]));
+            routed.emplace_back(spec.to_nodes[p], chunk.Gather(sel[p]));
           }
           break;
         }
         case verify::ExchangeKind::kBroadcast: {
-          for (int dst : alive) routed.emplace_back(dst, chunk);
+          for (int dst : spec.to_nodes) routed.emplace_back(dst, chunk);
           break;
         }
         case verify::ExchangeKind::kGather: {
-          routed.emplace_back(options_.coordinator, chunk);
+          routed.emplace_back(spec.to_nodes[0], chunk);
           break;
         }
       }
@@ -131,15 +140,15 @@ Result<ExchangeResult> ExchangeOperator::Run(
           }
           DataChunk frame = piece.Gather(rows);
           const sim::SimTime ready = ready_ns[src];
-          if (options_.cancel_at_ns > 0 && ready >= options_.cancel_at_ns) {
+          if (cancel_at_ns > 0 && ready >= cancel_at_ns) {
             return finish(ExchangeOutcome::kCancelled);
           }
-          const sim::InterNodeLink::FrameResult sent = cluster_->link(src, dst)
+          const sim::InterNodeLink::FrameResult sent = cluster->link(src, dst)
               .Send(ready, frame.ByteSize(), ChecksumChunk(frame));
           if (loss_armed &&
               (src == fault.lose_node || dst == fault.lose_node) &&
               sent.arrive >= fault.lose_node_at_ns) {
-            cluster_->MarkNodeLost(fault.lose_node);
+            cluster->MarkNodeLost(fault.lose_node);
             return finish(ExchangeOutcome::kNodeLost);
           }
           if (!sent.delivered) {

@@ -21,11 +21,14 @@ enum class ExchangeOutcome {
 
 std::string_view ExchangeOutcomeToString(ExchangeOutcome outcome);
 
+/// Chunks per node, indexed by node id over the full cluster.
+using NodeChunks = std::vector<std::vector<DataChunk>>;
+
 struct ExchangeResult {
   ExchangeOutcome outcome = ExchangeOutcome::kDone;
   /// Chunks delivered to each node (indexed by node id; empty for nodes
   /// outside the destination set).
-  std::vector<std::vector<DataChunk>> received;
+  NodeChunks received;
   /// Per destination node: cluster virtual time when its last frame landed
   /// (at least the node's own ready time, so a purely-local delivery is
   /// free but never time-travels).
@@ -33,44 +36,29 @@ struct ExchangeResult {
   ExchangeStats stats;
 };
 
-/// One cluster-level data movement: hash-shuffle, broadcast, or gather,
-/// lowered onto the mesh of checksummed, credit-windowed inter-node links.
+/// Runs one cluster-level data movement exactly as `spec` describes it,
+/// lowered onto the mesh of checksummed, credit-windowed inter-node links:
+/// every node in `spec.from_nodes` sends its chunks, and a shuffle routes
+/// each row on `spec.key_col` to to_nodes[hash(key) % |to_nodes|] (the same
+/// HashColumn basis as the intra-node HashPartitioner), a broadcast copies
+/// every chunk to every node in `spec.to_nodes`, and a gather funnels
+/// everything to `spec.to_nodes[0]`. Frames larger than the cluster's
+/// frame_bytes are split. The credit window is each link's own
+/// (ClusterConfig::xlink_credits, which the router copies into
+/// `spec.credits` for the verifier).
 ///
-/// Execution is phase-structured: inputs are the chunks each node's local
-/// fragment produced, stamped with the virtual time that fragment finished
-/// (`ready_ns`), and the exchange lays every frame onto the links in a
+/// Execution is phase-structured: `inputs[node]` are the chunks node's local
+/// fragment produced, ready at cluster virtual time `ready_ns[node]`, both
+/// indexed by node id over the full cluster. Frames go onto the links in a
 /// deterministic order (source node asc, chunk order, destination asc) —
-/// same inputs, same seed, same schedule, byte-identical counters.
-class ExchangeOperator {
- public:
-  struct Options {
-    verify::ExchangeKind kind = verify::ExchangeKind::kShuffle;
-    /// Shuffle key column (index into the input chunks' schema). Rows
-    /// route to alive_nodes[hash(key) % alive_count] — the same HashColumn
-    /// basis as the intra-node HashPartitioner.
-    size_t key_col = 0;
-    /// Gather destination.
-    int coordinator = 0;
-    /// Cancel the exchange at this cluster virtual time (0 = never). Frames
-    /// not yet departed are never sent; every in-flight credit is returned.
-    sim::SimTime cancel_at_ns = 0;
-    std::string name = "xchg";
-  };
-
-  ExchangeOperator(Cluster* cluster, Options options);
-
-  /// `inputs[node]` are node's outbound chunks (ignored for lost nodes),
-  /// ready at `ready_ns[node]`. Both are indexed by node id over the full
-  /// cluster, not just alive nodes.
-  Result<ExchangeResult> Run(const std::vector<std::vector<DataChunk>>& inputs,
-                             const std::vector<sim::SimTime>& ready_ns);
-
-  const Options& options() const { return options_; }
-
- private:
-  Cluster* cluster_;
-  Options options_;
-};
+/// same inputs, same seed, same schedule, byte-identical counters. Frames
+/// not yet departed at `cancel_at_ns` (0 = never) are never sent, and every
+/// in-flight credit is returned whatever the outcome.
+Result<ExchangeResult> RunExchange(Cluster* cluster,
+                                   const verify::ExchangeSpec& spec,
+                                   sim::SimTime cancel_at_ns,
+                                   const NodeChunks& inputs,
+                                   const std::vector<sim::SimTime>& ready_ns);
 
 }  // namespace dflow::cluster
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "dflow/common/hash.h"
+#include "dflow/common/logging.h"
 #include "dflow/exec/aggregate.h"
 #include "dflow/exec/join.h"
 #include "dflow/exec/local_executor.h"
@@ -32,31 +33,31 @@ std::vector<std::string> LocalOutputNames(const QuerySpec& spec,
 
 /// Schema of the chunks flowing between fragments, recovered from the
 /// first non-empty chunk (chunks carry types but not names). nullopt when
-/// every node produced zero rows.
-std::optional<Schema> InferSchema(
-    const std::vector<std::vector<DataChunk>>& per_node,
-    const std::vector<std::string>& names) {
-  for (const auto& chunks : per_node) {
-    for (const DataChunk& chunk : chunks) {
-      if (chunk.num_rows() == 0 || chunk.num_columns() != names.size()) {
-        continue;
-      }
-      std::vector<Field> fields;
-      fields.reserve(names.size());
-      for (size_t i = 0; i < names.size(); ++i) {
-        fields.push_back(Field{names[i], chunk.column(i).type()});
-      }
-      return Schema(std::move(fields));
+/// there are zero rows.
+std::optional<Schema> InferSchema(const std::vector<DataChunk>& chunks,
+                                  const std::vector<std::string>& names) {
+  for (const DataChunk& chunk : chunks) {
+    if (chunk.num_rows() == 0 || chunk.num_columns() != names.size()) {
+      continue;
     }
+    std::vector<Field> fields;
+    fields.reserve(names.size());
+    for (size_t i = 0; i < names.size(); ++i) {
+      fields.push_back(Field{names[i], chunk.column(i).type()});
+    }
+    return Schema(std::move(fields));
   }
   return std::nullopt;
 }
 
-std::optional<Schema> InferSchema(const std::vector<DataChunk>& chunks,
+std::optional<Schema> InferSchema(const NodeChunks& per_node,
                                   const std::vector<std::string>& names) {
-  std::vector<std::vector<DataChunk>> wrap;
-  wrap.push_back(chunks);
-  return InferSchema(wrap, names);
+  for (const std::vector<DataChunk>& chunks : per_node) {
+    if (std::optional<Schema> schema = InferSchema(chunks, names)) {
+      return schema;
+    }
+  }
+  return std::nullopt;
 }
 
 /// Column names of the final (coordinator-side) result, for resolving the
@@ -71,6 +72,131 @@ std::vector<std::string> FinalOutputNames(const QuerySpec& spec,
   }
   return LocalOutputNames(spec, table_schema);
 }
+
+/// Sum of the per-node counts a gather delivered to the coordinator.
+int64_t SumCounts(const std::vector<DataChunk>& chunks) {
+  int64_t total = 0;
+  for (const DataChunk& chunk : chunks) {
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      total += chunk.GetValue(r, 0).AsInt64();
+    }
+  }
+  return total;
+}
+
+/// An exchange that moves rows to every alive node, as a query shape names
+/// it: a shuffle on `key_col` of the producer's `input_arity` columns, or a
+/// broadcast.
+struct Spread {
+  std::string name;
+  verify::ExchangeKind kind;
+  size_t key_col;
+  size_t input_arity;
+};
+
+/// The exchange plan of one distributed query: the one description of its
+/// data movement, both verified and run. Every exchange reads from all
+/// alive nodes. Each of `spreads` moves rows to every alive node for the
+/// per-node `stage` fragments ("merge", "join"); the plan ends with the
+/// gather `gather_name` to the coordinator. Credits are the links' own
+/// window.
+verify::ExchangePlanSpec BuildExchangePlan(const Cluster& cluster,
+                                           const std::vector<int>& alive,
+                                           int coord, const std::string& stage,
+                                           const std::vector<Spread>& spreads,
+                                           const std::string& gather_name) {
+  verify::ExchangePlanSpec plan;
+  plan.num_nodes = cluster.num_nodes();
+  plan.lost_nodes = cluster.LostNodes();
+  plan.lossy_links = cluster.link_faults_armed();
+  for (int i : alive) plan.fragments.push_back("scan@" + std::to_string(i));
+  if (!spreads.empty()) {
+    for (int i : alive) {
+      plan.fragments.push_back(stage + "@" + std::to_string(i));
+    }
+  }
+  plan.fragments.push_back("coord");
+  for (const Spread& spread : spreads) {
+    verify::ExchangeSpec x;
+    x.name = spread.name;
+    x.kind = spread.kind;
+    x.from_nodes = alive;
+    x.to_nodes = alive;
+    x.partition_count = spread.kind == verify::ExchangeKind::kShuffle
+                            ? static_cast<uint32_t>(alive.size())
+                            : 0;
+    x.key_col = static_cast<int>(spread.key_col);
+    x.input_arity = static_cast<int>(spread.input_arity);
+    x.consumer = stage + "@" + std::to_string(alive.front());
+    plan.exchanges.push_back(std::move(x));
+  }
+  verify::ExchangeSpec gather;
+  gather.name = gather_name;
+  gather.kind = verify::ExchangeKind::kGather;
+  gather.from_nodes = alive;
+  gather.to_nodes = {coord};
+  gather.consumer = "coord";
+  plan.exchanges.push_back(std::move(gather));
+  for (verify::ExchangeSpec& x : plan.exchanges) {
+    x.credits = cluster.config().xlink_credits;
+  }
+  return plan;
+}
+
+/// Owns one query's exchange plan: verifies it, then runs its exchanges one
+/// at a time in plan order, each exactly as the plan describes it. Every
+/// exchange's counters fold into the query result; one that does not
+/// finish also sets the query's outcome code and closes the coordinator
+/// task as cancelled or failed, and the query ends there.
+class PlanRunner {
+ public:
+  PlanRunner(Cluster* cluster, verify::ExchangePlanSpec plan,
+             const RouterOptions& options, DistributedResult* result)
+      : cluster_(cluster),
+        plan_(std::move(plan)),
+        options_(options),
+        result_(result) {}
+
+  /// Runs the VY_XCHG_* family over the plan into the result; strict mode
+  /// refuses a plan with errors.
+  Status Verify() {
+    result_->verify = verify::VerifyExchangePlan(plan_);
+    if (options_.verify == verify::VerifyMode::kStrict &&
+        !result_->verify.ok()) {
+      return Status::InvalidArgument("exchange plan rejected: " +
+                                     result_->verify.ToString());
+    }
+    return Status::OK();
+  }
+
+  /// Runs the plan's next exchange; nullopt when it did not finish.
+  Result<std::optional<ExchangeResult>> Next(
+      const NodeChunks& inputs, const std::vector<sim::SimTime>& ready) {
+    DFLOW_CHECK(next_ < plan_.exchanges.size());
+    DFLOW_ASSIGN_OR_RETURN(
+        ExchangeResult xr,
+        RunExchange(cluster_, plan_.exchanges[next_++], options_.cancel_at_ns,
+                    inputs, ready));
+    result_->exchange.Accumulate(xr.stats);
+    if (xr.outcome == ExchangeOutcome::kDone) {
+      return std::optional<ExchangeResult>(std::move(xr));
+    }
+    result_->outcome = std::string(ExchangeOutcomeToString(xr.outcome));
+    result_->tasks.push_back(
+        TaskInfo{options_.coordinator, "coord",
+                 xr.outcome == ExchangeOutcome::kCancelled
+                     ? TaskInfo::State::kCancelled
+                     : TaskInfo::State::kFailed});
+    return std::optional<ExchangeResult>();
+  }
+
+ private:
+  Cluster* cluster_;
+  const verify::ExchangePlanSpec plan_;
+  const RouterOptions& options_;
+  DistributedResult* result_;
+  size_t next_ = 0;
+};
 
 }  // namespace
 
@@ -143,24 +269,38 @@ Result<QueryResult> QueryRouter::RunLocalFragment(int node,
   return result;
 }
 
-void QueryRouter::DetectStragglers(DistributedResult* result) {
-  std::vector<sim::SimTime> times;
-  for (const TaskInfo& task : result->tasks) {
-    if (task.fragment == "local") times.push_back(task.local_ns);
-  }
-  if (times.size() < 2) return;
-  std::sort(times.begin(), times.end());
-  const sim::SimTime median = times[times.size() / 2];
-  if (median == 0) return;
-  const double threshold =
-      static_cast<double>(median) * cluster_->config().straggler_factor;
-  for (TaskInfo& task : result->tasks) {
-    if (task.fragment != "local") continue;
-    if (static_cast<double>(task.local_ns) > threshold) {
-      task.straggler = true;
-      result->straggler_events++;
+Result<std::vector<sim::SimTime>> QueryRouter::RunLocalPhase(
+    const std::vector<int>& alive, const std::vector<QuerySpec>& fragments,
+    std::vector<NodeChunks>* rows, DistributedResult* result) {
+  const int n = cluster_->num_nodes();
+  const ClusterFaultConfig& fault = cluster_->config().fault;
+  rows->assign(fragments.size(), NodeChunks(n));
+  std::vector<sim::SimTime> ready(n, 0);
+  std::vector<sim::SimTime> local_ns;
+  for (int i : alive) {
+    sim::SimTime t = 0;
+    for (size_t f = 0; f < fragments.size(); ++f) {
+      DFLOW_ASSIGN_OR_RETURN(QueryResult run,
+                             RunLocalFragment(i, fragments[f]));
+      t += run.report.sim_ns;
+      (*rows)[f][i] = std::move(run.chunks);
     }
+    if (fault.slow_node == i && fault.slow_factor > 1.0) {
+      t = static_cast<sim::SimTime>(static_cast<double>(t) *
+                                    fault.slow_factor);
+    }
+    ready[i] = t;
+    local_ns.push_back(t);
   }
+  const std::vector<bool> slow =
+      FlagStragglers(local_ns, cluster_->config().straggler_factor);
+  for (size_t k = 0; k < alive.size(); ++k) {
+    result->tasks.push_back(TaskInfo{alive[k], "local",
+                                     TaskInfo::State::kDone, local_ns[k],
+                                     slow[k]});
+    if (slow[k]) result->straggler_events++;
+  }
+  return ready;
 }
 
 Result<int> QueryRouter::HomeNode(const std::string& tenant) const {
@@ -177,7 +317,6 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
   if (alive.empty()) {
     return Status::InvalidArgument("cluster has no alive nodes");
   }
-  const int n = cluster_->num_nodes();
   const int coord = options_.coordinator;
   DistributedResult result;
 
@@ -186,52 +325,22 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
                              spec.table));
   const Schema& table_schema = any_shard->schema();
 
-  // ---- Exchange-plan verification: the VY_XCHG_* family runs over the
-  // plan snapshot before any frame moves; strict mode refuses errors.
+  // ---- Exchange plan, verified before any frame moves: grouped
+  // aggregates shuffle partial states so each group has one home, and every
+  // shape gathers to the coordinator.
   const bool has_agg = !spec.count_only && !spec.aggregates.empty();
   const bool grouped = has_agg && !spec.group_by.empty();
-  {
-    verify::ExchangePlanSpec plan;
-    plan.num_nodes = n;
-    plan.lost_nodes = cluster_->LostNodes();
-    plan.lossy_links = cluster_->link_faults_armed();
-    for (int i : alive) plan.fragments.push_back("scan@" + std::to_string(i));
-    if (grouped) {
-      for (int i : alive) {
-        plan.fragments.push_back("merge@" + std::to_string(i));
-      }
-    }
-    plan.fragments.push_back("coord");
-    const uint32_t credits = cluster_->config().xlink_credits;
-    if (grouped) {
-      verify::ExchangeSpec shuffle;
-      shuffle.name = "shuffle.partial";
-      shuffle.kind = verify::ExchangeKind::kShuffle;
-      shuffle.from_nodes = alive;
-      shuffle.to_nodes = alive;
-      shuffle.partition_count = static_cast<uint32_t>(alive.size());
-      shuffle.credits = credits;
-      shuffle.key_col = 0;  // group columns lead the partial layout
-      shuffle.input_arity =
-          static_cast<int>(spec.group_by.size() + spec.aggregates.size());
-      shuffle.consumer = "merge@" + std::to_string(alive.front());
-      plan.exchanges.push_back(std::move(shuffle));
-    }
-    verify::ExchangeSpec gather;
-    gather.name = "gather.result";
-    gather.kind = verify::ExchangeKind::kGather;
-    gather.from_nodes = alive;
-    gather.to_nodes = {coord};
-    gather.credits = credits;
-    gather.consumer = "coord";
-    plan.exchanges.push_back(std::move(gather));
-    result.verify = verify::VerifyExchangePlan(plan);
-    if (options_.verify == verify::VerifyMode::kStrict &&
-        !result.verify.ok()) {
-      return Status::InvalidArgument("exchange plan rejected: " +
-                                     result.verify.ToString());
-    }
+  std::vector<Spread> spreads;
+  if (grouped) {
+    // Group columns lead the partial layout, so the key is column 0.
+    spreads.push_back({"shuffle.partial", verify::ExchangeKind::kShuffle, 0,
+                       spec.group_by.size() + spec.aggregates.size()});
   }
+  PlanRunner plan(cluster_,
+                  BuildExchangePlan(*cluster_, alive, coord, "merge", spreads,
+                                    "gather.result"),
+                  options_, &result);
+  DFLOW_RETURN_NOT_OK(plan.Verify());
 
   // ---- Phase A: per-node local fragments, each on its own fabric.
   // Aggregation, ordering and limits move to the merge phases; the scan/
@@ -243,83 +352,33 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
     local_spec.aggregates.clear();
     local_spec.group_by.clear();
   }
+  std::vector<NodeChunks> rows;
+  DFLOW_ASSIGN_OR_RETURN(std::vector<sim::SimTime> ready,
+                         RunLocalPhase(alive, {local_spec}, &rows, &result));
+  NodeChunks& sent = rows[0];
 
-  std::vector<std::vector<DataChunk>> local(n);
-  std::vector<sim::SimTime> ready(n, 0);
-  const ClusterFaultConfig& fault = cluster_->config().fault;
-  for (int i : alive) {
-    TaskInfo task;
-    task.node = i;
-    task.fragment = "local";
-    task.state = TaskInfo::State::kRunning;
-    DFLOW_ASSIGN_OR_RETURN(QueryResult run, RunLocalFragment(i, local_spec));
-    sim::SimTime t = run.report.sim_ns;
-    if (fault.slow_node == i && fault.slow_factor > 1.0) {
-      t = static_cast<sim::SimTime>(static_cast<double>(t) *
-                                    fault.slow_factor);
-    }
-    task.local_ns = t;
-    task.state = TaskInfo::State::kDone;
-    local[i] = std::move(run.chunks);
-    ready[i] = t;
-    result.tasks.push_back(std::move(task));
+  std::optional<Schema> in_schema;
+  if (has_agg) {
+    in_schema = InferSchema(sent, LocalOutputNames(spec, table_schema));
   }
-  DetectStragglers(&result);
-
-  // Maps a failed exchange onto the result: stable outcome code, tasks
-  // closed out, no rows.
-  auto fail_with = [&](const ExchangeResult& xr) {
-    result.outcome = std::string(ExchangeOutcomeToString(xr.outcome));
-    result.exchange.Accumulate(xr.stats);
-    TaskInfo task;
-    task.node = coord;
-    task.fragment = "coord";
-    task.state = xr.outcome == ExchangeOutcome::kCancelled
-                     ? TaskInfo::State::kCancelled
-                     : TaskInfo::State::kFailed;
-    result.tasks.push_back(std::move(task));
-    return result;
-  };
-
-  const std::vector<std::string> local_names =
-      LocalOutputNames(spec, table_schema);
-
-  // ---- Phases B/C by query shape.
-  if (spec.count_only) {
-    // Per-node counts gather to the coordinator, which sums them.
-    ExchangeOperator gather(
-        cluster_, {verify::ExchangeKind::kGather, 0, coord,
-                   options_.cancel_at_ns, "gather.count"});
-    DFLOW_ASSIGN_OR_RETURN(ExchangeResult xr, gather.Run(local, ready));
-    if (xr.outcome != ExchangeOutcome::kDone) return fail_with(xr);
-    result.exchange.Accumulate(xr.stats);
-    int64_t total = 0;
-    for (const DataChunk& chunk : xr.received[coord]) {
-      for (size_t r = 0; r < chunk.num_rows(); ++r) {
-        total += chunk.GetValue(r, 0).AsInt64();
-      }
-    }
-    DataChunk out(std::vector<ColumnVector>{ColumnVector::FromInt64({total})});
-    result.chunks.push_back(std::move(out));
-    result.makespan_ns = xr.done_ns[coord] + kClusterOpNsPerRow;
-  } else if (has_agg) {
-    // Pre-aggregate per node, shuffle partial states so each group has one
-    // home, merge, and gather merged rows to the coordinator (global
-    // aggregates skip the shuffle: one kFinal merge at the coordinator).
-    std::optional<Schema> in_schema = InferSchema(local, local_names);
-    if (!in_schema.has_value()) {
-      // Zero rows survived the filter on every shard, so the distributed
-      // answer equals the full query over any (empty-result) shard: run it
-      // on the coordinator, which also yields the scalar-aggregate
-      // empty-state row with the right types.
-      DFLOW_ASSIGN_OR_RETURN(QueryResult run, RunLocalFragment(coord, spec));
-      result.chunks = std::move(run.chunks);
-      sim::SimTime worst = 0;
-      for (const TaskInfo& t : result.tasks) worst = std::max(worst, t.local_ns);
-      result.makespan_ns = worst + run.report.sim_ns;
-    } else {
-      std::vector<std::vector<DataChunk>> partial(n);
-      Schema partial_schema;
+  if (has_agg && !in_schema.has_value()) {
+    // Zero rows survived the filter on every shard, so the distributed
+    // answer equals the full query over any (empty-result) shard: run it
+    // on the coordinator, which also yields the scalar-aggregate
+    // empty-state row with the right types.
+    DFLOW_ASSIGN_OR_RETURN(QueryResult run, RunLocalFragment(coord, spec));
+    result.chunks = std::move(run.chunks);
+    sim::SimTime worst = 0;
+    for (const TaskInfo& t : result.tasks) worst = std::max(worst, t.local_ns);
+    result.makespan_ns = worst + run.report.sim_ns;
+  } else {
+    // ---- Phases B/C: what each node sends to the coordinator is its
+    // local rows (count, plain select), its partial states (global
+    // aggregate) or its merged groups (grouped aggregate).
+    Schema partial_schema;
+    std::vector<AggSpec> merge_specs;
+    if (has_agg) {
+      NodeChunks partial(sent.size());
       for (int i : alive) {
         DFLOW_ASSIGN_OR_RETURN(
             OperatorPtr agg,
@@ -327,79 +386,52 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
                                         spec.aggregates, AggMode::kPartial));
         partial_schema = agg->output_schema();
         DFLOW_ASSIGN_OR_RETURN(partial[i],
-                               RunLocalPipeline(local[i], {agg.get()}));
-        ready[i] += TotalRows(local[i]) * kClusterOpNsPerRow;
+                               RunLocalPipeline(sent[i], {agg.get()}));
+        ready[i] += TotalRows(sent[i]) * kClusterOpNsPerRow;
       }
-      const std::vector<AggSpec> merge_specs = MakeMergeSpecs(spec.aggregates);
-      if (grouped) {
-        DFLOW_ASSIGN_OR_RETURN(size_t key_col,
-                               partial_schema.FieldIndex(spec.group_by[0]));
-        ExchangeOperator shuffle(
-            cluster_, {verify::ExchangeKind::kShuffle, key_col, coord,
-                       options_.cancel_at_ns, "shuffle.partial"});
-        DFLOW_ASSIGN_OR_RETURN(ExchangeResult xr, shuffle.Run(partial, ready));
-        if (xr.outcome != ExchangeOutcome::kDone) return fail_with(xr);
-        result.exchange.Accumulate(xr.stats);
-        std::vector<std::vector<DataChunk>> merged(n);
-        std::vector<sim::SimTime> merged_ready(n, 0);
-        for (int i : alive) {
-          TaskInfo task;
-          task.node = i;
-          task.fragment = "merge";
-          DFLOW_ASSIGN_OR_RETURN(
-              OperatorPtr fin,
-              HashAggregateOperator::Make(partial_schema, spec.group_by,
-                                          merge_specs, AggMode::kFinal));
-          DFLOW_ASSIGN_OR_RETURN(
-              merged[i], RunLocalPipeline(xr.received[i], {fin.get()}));
-          merged_ready[i] =
-              xr.done_ns[i] +
-              TotalRows(xr.received[i]) * kClusterOpNsPerRow;
-          task.state = TaskInfo::State::kDone;
-          result.tasks.push_back(std::move(task));
-        }
-        ExchangeOperator gather(
-            cluster_, {verify::ExchangeKind::kGather, 0, coord,
-                       options_.cancel_at_ns, "gather.result"});
-        DFLOW_ASSIGN_OR_RETURN(ExchangeResult gr,
-                               gather.Run(merged, merged_ready));
-        if (gr.outcome != ExchangeOutcome::kDone) return fail_with(gr);
-        result.exchange.Accumulate(gr.stats);
-        result.chunks = std::move(gr.received[coord]);
-        result.makespan_ns =
-            gr.done_ns[coord] + TotalRows(result.chunks) * kClusterOpNsPerRow;
-      } else {
-        // Global aggregate: gather partial states, one merge at the
-        // coordinator (which emits the empty-state row when nothing came).
-        ExchangeOperator gather(
-            cluster_, {verify::ExchangeKind::kGather, 0, coord,
-                       options_.cancel_at_ns, "gather.result"});
-        DFLOW_ASSIGN_OR_RETURN(ExchangeResult xr, gather.Run(partial, ready));
-        if (xr.outcome != ExchangeOutcome::kDone) return fail_with(xr);
-        result.exchange.Accumulate(xr.stats);
+      sent = std::move(partial);
+      merge_specs = MakeMergeSpecs(spec.aggregates);
+    }
+    if (grouped) {
+      DFLOW_ASSIGN_OR_RETURN(std::optional<ExchangeResult> xr,
+                             plan.Next(sent, ready));
+      if (!xr.has_value()) return result;
+      for (int i : alive) {
+        DFLOW_ASSIGN_OR_RETURN(
+            OperatorPtr fin,
+            HashAggregateOperator::Make(partial_schema, spec.group_by,
+                                        merge_specs, AggMode::kFinal));
+        DFLOW_ASSIGN_OR_RETURN(
+            sent[i], RunLocalPipeline(xr->received[i], {fin.get()}));
+        ready[i] = xr->done_ns[i] +
+                   TotalRows(xr->received[i]) * kClusterOpNsPerRow;
+        result.tasks.push_back(TaskInfo{i, "merge", TaskInfo::State::kDone});
+      }
+    }
+    DFLOW_ASSIGN_OR_RETURN(std::optional<ExchangeResult> gx,
+                           plan.Next(sent, ready));
+    if (!gx.has_value()) return result;
+    std::vector<DataChunk>& gathered = gx->received[coord];
+    if (spec.count_only) {
+      result.chunks.emplace_back(std::vector<ColumnVector>{
+          ColumnVector::FromInt64({SumCounts(gathered)})});
+      result.makespan_ns = gx->done_ns[coord] + kClusterOpNsPerRow;
+    } else {
+      result.makespan_ns =
+          gx->done_ns[coord] + TotalRows(gathered) * kClusterOpNsPerRow;
+      if (has_agg && !grouped) {
+        // Global aggregate: one kFinal merge at the coordinator (which
+        // emits the empty-state row when nothing came).
         DFLOW_ASSIGN_OR_RETURN(
             OperatorPtr fin,
             HashAggregateOperator::Make(partial_schema, spec.group_by,
                                         merge_specs, AggMode::kFinal));
         DFLOW_ASSIGN_OR_RETURN(result.chunks,
-                               RunLocalPipeline(xr.received[coord],
-                                                {fin.get()}));
-        result.makespan_ns =
-            xr.done_ns[coord] +
-            TotalRows(xr.received[coord]) * kClusterOpNsPerRow;
+                               RunLocalPipeline(gathered, {fin.get()}));
+      } else {
+        result.chunks = std::move(gathered);
       }
     }
-  } else {
-    // Plain select: gather every surviving row to the coordinator.
-    ExchangeOperator gather(
-        cluster_, {verify::ExchangeKind::kGather, 0, coord,
-                   options_.cancel_at_ns, "gather.result"});
-    DFLOW_ASSIGN_OR_RETURN(ExchangeResult xr, gather.Run(local, ready));
-    if (xr.outcome != ExchangeOutcome::kDone) return fail_with(xr);
-    result.exchange.Accumulate(xr.stats);
-    result.chunks = std::move(xr.received[coord]);
-    result.makespan_ns =
-        xr.done_ns[coord] + TotalRows(result.chunks) * kClusterOpNsPerRow;
   }
 
   // ---- ORDER BY / LIMIT at the coordinator, over the gathered result.
@@ -434,11 +466,7 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
     }
   }
 
-  TaskInfo task;
-  task.node = coord;
-  task.fragment = "coord";
-  task.state = TaskInfo::State::kDone;
-  result.tasks.push_back(std::move(task));
+  result.tasks.push_back(TaskInfo{coord, "coord", TaskInfo::State::kDone});
   return result;
 }
 
@@ -448,7 +476,6 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
   if (alive.empty()) {
     return Status::InvalidArgument("cluster has no alive nodes");
   }
-  const int n = cluster_->num_nodes();
   const int coord = options_.coordinator;
   DistributedResult result;
 
@@ -472,139 +499,57 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
   QuerySpec probe_scan;
   probe_scan.table = spec.probe_table;
   probe_scan.filter = spec.probe_filter;
-
-  std::vector<std::vector<DataChunk>> build_rows(n);
-  std::vector<std::vector<DataChunk>> probe_rows(n);
-  std::vector<sim::SimTime> ready(n, 0);
+  std::vector<NodeChunks> rows;
+  DFLOW_ASSIGN_OR_RETURN(
+      std::vector<sim::SimTime> ready,
+      RunLocalPhase(alive, {build_scan, probe_scan}, &rows, &result));
   uint64_t total_build_rows = 0;
-  const ClusterFaultConfig& fault = cluster_->config().fault;
-  for (int i : alive) {
-    TaskInfo task;
-    task.node = i;
-    task.fragment = "local";
-    task.state = TaskInfo::State::kRunning;
-    DFLOW_ASSIGN_OR_RETURN(QueryResult b, RunLocalFragment(i, build_scan));
-    DFLOW_ASSIGN_OR_RETURN(QueryResult p, RunLocalFragment(i, probe_scan));
-    sim::SimTime t = b.report.sim_ns + p.report.sim_ns;
-    if (fault.slow_node == i && fault.slow_factor > 1.0) {
-      t = static_cast<sim::SimTime>(static_cast<double>(t) *
-                                    fault.slow_factor);
-    }
-    task.local_ns = t;
-    task.state = TaskInfo::State::kDone;
-    total_build_rows += TotalRows(b.chunks);
-    build_rows[i] = std::move(b.chunks);
-    probe_rows[i] = std::move(p.chunks);
-    ready[i] = t;
-    result.tasks.push_back(std::move(task));
-  }
-  DetectStragglers(&result);
-
+  for (int i : alive) total_build_rows += TotalRows(rows[0][i]);
   const bool broadcast =
       options_.broadcast_build_max_rows > 0 &&
       total_build_rows <= options_.broadcast_build_max_rows;
 
-  // ---- Exchange-plan verification.
-  {
-    verify::ExchangePlanSpec plan;
-    plan.num_nodes = n;
-    plan.lost_nodes = cluster_->LostNodes();
-    plan.lossy_links = cluster_->link_faults_armed();
-    for (int i : alive) plan.fragments.push_back("scan@" + std::to_string(i));
-    for (int i : alive) plan.fragments.push_back("join@" + std::to_string(i));
-    plan.fragments.push_back("coord");
-    const uint32_t credits = cluster_->config().xlink_credits;
-    auto add = [&](verify::ExchangeSpec x) {
-      x.credits = credits;
-      plan.exchanges.push_back(std::move(x));
-    };
-    verify::ExchangeSpec b;
-    b.name = broadcast ? "broadcast.build" : "shuffle.build";
-    b.kind = broadcast ? verify::ExchangeKind::kBroadcast
-                       : verify::ExchangeKind::kShuffle;
-    b.from_nodes = alive;
-    b.to_nodes = alive;
-    b.partition_count =
-        broadcast ? 0 : static_cast<uint32_t>(alive.size());
-    b.key_col = static_cast<int>(build_key);
-    b.input_arity = static_cast<int>(build_schema.num_fields());
-    b.consumer = "join@" + std::to_string(alive.front());
-    add(std::move(b));
-    if (!broadcast) {
-      verify::ExchangeSpec p;
-      p.name = "shuffle.probe";
-      p.kind = verify::ExchangeKind::kShuffle;
-      p.from_nodes = alive;
-      p.to_nodes = alive;
-      p.partition_count = static_cast<uint32_t>(alive.size());
-      p.key_col = static_cast<int>(probe_key);
-      p.input_arity = static_cast<int>(probe_schema.num_fields());
-      p.consumer = "join@" + std::to_string(alive.front());
-      add(std::move(p));
-    }
-    verify::ExchangeSpec g;
-    g.name = "gather.counts";
-    g.kind = verify::ExchangeKind::kGather;
-    g.from_nodes = alive;
-    g.to_nodes = {coord};
-    g.consumer = "coord";
-    add(std::move(g));
-    result.verify = verify::VerifyExchangePlan(plan);
-    if (options_.verify == verify::VerifyMode::kStrict &&
-        !result.verify.ok()) {
-      return Status::InvalidArgument("exchange plan rejected: " +
-                                     result.verify.ToString());
-    }
+  // ---- Exchange plan, verified before any frame moves: the build side
+  // shuffles on its key (or broadcasts when small), the probe side
+  // shuffles too (it stays local under broadcast), and the per-node counts
+  // gather to the coordinator.
+  std::vector<Spread> spreads;
+  if (broadcast) {
+    spreads.push_back({"broadcast.build", verify::ExchangeKind::kBroadcast,
+                       build_key, build_schema.num_fields()});
+  } else {
+    spreads.push_back({"shuffle.build", verify::ExchangeKind::kShuffle,
+                       build_key, build_schema.num_fields()});
+    spreads.push_back({"shuffle.probe", verify::ExchangeKind::kShuffle,
+                       probe_key, probe_schema.num_fields()});
   }
+  PlanRunner plan(cluster_,
+                  BuildExchangePlan(*cluster_, alive, coord, "join", spreads,
+                                    "gather.counts"),
+                  options_, &result);
+  DFLOW_RETURN_NOT_OK(plan.Verify());
 
-  auto fail_with = [&](const ExchangeResult& xr) {
-    result.outcome = std::string(ExchangeOutcomeToString(xr.outcome));
-    result.exchange.Accumulate(xr.stats);
-    TaskInfo task;
-    task.node = coord;
-    task.fragment = "coord";
-    task.state = xr.outcome == ExchangeOutcome::kCancelled
-                     ? TaskInfo::State::kCancelled
-                     : TaskInfo::State::kFailed;
-    result.tasks.push_back(std::move(task));
-    return result;
-  };
-
-  // ---- Phase B: move the build side (shuffle by key, or broadcast when
-  // small), then the probe side (stays local under broadcast).
-  ExchangeOperator build_xchg(
-      cluster_,
-      {broadcast ? verify::ExchangeKind::kBroadcast
-                 : verify::ExchangeKind::kShuffle,
-       build_key, coord, options_.cancel_at_ns,
-       broadcast ? "broadcast.build" : "shuffle.build"});
-  DFLOW_ASSIGN_OR_RETURN(ExchangeResult bx, build_xchg.Run(build_rows, ready));
-  if (bx.outcome != ExchangeOutcome::kDone) return fail_with(bx);
-  result.exchange.Accumulate(bx.stats);
-
+  // ---- Phase B: move the build side, then the probe side.
+  DFLOW_ASSIGN_OR_RETURN(std::optional<ExchangeResult> bx,
+                         plan.Next(rows[0], ready));
+  if (!bx.has_value()) return result;
   ExchangeResult px;
   if (broadcast) {
-    px.received = std::move(probe_rows);
+    px.received = std::move(rows[1]);
     px.done_ns = ready;
-    px.outcome = ExchangeOutcome::kDone;
   } else {
-    ExchangeOperator probe_xchg(
-        cluster_, {verify::ExchangeKind::kShuffle, probe_key, coord,
-                   options_.cancel_at_ns, "shuffle.probe"});
-    DFLOW_ASSIGN_OR_RETURN(px, probe_xchg.Run(probe_rows, ready));
-    if (px.outcome != ExchangeOutcome::kDone) return fail_with(px);
-    result.exchange.Accumulate(px.stats);
+    DFLOW_ASSIGN_OR_RETURN(std::optional<ExchangeResult> moved,
+                           plan.Next(rows[1], ready));
+    if (!moved.has_value()) return result;
+    px = std::move(*moved);
   }
 
   // ---- Phase C: per-node build + probe + count, then gather the counts.
-  std::vector<std::vector<DataChunk>> counts(n);
-  std::vector<sim::SimTime> count_ready(n, 0);
+  NodeChunks counts(ready.size());
+  std::vector<sim::SimTime> count_ready(ready.size(), 0);
   for (int i : alive) {
-    TaskInfo task;
-    task.node = i;
-    task.fragment = "join";
     auto table = std::make_shared<JoinHashTable>(build_schema, build_key);
-    for (const DataChunk& chunk : bx.received[i]) {
+    for (const DataChunk& chunk : bx->received[i]) {
       DFLOW_RETURN_NOT_OK(table->Insert(chunk));
     }
     DFLOW_ASSIGN_OR_RETURN(
@@ -612,38 +557,20 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
         HashJoinProbeOperator::Make(table, probe_schema, probe_key));
     CountOperator count_op;
     DFLOW_ASSIGN_OR_RETURN(
-        std::vector<DataChunk> count_chunks,
+        counts[i],
         RunLocalPipeline(px.received[i], {probe_op.get(), &count_op}));
     const uint64_t local_work =
         table->num_rows() + TotalRows(px.received[i]);
-    count_ready[i] = std::max(bx.done_ns[i], px.done_ns[i]) +
+    count_ready[i] = std::max(bx->done_ns[i], px.done_ns[i]) +
                      local_work * kClusterOpNsPerRow;
-    counts[i] = std::move(count_chunks);
-    task.state = TaskInfo::State::kDone;
-    result.tasks.push_back(std::move(task));
+    result.tasks.push_back(TaskInfo{i, "join", TaskInfo::State::kDone});
   }
-
-  ExchangeOperator gather(
-      cluster_, {verify::ExchangeKind::kGather, 0, coord,
-                 options_.cancel_at_ns, "gather.counts"});
-  DFLOW_ASSIGN_OR_RETURN(ExchangeResult gx, gather.Run(counts, count_ready));
-  if (gx.outcome != ExchangeOutcome::kDone) return fail_with(gx);
-  result.exchange.Accumulate(gx.stats);
-
-  int64_t total = 0;
-  for (const DataChunk& chunk : gx.received[coord]) {
-    for (size_t r = 0; r < chunk.num_rows(); ++r) {
-      total += chunk.GetValue(r, 0).AsInt64();
-    }
-  }
-  result.total_rows = total;
-  result.makespan_ns = gx.done_ns[coord] + kClusterOpNsPerRow;
-
-  TaskInfo task;
-  task.node = coord;
-  task.fragment = "coord";
-  task.state = TaskInfo::State::kDone;
-  result.tasks.push_back(std::move(task));
+  DFLOW_ASSIGN_OR_RETURN(std::optional<ExchangeResult> gx,
+                         plan.Next(counts, count_ready));
+  if (!gx.has_value()) return result;
+  result.total_rows = SumCounts(gx->received[coord]);
+  result.makespan_ns = gx->done_ns[coord] + kClusterOpNsPerRow;
+  result.tasks.push_back(TaskInfo{coord, "coord", TaskInfo::State::kDone});
   return result;
 }
 

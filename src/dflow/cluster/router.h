@@ -67,9 +67,10 @@ struct DistributedResult {
 /// Shards queries across the cluster and drives the MPP task lifecycle:
 /// per-node local fragments (each on its own fabric, via its own engine),
 /// exchange lowering onto the inter-node links, straggler detection,
-/// node-loss re-routing, and merge-at-coordinator. Every distributed plan's
-/// exchange layer is verified (VY_XCHG_* family) before a single frame
-/// moves. Per node, the router keeps the scheduler's demand ledger: local
+/// node-loss re-routing, and merge-at-coordinator. Each query's data
+/// movement is one verify::ExchangePlanSpec: the VY_XCHG_* family checks it
+/// before a single frame moves, and its exchanges are what runs, in plan
+/// order. Per node, the router keeps the scheduler's demand ledger: local
 /// fragments are charged on dispatch and released on completion, same as
 /// the single-node serving loop.
 class QueryRouter {
@@ -105,8 +106,13 @@ class QueryRouter {
   /// Per-alive-node local fragment run: Charge ledger, Execute, Release.
   Result<QueryResult> RunLocalFragment(int node, const QuerySpec& spec);
 
-  /// Flags nodes whose local time exceeds straggler_factor x the median.
-  void DetectStragglers(DistributedResult* result);
+  /// Phase A: runs every spec of `fragments` on each alive node, in order,
+  /// into rows[fragment][node], and adds one "local" task per node with
+  /// stragglers flagged (FlagStragglers). Returns each node's ready time:
+  /// its summed fragment times, scaled on the seeded slow node.
+  Result<std::vector<sim::SimTime>> RunLocalPhase(
+      const std::vector<int>& alive, const std::vector<QuerySpec>& fragments,
+      std::vector<NodeChunks>* rows, DistributedResult* result);
 
   Cluster* cluster_;
   RouterOptions options_;

@@ -589,138 +589,112 @@ Result<JoinRunResult> Engine::ExecutePartitionedJoin(
         std::make_shared<JoinHashTable>(build_table->schema(), build_key));
   }
 
-  // Path helper: storage NIC (or node-0 CPU) to node i's CPU.
+  // Storage NIC to node i's CPU.
   auto scatter_path = [&](uint32_t i) {
     return std::vector<sim::Link*>{
         fabric_.storage_uplink(), fabric_.node(i).net_rx.get(),
         fabric_.node(i).interconnect.get(), fabric_.node(i).memory_bus.get()};
   };
-  auto peer_path = [&](uint32_t i) {  // node 0 CPU -> node i CPU
-    return std::vector<sim::Link*>{
-        fabric_.node(0).net_tx.get(), fabric_.node(i).net_rx.get(),
-        fabric_.node(i).interconnect.get(), fabric_.node(i).memory_bus.get()};
+  // Partition stage to node i's consumer: straight from the storage NIC
+  // (NIC scatter), or from node 0's CPU (CPU exchange; local on node 0).
+  auto consumer_path = [&](uint32_t i) -> std::vector<sim::Link*> {
+    if (nic_scatter) return scatter_path(i);
+    if (i == 0) return {};
+    return {fabric_.node(0).net_tx.get(), fabric_.node(i).net_rx.get(),
+            fabric_.node(i).interconnect.get(),
+            fabric_.node(i).memory_bus.get()};
+  };
+
+  // One phase's front: scan (pruned by `filter`) -> decode -> [filter] ->
+  // hash-partition on `key`, returning the partition stage. NIC scatter
+  // decodes and filters on the storage processor and partitions on the
+  // storage NIC; CPU exchange ships everything to node 0's CPU first and
+  // re-partitions from there.
+  sim::Device* const front_device =
+      nic_scatter ? fabric_.storage_proc() : fabric_.node(0).cpu.get();
+  auto add_front = [&](DataflowGraph& graph, const std::string& table_name,
+                       const std::shared_ptr<Table>& table,
+                       const ExprPtr& filter, size_t key,
+                       TableScanSource::ScanStats* stats)
+      -> Result<DataflowGraph::NodeId> {
+    const Schema& schema = table->schema();
+    ExprPtr resolved;
+    if (filter != nullptr) {
+      DFLOW_ASSIGN_OR_RETURN(resolved, Expr::Resolve(filter, schema));
+    }
+    DFLOW_ASSIGN_OR_RETURN(TableScanSource scan,
+                           TableScanSource::Make(table, {}, resolved));
+    DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches,
+                           scan.Produce(stats));
+    auto src = graph.AddSource("scan:" + table_name, fabric_.store_media(),
+                               sim::CostClass::kScan, std::move(batches),
+                               schema);
+    auto decode = graph.AddStage(
+        "decode", OperatorPtr(new DecodeOperator(schema)), front_device);
+    DFLOW_RETURN_NOT_OK(graph.Connect(
+        src, decode,
+        nic_scatter ? std::vector<sim::Link*>{} : scatter_path(0),
+        options.credits));
+    DataflowGraph::NodeId upstream = decode;
+    if (resolved != nullptr) {
+      DFLOW_ASSIGN_OR_RETURN(OperatorPtr filter_op,
+                             FilterOperator::Make(resolved, schema));
+      auto f = graph.AddStage("filter", std::move(filter_op), front_device);
+      DFLOW_RETURN_NOT_OK(graph.Connect(upstream, f, {}, options.credits));
+      upstream = f;
+    }
+    auto part = graph.AddPartitionStage(
+        nic_scatter ? "scatter" : "exchange", HashPartitioner(key, p),
+        nic_scatter ? fabric_.storage_nic() : fabric_.node(0).cpu.get());
+    DFLOW_RETURN_NOT_OK(graph.Connect(upstream, part, {}, options.credits));
+    return part;
+  };
+
+  // Verifies one phase's graph (strict mode refuses it), then runs it.
+  auto verify_and_run = [&](DataflowGraph& graph, const std::string& phase)
+      -> Result<verify::VerifyReport> {
+    verify::VerifyReport vreport;
+    if (options.verify != verify::VerifyMode::kOff) {
+      vreport = VerifyGraphSpec(graph.Describe());
+      if (options.verify == verify::VerifyMode::kStrict && !vreport.ok()) {
+        return Status::InvalidArgument("join " + phase +
+                                       " phase rejected by static verifier: " +
+                                       vreport.ToString());
+      }
+    }
+    DFLOW_RETURN_NOT_OK(graph.Run());
+    return vreport;
   };
 
   // ---------------------------------------------------------- build phase
   {
-    DFLOW_ASSIGN_OR_RETURN(TableScanSource scan,
-                           TableScanSource::Make(build_table, {}, nullptr));
-    DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce());
     DataflowGraph graph(&fabric_.simulator());
     ArmGraph(&graph);
-    auto src = graph.AddSource("scan:" + spec.build_table,
-                               fabric_.store_media(), sim::CostClass::kScan,
-                               std::move(batches), build_table->schema());
-    if (nic_scatter) {
-      auto decode = graph.AddStage(
-          "decode", OperatorPtr(new DecodeOperator(build_table->schema())),
-          fabric_.storage_proc());
-      auto part = graph.AddPartitionStage(
-          "scatter", HashPartitioner(build_key, p), fabric_.storage_nic());
-      DFLOW_RETURN_NOT_OK(graph.Connect(src, decode, {}, options.credits));
-      DFLOW_RETURN_NOT_OK(graph.Connect(decode, part, {}, options.credits));
-      for (uint32_t i = 0; i < p; ++i) {
-        DFLOW_ASSIGN_OR_RETURN(OperatorPtr build_op,
-                               JoinBuildOperator::Make(tables[i]));
-        auto build = graph.AddStage("build@" + std::to_string(i),
-                                    std::move(build_op),
-                                    fabric_.node(i).cpu.get());
-        DFLOW_RETURN_NOT_OK(
-            graph.Connect(part, build, scatter_path(i), options.credits));
-      }
-    } else {
-      // Everything to node 0's CPU first, then re-partition from there.
-      auto decode = graph.AddStage(
-          "decode", OperatorPtr(new DecodeOperator(build_table->schema())),
-          fabric_.node(0).cpu.get());
-      auto part = graph.AddPartitionStage(
-          "exchange", HashPartitioner(build_key, p),
-          fabric_.node(0).cpu.get());
+    DFLOW_ASSIGN_OR_RETURN(DataflowGraph::NodeId part,
+                           add_front(graph, spec.build_table, build_table,
+                                     nullptr, build_key, nullptr));
+    for (uint32_t i = 0; i < p; ++i) {
+      DFLOW_ASSIGN_OR_RETURN(OperatorPtr build_op,
+                             JoinBuildOperator::Make(tables[i]));
+      auto build = graph.AddStage("build@" + std::to_string(i),
+                                  std::move(build_op),
+                                  fabric_.node(i).cpu.get());
       DFLOW_RETURN_NOT_OK(
-          graph.Connect(src, decode, scatter_path(0), options.credits));
-      DFLOW_RETURN_NOT_OK(graph.Connect(decode, part, {}, options.credits));
-      for (uint32_t i = 0; i < p; ++i) {
-        DFLOW_ASSIGN_OR_RETURN(OperatorPtr build_op,
-                               JoinBuildOperator::Make(tables[i]));
-        auto build = graph.AddStage("build@" + std::to_string(i),
-                                    std::move(build_op),
-                                    fabric_.node(i).cpu.get());
-        std::vector<sim::Link*> path =
-            i == 0 ? std::vector<sim::Link*>{} : peer_path(i);
-        DFLOW_RETURN_NOT_OK(
-            graph.Connect(part, build, std::move(path), options.credits));
-      }
+          graph.Connect(part, build, consumer_path(i), options.credits));
     }
-    if (options.verify != verify::VerifyMode::kOff) {
-      const verify::VerifyReport vreport = VerifyGraphSpec(graph.Describe());
-      if (options.verify == verify::VerifyMode::kStrict && !vreport.ok()) {
-        return Status::InvalidArgument(
-            "join build phase rejected by static verifier: " +
-            vreport.ToString());
-      }
-    }
-    DFLOW_RETURN_NOT_OK(graph.Run());
+    DFLOW_RETURN_NOT_OK(verify_and_run(graph, "build").status());
   }
 
   // ---------------------------------------------------------- probe phase
   JoinRunResult result;
   {
-    ExprPtr resolved_filter;
-    if (spec.probe_filter != nullptr) {
-      DFLOW_ASSIGN_OR_RETURN(
-          resolved_filter,
-          Expr::Resolve(spec.probe_filter, probe_table->schema()));
-    }
-    DFLOW_ASSIGN_OR_RETURN(
-        TableScanSource scan,
-        TableScanSource::Make(probe_table, {}, resolved_filter));
-    TableScanSource::ScanStats stats;
-    DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches,
-                           scan.Produce(&stats));
     DataflowGraph graph(&fabric_.simulator());
     ArmGraph(&graph);
-    auto src = graph.AddSource("scan:" + spec.probe_table,
-                               fabric_.store_media(), sim::CostClass::kScan,
-                               std::move(batches), probe_table->schema());
-    DataflowGraph::NodeId part;
-    if (nic_scatter) {
-      auto decode = graph.AddStage(
-          "decode", OperatorPtr(new DecodeOperator(probe_table->schema())),
-          fabric_.storage_proc());
-      DFLOW_RETURN_NOT_OK(graph.Connect(src, decode, {}, options.credits));
-      DataflowGraph::NodeId upstream = decode;
-      if (resolved_filter != nullptr) {
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr filter,
-            FilterOperator::Make(resolved_filter, probe_table->schema()));
-        auto f = graph.AddStage("filter", std::move(filter),
-                                fabric_.storage_proc());
-        DFLOW_RETURN_NOT_OK(graph.Connect(upstream, f, {}, options.credits));
-        upstream = f;
-      }
-      part = graph.AddPartitionStage("scatter", HashPartitioner(probe_key, p),
-                                     fabric_.storage_nic());
-      DFLOW_RETURN_NOT_OK(graph.Connect(upstream, part, {}, options.credits));
-    } else {
-      auto decode = graph.AddStage(
-          "decode", OperatorPtr(new DecodeOperator(probe_table->schema())),
-          fabric_.node(0).cpu.get());
-      DFLOW_RETURN_NOT_OK(
-          graph.Connect(src, decode, scatter_path(0), options.credits));
-      DataflowGraph::NodeId upstream = decode;
-      if (resolved_filter != nullptr) {
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr filter,
-            FilterOperator::Make(resolved_filter, probe_table->schema()));
-        auto f = graph.AddStage("filter", std::move(filter),
-                                fabric_.node(0).cpu.get());
-        DFLOW_RETURN_NOT_OK(graph.Connect(upstream, f, {}, options.credits));
-        upstream = f;
-      }
-      part = graph.AddPartitionStage("exchange", HashPartitioner(probe_key, p),
-                                     fabric_.node(0).cpu.get());
-      DFLOW_RETURN_NOT_OK(graph.Connect(upstream, part, {}, options.credits));
-    }
+    TableScanSource::ScanStats stats;
+    DFLOW_ASSIGN_OR_RETURN(
+        DataflowGraph::NodeId part,
+        add_front(graph, spec.probe_table, probe_table, spec.probe_filter,
+                  probe_key, &stats));
     std::vector<DataflowGraph::NodeId> sinks;
     for (uint32_t i = 0; i < p; ++i) {
       DFLOW_ASSIGN_OR_RETURN(
@@ -730,14 +704,8 @@ Result<JoinRunResult> Engine::ExecutePartitionedJoin(
       auto probe = graph.AddStage("probe@" + std::to_string(i),
                                   std::move(probe_op),
                                   fabric_.node(i).cpu.get());
-      std::vector<sim::Link*> path;
-      if (nic_scatter) {
-        path = scatter_path(i);
-      } else {
-        path = i == 0 ? std::vector<sim::Link*>{} : peer_path(i);
-      }
       DFLOW_RETURN_NOT_OK(
-          graph.Connect(part, probe, std::move(path), options.credits));
+          graph.Connect(part, probe, consumer_path(i), options.credits));
       auto count = graph.AddStage("count@" + std::to_string(i),
                                   OperatorPtr(new CountOperator()),
                                   fabric_.node(i).cpu.get());
@@ -746,16 +714,8 @@ Result<JoinRunResult> Engine::ExecutePartitionedJoin(
       DFLOW_RETURN_NOT_OK(graph.Connect(count, sink, {}, options.credits));
       sinks.push_back(sink);
     }
-    verify::VerifyReport vreport;
-    if (options.verify != verify::VerifyMode::kOff) {
-      vreport = VerifyGraphSpec(graph.Describe());
-      if (options.verify == verify::VerifyMode::kStrict && !vreport.ok()) {
-        return Status::InvalidArgument(
-            "join probe phase rejected by static verifier: " +
-            vreport.ToString());
-      }
-    }
-    DFLOW_RETURN_NOT_OK(graph.Run());
+    DFLOW_ASSIGN_OR_RETURN(verify::VerifyReport vreport,
+                           verify_and_run(graph, "probe"));
     for (DataflowGraph::NodeId sink : sinks) {
       const auto& chunks = graph.sink_chunks(sink);
       int64_t count = 0;

@@ -10,18 +10,6 @@
 
 namespace dflow::serve {
 
-namespace {
-
-// The legacy degrade_on_crash knob predates LifecyclePolicy; map it onto
-// the retry policy so old callers keep their exact semantics.
-lifecycle::RetryPolicy EffectiveRetryPolicy(const ServiceConfig& config) {
-  lifecycle::RetryPolicy retry = config.lifecycle.retry;
-  if (!config.degrade_on_crash) retry.retry_device_crash = false;
-  return retry;
-}
-
-}  // namespace
-
 ServiceLoop::ServiceLoop(Engine* engine, std::vector<TenantConfig> tenants,
                          ServiceConfig config)
     : engine_(engine),
@@ -30,7 +18,7 @@ ServiceLoop::ServiceLoop(Engine* engine, std::vector<TenantConfig> tenants,
       driver_(tenants_, config.seed, config.horizon_ns),
       admission_(config.admission, &tenants_),
       scheduler_(engine),
-      lifecycle_(EffectiveRetryPolicy(config)),
+      lifecycle_(config.lifecycle.retry),
       breakers_(config.lifecycle.breaker),
       brownout_(config.lifecycle.brownout),
       program_cache_(config.program_cache_capacity) {

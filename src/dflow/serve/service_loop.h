@@ -55,10 +55,6 @@ struct ServiceConfig {
   /// whole service to one data path (the bench sweeps both).
   PlacementChoice placement = PlacementChoice::kAuto;
   AdmissionConfig admission;
-  /// Legacy knob, kept for callers that predate LifecyclePolicy: when
-  /// false, device crashes are not retried (lifecycle.retry's
-  /// retry_device_crash is forced off).
-  bool degrade_on_crash = true;
   /// Deadlines, retries, breakers, brownout (defaults = legacy behaviour).
   LifecyclePolicy lifecycle;
   /// Explicit cancellations to inject at fixed virtual times.

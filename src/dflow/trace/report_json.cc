@@ -20,18 +20,6 @@ void AppendMap(std::ostringstream& os, const char* key,
   os << "}";
 }
 
-uint64_t GetU64(const JsonValue& root, const std::string& path) {
-  const JsonValue* v = root.FindPath(path);
-  return v != nullptr && v->type() == JsonValue::Type::kNumber ? v->AsUInt64()
-                                                               : 0;
-}
-
-std::string GetString(const JsonValue& root, const std::string& path) {
-  const JsonValue* v = root.FindPath(path);
-  return v != nullptr && v->type() == JsonValue::Type::kString ? v->AsString()
-                                                               : "";
-}
-
 }  // namespace
 
 std::string ExecutionReportToJson(const ExecutionReport& report) {
@@ -91,102 +79,6 @@ std::string VerifyReportToJson(const verify::VerifyReport& report) {
   return os.str();
 }
 
-namespace {
-
-Result<verify::VerifyReport> VerifyReportFromValue(const JsonValue& root) {
-  if (root.type() != JsonValue::Type::kObject) {
-    return Status::InvalidArgument("verify json: not an object");
-  }
-  verify::VerifyReport report;
-  const JsonValue* issues = root.Find("issues");
-  if (issues == nullptr || issues->type() != JsonValue::Type::kArray) {
-    return report;
-  }
-  for (const JsonValue& item : issues->AsArray()) {
-    if (item.type() != JsonValue::Type::kObject) {
-      return Status::InvalidArgument("verify json: issue is not an object");
-    }
-    verify::VerifyIssue issue;
-    const JsonValue* sev = item.Find("severity");
-    issue.severity =
-        sev != nullptr && sev->type() == JsonValue::Type::kString &&
-                sev->AsString() == "warning"
-            ? verify::Severity::kWarning
-            : verify::Severity::kError;
-    auto get_string = [&item](const char* key) -> std::string {
-      const JsonValue* v = item.Find(key);
-      return v != nullptr && v->type() == JsonValue::Type::kString
-                 ? v->AsString()
-                 : "";
-    };
-    issue.code = get_string("code");
-    issue.stage = get_string("stage");
-    issue.edge = get_string("edge");
-    issue.message = get_string("message");
-    report.issues.push_back(std::move(issue));
-  }
-  return report;
-}
-
-}  // namespace
-
-Result<verify::VerifyReport> VerifyReportFromJson(const std::string& json) {
-  DFLOW_ASSIGN_OR_RETURN(JsonValue root, ParseJson(json));
-  return VerifyReportFromValue(root);
-}
-
-Result<ExecutionReport> ExecutionReportFromJson(const std::string& json) {
-  DFLOW_ASSIGN_OR_RETURN(JsonValue root, ParseJson(json));
-  if (root.type() != JsonValue::Type::kObject) {
-    return Status::InvalidArgument("report json: not an object");
-  }
-  const std::string schema = GetString(root, "schema");
-  if (schema != "dflow.execution_report.v1") {
-    return Status::InvalidArgument("report json: unknown schema '" + schema +
-                                   "'");
-  }
-  ExecutionReport report;
-  report.variant = GetString(root, "variant");
-  report.sim_ns = GetU64(root, "sim_ns");
-  report.result_rows = GetU64(root, "result_rows");
-  report.media_bytes = GetU64(root, "media_bytes");
-  report.network_bytes = GetU64(root, "network_bytes");
-  report.interconnect_bytes = GetU64(root, "interconnect_bytes");
-  report.membus_bytes = GetU64(root, "membus_bytes");
-  report.peak_queue_bytes = GetU64(root, "peak_queue_bytes");
-  for (const char* key : {"link_bytes", "device_busy_ns"}) {
-    const JsonValue* m = root.Find(key);
-    if (m == nullptr || m->type() != JsonValue::Type::kObject) continue;
-    auto& dest = std::string(key) == "link_bytes" ? report.link_bytes
-                                                  : report.device_busy_ns;
-    for (const auto& [name, value] : m->AsObject()) {
-      dest[name] = value.AsUInt64();
-    }
-  }
-  report.scan.row_groups_total = GetU64(root, "scan.row_groups_total");
-  report.scan.row_groups_pruned = GetU64(root, "scan.row_groups_pruned");
-  report.scan.rows_produced = GetU64(root, "scan.rows_produced");
-  report.scan.encoded_bytes_read = GetU64(root, "scan.encoded_bytes_read");
-  FaultReport& f = report.fault;
-  f.chunks_dropped = GetU64(root, "fault.chunks_dropped");
-  f.chunks_corrupted = GetU64(root, "fault.chunks_corrupted");
-  f.retransmits = GetU64(root, "fault.retransmits");
-  f.delivery_timeouts = GetU64(root, "fault.delivery_timeouts");
-  f.checksum_failures = GetU64(root, "fault.checksum_failures");
-  f.storage_io_errors = GetU64(root, "fault.storage_io_errors");
-  f.storage_retries = GetU64(root, "fault.storage_retries");
-  f.device_stalls = GetU64(root, "fault.device_stalls");
-  f.device_stall_ns = GetU64(root, "fault.device_stall_ns");
-  const JsonValue* fb = root.FindPath("fault.cpu_fallback");
-  f.cpu_fallback = fb != nullptr && fb->type() == JsonValue::Type::kBool &&
-                   fb->AsBool();
-  f.failed_device = GetString(root, "fault.failed_device");
-  if (const JsonValue* v = root.Find("verify")) {
-    DFLOW_ASSIGN_OR_RETURN(report.verify, VerifyReportFromValue(*v));
-  }
-  return report;
-}
-
 std::string ServiceReportToJson(const serve::ServiceReport& report) {
   std::ostringstream os;
   os << "{\"schema\":\"dflow.service_report.v1\"";
@@ -242,71 +134,6 @@ std::string ServiceReportToJson(const serve::ServiceReport& report) {
   }
   os << "]}";
   return os.str();
-}
-
-Result<serve::ServiceReport> ServiceReportFromJson(const std::string& json) {
-  DFLOW_ASSIGN_OR_RETURN(JsonValue root, ParseJson(json));
-  if (GetString(root, "schema") != "dflow.service_report.v1") {
-    return Status::InvalidArgument("not a dflow.service_report.v1 document");
-  }
-  serve::ServiceReport report;
-  report.makespan_ns = GetU64(root, "makespan_ns");
-  report.arrivals_total = GetU64(root, "arrivals_total");
-  report.admitted_total = GetU64(root, "admitted_total");
-  report.shed_total = GetU64(root, "shed_total");
-  report.completed_total = GetU64(root, "completed_total");
-  report.failed_total = GetU64(root, "failed_total");
-  report.degraded_total = GetU64(root, "degraded_total");
-  report.peak_in_flight = GetU64(root, "peak_in_flight");
-  report.p99_ns = GetU64(root, "p99_ns");
-  // Additive in v1: documents written before the lifecycle manager have no
-  // "lifecycle" object; every counter parses as 0.
-  report.deadline_missed_total = GetU64(root, "lifecycle.deadline_missed_total");
-  report.cancelled_total = GetU64(root, "lifecycle.cancelled_total");
-  report.retries_total = GetU64(root, "lifecycle.retries_total");
-  report.retry_exhausted_total =
-      GetU64(root, "lifecycle.retry_exhausted_total");
-  report.shed_brownout_total = GetU64(root, "lifecycle.shed_brownout_total");
-  report.breaker_transitions = GetU64(root, "lifecycle.breaker_transitions");
-  report.breaker_probes = GetU64(root, "lifecycle.breaker_probes");
-  report.brownout_escalations =
-      GetU64(root, "lifecycle.brownout_escalations");
-  report.brownout_peak_level = GetU64(root, "lifecycle.brownout_peak_level");
-  // Additive in v1, like "lifecycle": pre-program-cache documents have no
-  // "cache" object; every counter parses as 0.
-  report.cache_hits = GetU64(root, "cache.hits");
-  report.cache_misses = GetU64(root, "cache.misses");
-  report.cache_evictions = GetU64(root, "cache.evictions");
-  report.cache_recompiles = GetU64(root, "cache.recompiles");
-  report.cache_invalidations = GetU64(root, "cache.invalidations");
-  report.cache_planning_ns_cold = GetU64(root, "cache.planning_ns_cold");
-  report.cache_planning_ns_warm = GetU64(root, "cache.planning_ns_warm");
-  const JsonValue* tenants = root.Find("tenants");
-  if (tenants != nullptr && tenants->type() == JsonValue::Type::kArray) {
-    for (const JsonValue& entry : tenants->AsArray()) {
-      serve::TenantStats ts;
-      ts.name = GetString(entry, "name");
-      ts.arrivals = GetU64(entry, "arrivals");
-      ts.admitted = GetU64(entry, "admitted");
-      ts.queued = GetU64(entry, "queued");
-      ts.shed_queue_full = GetU64(entry, "shed_queue_full");
-      ts.shed_overload = GetU64(entry, "shed_overload");
-      ts.completed = GetU64(entry, "completed");
-      ts.failed = GetU64(entry, "failed");
-      ts.degraded = GetU64(entry, "degraded");
-      ts.deadline_missed = GetU64(entry, "deadline_missed");
-      ts.cancelled = GetU64(entry, "cancelled");
-      ts.retries = GetU64(entry, "retries");
-      ts.retry_exhausted = GetU64(entry, "retry_exhausted");
-      ts.shed_brownout = GetU64(entry, "shed_brownout");
-      ts.queue_depth_peak = GetU64(entry, "queue_depth_peak");
-      ts.p50_ns = GetU64(entry, "p50_ns");
-      ts.p95_ns = GetU64(entry, "p95_ns");
-      ts.p99_ns = GetU64(entry, "p99_ns");
-      report.tenants.push_back(std::move(ts));
-    }
-  }
-  return report;
 }
 
 }  // namespace dflow::trace

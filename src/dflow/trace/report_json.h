@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "dflow/common/result.h"
 #include "dflow/engine/report.h"
 #include "dflow/serve/service_report.h"
 
@@ -15,24 +14,15 @@ namespace dflow::trace {
 /// or address values. Schema tag: "dflow.execution_report.v1".
 std::string ExecutionReportToJson(const ExecutionReport& report);
 
-/// Inverse of ExecutionReportToJson (round-trip exact for all counters).
-Result<ExecutionReport> ExecutionReportFromJson(const std::string& json);
-
 /// The verifier's findings as a JSON object (the "verify" member of the
 /// execution report): {"errors":N,"warnings":N,"issues":[{severity,code,
 /// stage,edge,message},...]}. Deterministic: issues keep verifier order.
 std::string VerifyReportToJson(const verify::VerifyReport& report);
 
-/// Inverse of VerifyReportToJson (round-trip exact).
-Result<verify::VerifyReport> VerifyReportFromJson(const std::string& json);
-
 /// One service run's per-tenant and global SLO counters, for the "service"
 /// member of a bench-report entry. Deterministic: integer counters only,
 /// tenants in configuration order. Schema tag: "dflow.service_report.v1".
 std::string ServiceReportToJson(const serve::ServiceReport& report);
-
-/// Inverse of ServiceReportToJson (round-trip exact for all counters).
-Result<serve::ServiceReport> ServiceReportFromJson(const std::string& json);
 
 }  // namespace dflow::trace
 

@@ -19,10 +19,11 @@ enum class ExchangeKind {
 std::string_view ExchangeKindToString(ExchangeKind kind);
 
 /// One exchange edge of a distributed plan, as plain data. The router
-/// snapshots every exchange it is about to lower and runs the VY_XCHG_*
-/// family over the snapshot before any frame moves — the distributed twin
-/// of GraphSpec/VerifyGraph, and deliberately just as executable-agnostic
-/// so hand-built (including hand-broken) plans are checkable in tests.
+/// describes each of a query's exchanges as one of these, runs the
+/// VY_XCHG_* family over the plan before any frame moves, and then runs
+/// exactly these specs (cluster::RunExchange) — the distributed twin of
+/// GraphSpec/VerifyGraph, and deliberately just as executable-agnostic so
+/// hand-built (including hand-broken) plans are checkable in tests.
 struct ExchangeSpec {
   std::string name;  // e.g. "shuffle.build"
   ExchangeKind kind = ExchangeKind::kShuffle;

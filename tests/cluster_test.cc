@@ -11,7 +11,10 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "dflow/cluster/cluster.h"
 #include "dflow/cluster/cluster_serve.h"
@@ -19,6 +22,7 @@
 #include "dflow/cluster/router.h"
 #include "dflow/compile/program_cache.h"
 #include "dflow/plan/expr.h"
+#include "dflow/plan/parser.h"
 #include "dflow/testing/canonical.h"
 #include "dflow/verify/xchg.h"
 #include "dflow/vector/kernels.h"
@@ -264,8 +268,8 @@ TEST(Partitioner, DivideEvenlyNodeCountsNest) {
 TEST(Partitioner, ShuffleAgreesWithShardingBasis) {
   // An exchange shuffle keyed on the sharding column moves nothing: every
   // row is already home (all deliveries are src == dst), so the links see
-  // zero frames. This pins that RegisterSharded and ExchangeOperator use
-  // the same HashColumn % alive basis.
+  // zero frames. This pins that RegisterSharded and RunExchange use the
+  // same HashColumn % alive basis.
   auto cl = MakeTestCluster(3);
   const int n = cl->num_nodes();
   std::vector<std::vector<DataChunk>> inputs(n);
@@ -274,12 +278,37 @@ TEST(Partitioner, ShuffleAgreesWithShardingBasis) {
     auto shard = cl->node(i).catalog().Lookup("kv").ValueOrDie();
     inputs[i] = shard->ToChunks().ValueOrDie();
   }
-  ExchangeOperator shuffle(cl.get(),
-                           {verify::ExchangeKind::kShuffle, 0, 0, 0, "x"});
-  ExchangeResult xr = shuffle.Run(inputs, ready).ValueOrDie();
+  verify::ExchangeSpec shuffle;
+  shuffle.kind = verify::ExchangeKind::kShuffle;
+  shuffle.from_nodes = cl->AliveNodes();
+  shuffle.to_nodes = cl->AliveNodes();
+  shuffle.key_col = 0;
+  ExchangeResult xr =
+      RunExchange(cl.get(), shuffle, /*cancel_at_ns=*/0, inputs, ready)
+          .ValueOrDie();
   EXPECT_EQ(xr.outcome, ExchangeOutcome::kDone);
   EXPECT_EQ(xr.stats.frames, 0u);
   EXPECT_EQ(xr.stats.bytes, 0u);
+}
+
+TEST(Partitioner, RunExchangeRefusesEndpointsOutsideTheCluster) {
+  // A spec is plain data, so its endpoints are checked before any link is
+  // touched: no destination, or a node id outside the cluster, is an
+  // InvalidArgument, never an out-of-range link lookup.
+  auto cl = MakeTestCluster(2);
+  const std::vector<std::vector<DataChunk>> inputs(2);
+  const std::vector<sim::SimTime> ready(2, 0);
+  verify::ExchangeSpec gather;
+  gather.kind = verify::ExchangeKind::kGather;
+  gather.from_nodes = {0, 1};
+  EXPECT_FALSE(RunExchange(cl.get(), gather, 0, inputs, ready).ok());
+  gather.to_nodes = {2};
+  EXPECT_FALSE(RunExchange(cl.get(), gather, 0, inputs, ready).ok());
+  gather.to_nodes = {0};
+  gather.from_nodes = {-1, 1};
+  EXPECT_FALSE(RunExchange(cl.get(), gather, 0, inputs, ready).ok());
+  gather.from_nodes = {0, 1};
+  EXPECT_TRUE(RunExchange(cl.get(), gather, 0, inputs, ready).ok());
 }
 
 // ----------------------------------- distributed vs single-node semantics
@@ -301,50 +330,82 @@ int64_t SingleNodeJoinCount() {
   return run.ValueOrDie().total_rows;
 }
 
-TEST(DistributedEquivalence, JoinCountMatchesSingleNodeAtEveryNodeCount) {
-  const int64_t expected = SingleNodeJoinCount();
-  ASSERT_GT(expected, 0);
+/// One query shape the router lowers: a single-table query, matched
+/// against the single-node engine's fingerprint, or (no query) the
+/// kv x lineitem join, matched against the single-node join count.
+struct RouterShape {
+  std::string name;
+  std::optional<QuerySpec> query;
+  uint64_t broadcast_build_max_rows = 0;
+  /// Whether rows cross the links at more than one node (the zero-rows
+  /// fallback answers on the coordinator alone).
+  bool moves_rows = true;
+};
 
-  for (int n : {1, 2, 4}) {
-    auto cl = MakeTestCluster(n);
-    RouterOptions options;
-    options.verify = verify::VerifyMode::kStrict;
-    QueryRouter router(cl.get(), options);
-    DistributedResult dr = router.ExecuteJoin(PartKeyJoin()).ValueOrDie();
-    EXPECT_EQ(dr.outcome, "DONE");
-    EXPECT_EQ(dr.total_rows, expected) << n << " nodes";
-    EXPECT_EQ(dr.verify.num_errors(), 0u);
-    if (n > 1) {
-      EXPECT_GT(dr.exchange.frames, 0u);
-    }
-  }
-}
+QuerySpec Sql(const char* sql) { return ParseQuery(sql).ValueOrDie(); }
 
-TEST(DistributedEquivalence, GroupedAggregateMatchesSingleNode) {
+TEST(DistributedEquivalence, EveryRouterShapeMatchesSingleNode) {
   Engine reference{sim::FabricConfig()};
   DFLOW_CHECK(reference.catalog()
                   .Register(MakeLineitemTable(SmallLineitem()).ValueOrDie())
                   .ok());
-  const QuerySpec spec = GroupedAggSpec();
-  QueryResult ref = reference.Execute(spec).ValueOrDie();
+  const int64_t join_rows = SingleNodeJoinCount();
+  ASSERT_GT(join_rows, 0);
 
-  for (int n : {2, 4}) {
-    auto cl = MakeTestCluster(n);
-    RouterOptions options;
-    options.verify = verify::VerifyMode::kStrict;
-    QueryRouter router(cl.get(), options);
-    DistributedResult dr = router.ExecuteQuery(spec).ValueOrDie();
-    EXPECT_EQ(dr.outcome, "DONE");
-    EXPECT_EQ(CanonicalizeChunks(dr.chunks).fingerprint,
-              CanonicalizeChunks(ref.chunks).fingerprint)
-        << n << " nodes";
+  const std::vector<RouterShape> shapes = {
+      {"count", Sql("SELECT COUNT(*) FROM lineitem")},
+      {"global aggregate",
+       Sql("SELECT SUM(l_partkey) AS s, MIN(l_suppkey) AS lo, "
+           "MAX(l_suppkey) AS hi FROM lineitem")},
+      {"grouped aggregate", GroupedAggSpec()},
+      // l_extendedprice is a random double, so the top 20 has no ties.
+      {"select order by limit",
+       Sql("SELECT l_orderkey, l_extendedprice FROM lineitem "
+           "WHERE l_discount < 0.03 ORDER BY l_extendedprice DESC LIMIT 20")},
+      {"no row passes",
+       Sql("SELECT SUM(l_partkey) AS s, COUNT(*) AS c FROM lineitem "
+           "WHERE l_quantity < 0"),
+       0, /*moves_rows=*/false},
+      {"shuffle join", std::nullopt},
+      {"broadcast join", std::nullopt, ~0ULL},
+  };
+  for (const RouterShape& shape : shapes) {
+    std::string ref_fingerprint;
+    if (shape.query.has_value()) {
+      ref_fingerprint = CanonicalizeChunks(
+          reference.Execute(*shape.query).ValueOrDie().chunks).fingerprint;
+    }
+    for (int n : {1, 2, 4}) {
+      auto cl = MakeTestCluster(n);
+      RouterOptions options;
+      options.verify = verify::VerifyMode::kStrict;
+      options.broadcast_build_max_rows = shape.broadcast_build_max_rows;
+      QueryRouter router(cl.get(), options);
+      DistributedResult dr =
+          (shape.query.has_value() ? router.ExecuteQuery(*shape.query)
+                                   : router.ExecuteJoin(PartKeyJoin()))
+              .ValueOrDie();
+      const std::string where = shape.name + " at " + std::to_string(n);
+      EXPECT_EQ(dr.outcome, "DONE") << where;
+      EXPECT_EQ(dr.verify.num_errors(), 0u) << where;
+      EXPECT_EQ(dr.verify.num_warnings(), 0u) << where;
+      if (shape.query.has_value()) {
+        EXPECT_EQ(CanonicalizeChunks(dr.chunks).fingerprint, ref_fingerprint)
+            << where;
+      } else {
+        EXPECT_EQ(dr.total_rows, join_rows) << where;
+      }
+      if (n > 1) {
+        EXPECT_EQ(dr.exchange.frames > 0, shape.moves_rows) << where;
+      }
+    }
   }
 }
 
 TEST(DistributedEquivalence, RunsAreByteDeterministic) {
   // Two fresh clusters, same seed: identical makespan, identical exchange
   // counters, identical fingerprint. This is the property the CI
-  // cluster-smoke byte-identical report gate rests on.
+  // bench-gates (cluster row) byte-identical report check rests on.
   auto run = [] {
     auto cl = MakeTestCluster(3);
     QueryRouter router(cl.get(), {});
@@ -467,6 +528,21 @@ TEST(ClusterFaults, StragglerDetectionIsDeterministic) {
   DistributedResult again = run();
   EXPECT_EQ(again.straggler_events, dr.straggler_events);
   EXPECT_EQ(again.makespan_ns, dr.makespan_ns);
+}
+
+TEST(ClusterFaults, StragglerRuleFlagsOnlyTimesAboveFactorTimesMedian) {
+  using Flags = std::vector<bool>;
+  // Fewer than two samples: nothing to compare against.
+  EXPECT_EQ(FlagStragglers({}, 3.0), Flags{});
+  EXPECT_EQ(FlagStragglers({500}, 3.0), Flags{false});
+  // A median of 0 flags nothing, however large the outlier.
+  EXPECT_EQ(FlagStragglers({0, 0, 500}, 3.0), (Flags{false, false, false}));
+  // Exactly factor x median is not a straggler; one more ns is.
+  EXPECT_EQ(FlagStragglers({10, 30, 10}, 3.0), (Flags{false, false, false}));
+  EXPECT_EQ(FlagStragglers({10, 31, 10}, 3.0), (Flags{false, true, false}));
+  // An even count compares against the upper median (30, not 10).
+  EXPECT_EQ(FlagStragglers({10, 30, 100, 10}, 3.0),
+            (Flags{false, false, true, false}));
 }
 
 TEST(ClusterFaults, LedgerChargesBalanceReleases) {

@@ -369,7 +369,7 @@ TEST_F(FaultTest, ServiceFailsQueriesWhenDegradationDisabled) {
   service.seed = 42;
   service.horizon_ns = 10'000'000;
   service.placement = PlacementChoice::kFullOffload;
-  service.degrade_on_crash = false;
+  service.lifecycle.retry.retry_device_crash = false;
   service.admission.global_max_in_flight = 1;
   service.admission.global_queue_capacity = 16;
 

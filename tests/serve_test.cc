@@ -7,6 +7,7 @@
 #include "dflow/serve/service_loop.h"
 #include "dflow/serve/service_report.h"
 #include "dflow/serve/workload.h"
+#include "dflow/trace/json.h"
 #include "dflow/trace/report_json.h"
 #include "dflow/workload/tpch_like.h"
 
@@ -349,17 +350,27 @@ TEST_F(ServeLoopTest, SameSeedByteIdenticalReport) {
   EXPECT_NE(a, c);
 }
 
-TEST_F(ServeLoopTest, ServiceReportJsonRoundTrips) {
+TEST_F(ServeLoopTest, ServiceReportJsonCarriesTotalsAndTenants) {
   ServiceLoop loop(&engine_, ServiceTenants(), SmallConfig());
   auto result = loop.Run().ValueOrDie();
-  const std::string json = trace::ServiceReportToJson(result.service);
-  auto parsed = trace::ServiceReportFromJson(json).ValueOrDie();
-  EXPECT_EQ(trace::ServiceReportToJson(parsed), json);
-  EXPECT_EQ(parsed.admitted_total, result.service.admitted_total);
-  ASSERT_EQ(parsed.tenants.size(), result.service.tenants.size());
-  for (size_t i = 0; i < parsed.tenants.size(); ++i) {
-    EXPECT_EQ(parsed.tenants[i].name, result.service.tenants[i].name);
-    EXPECT_EQ(parsed.tenants[i].p99_ns, result.service.tenants[i].p99_ns);
+  const ServiceReport& report = result.service;
+  auto parsed = trace::ParseJson(trace::ServiceReportToJson(report));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  const trace::JsonValue& root = parsed.ValueOrDie();
+  EXPECT_EQ(root.FindPath("schema")->AsString(), "dflow.service_report.v1");
+  EXPECT_EQ(root.FindPath("admitted_total")->AsUInt64(),
+            report.admitted_total);
+  EXPECT_EQ(root.FindPath("completed_total")->AsUInt64(),
+            report.completed_total);
+  EXPECT_EQ(root.FindPath("p99_ns")->AsUInt64(), report.p99_ns);
+  EXPECT_EQ(root.FindPath("cache.misses")->AsUInt64(), report.cache_misses);
+  const std::vector<trace::JsonValue>& tenants =
+      root.FindPath("tenants")->AsArray();
+  ASSERT_EQ(tenants.size(), report.tenants.size());
+  for (size_t i = 0; i < tenants.size(); ++i) {
+    EXPECT_EQ(tenants[i].Find("name")->AsString(), report.tenants[i].name);
+    EXPECT_EQ(tenants[i].Find("p99_ns")->AsUInt64(),
+              report.tenants[i].p99_ns);
   }
 }
 
