@@ -294,13 +294,15 @@ Result<compile::ProgramPtr> Engine::LowerProgram(
   return std::move(b).Build();
 }
 
+Result<TableScanSource> Engine::ScanOf(const compile::DflowProgram& program) {
+  return TableScanSource::Make(program.table(), program.scan_columns(),
+                               program.filter());
+}
+
 Result<std::vector<ScanBatch>> Engine::DecodeScan(
     const compile::DflowProgram& program,
     TableScanSource::ScanStats* stats) const {
-  DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource scan,
-      TableScanSource::Make(program.table(), program.scan_columns(),
-                            program.filter()));
+  DFLOW_ASSIGN_OR_RETURN(TableScanSource scan, ScanOf(program));
   return scan.Produce(stats);
 }
 

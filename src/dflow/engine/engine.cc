@@ -14,10 +14,8 @@
 
 namespace dflow {
 
-namespace {
-
-// Collects the names of all column references in an expression tree.
-void CollectColumnNames(const ExprPtr& expr, std::set<std::string>* out) {
+void Engine::CollectColumnNames(const ExprPtr& expr,
+                                std::set<std::string>* out) {
   if (expr == nullptr) return;
   if (expr->kind() == Expr::Kind::kColumnRef) {
     if (!expr->column_name().empty()) out->insert(expr->column_name());
@@ -27,8 +25,6 @@ void CollectColumnNames(const ExprPtr& expr, std::set<std::string>* out) {
     CollectColumnNames(c, out);
   }
 }
-
-}  // namespace
 
 std::string ExecutionReport::ToString() const {
   std::ostringstream os;

@@ -48,8 +48,6 @@ struct ExecOptions {
   ExecMode mode = ExecMode::kSimulated;
   /// Worker threads for ExecMode::kParallel (>= 1).
   uint32_t parallel_workers = 4;
-  /// Rows per morsel for ExecMode::kParallel (0 = library default).
-  size_t morsel_rows = parallel::kDefaultMorselRows;
   /// Credits (chunks in flight) per pipeline edge.
   uint32_t credits = 8;
   /// DMA rate limit on the network edge, Gbps (0 = none). Set by the
@@ -313,6 +311,9 @@ class Engine {
   std::vector<sim::Link*> PathBetween(Site from, Site to, int node);
 
  private:
+  /// Collects the names of all column references in an expression tree.
+  static void CollectColumnNames(const ExprPtr& expr,
+                                 std::set<std::string>* out);
   Result<PreparedQuery> Prepare(const QuerySpec& spec) const;
   /// Sizes the prepared query's scan from row-group metadata (no decode)
   /// and enumerates + costs its placement variants, best first.
@@ -340,6 +341,8 @@ class Engine {
       const Placement& placement, compile::FuseMode fuse,
       const ExecOptions& options, const std::string& label,
       const CostEstimate& demand = CostEstimate());
+  /// The program's scan: its columns, pruned by its filter's zone maps.
+  static Result<TableScanSource> ScanOf(const compile::DflowProgram& program);
   /// Decodes the program's surviving row groups.
   Result<std::vector<ScanBatch>> DecodeScan(
       const compile::DflowProgram& program,

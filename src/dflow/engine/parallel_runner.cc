@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,8 +43,8 @@ parallel::ChainFactory MakeChain(std::vector<OpFactory> factories) {
 /// pipeline shape (see parallel::ParallelPipelineSpec) by dispatching on
 /// its opcodes:
 ///
-///   worker chain   FILTER, PROJECT, the worker half of COUNT (a count) and
-///                  of COMPLETE_AGG (an unbounded partial aggregate)
+///   worker chain   FILTER, PROJECT, the per-morsel half of COUNT (a count)
+///                  and of COMPLETE_AGG (an unbounded partial aggregate)
 ///   merge chain    the merge half: a SUM of the counts | the final agg
 ///   output chain   SORT, LIMIT
 ///
@@ -73,8 +74,8 @@ Result<parallel::ParallelPipelineSpec> BuildParallelPipelineSpec(
         worker.push_back(instantiate(op));
         break;
       case OpCode::kCount: {
-        // Each worker's CountOperator emits one row (possibly zero); the
-        // sum of the per-worker counts is the global COUNT(*).
+        // Each morsel's CountOperator emits one row (possibly zero); the
+        // sum of the per-morsel counts is the global COUNT(*).
         worker.push_back(instantiate(op));
         const Schema counted = op.output_schema;
         merge.push_back([counted]() {
@@ -85,9 +86,9 @@ Result<parallel::ParallelPipelineSpec> BuildParallelPipelineSpec(
         break;
       }
       case OpCode::kCompleteAgg: {
-        // Unbounded worker-local pre-aggregation (max_groups = 0): the
-        // worker never flushes early, so the merge sees exactly one partial
-        // state per (worker, group).
+        // Unbounded per-morsel pre-aggregation (max_groups = 0): it never
+        // flushes early, so the merge sees exactly one partial state per
+        // (morsel, group), in morsel order.
         DFLOW_ASSIGN_OR_RETURN(
             OperatorPtr partial,
             HashAggregateOperator::Make(input, spec.group_by, spec.aggregates,
@@ -146,31 +147,23 @@ Result<QueryResult> Engine::ExecuteParallel(const QuerySpec& spec,
       compile::ProgramPtr program,
       LowerProgram(spec, prepared, cpu_only, compile::FuseMode::kOff,
                    unverified, spec.table));
-  TableScanSource::ScanStats scan_stats;
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches,
-                         DecodeScan(*program, &scan_stats));
-  std::vector<DataChunk> inputs;
-  for (ScanBatch& b : batches) {
-    for (ScanChunk& sc : b.chunks) inputs.push_back(std::move(sc.chunk));
-  }
-
+  DFLOW_ASSIGN_OR_RETURN(TableScanSource scan, ScanOf(*program));
   DFLOW_ASSIGN_OR_RETURN(parallel::ParallelPipelineSpec pipeline,
                          BuildParallelPipelineSpec(program));
   parallel::ParallelExecOptions popt;
   popt.workers = std::max(1u, options.parallel_workers);
-  popt.morsel_rows = options.morsel_rows;
   popt.queue_capacity = options.credits;
 
   QueryResult result;
   DFLOW_ASSIGN_OR_RETURN(
       result.chunks,
-      parallel::RunMorselPipeline(inputs, pipeline, popt, &result.parallel));
+      parallel::RunMorselPipeline(scan, pipeline, popt, &result.parallel));
   result.report.variant = "real-parallel:w" + std::to_string(popt.workers);
   result.report.sim_ns = 0;  // no simulated time in this mode
   uint64_t rows = 0;
   for (const DataChunk& c : result.chunks) rows += c.num_rows();
   result.report.result_rows = rows;
-  result.report.scan = scan_stats;
+  result.report.scan = scan.Stats();
   return result;
 }
 
@@ -184,51 +177,42 @@ Result<JoinRunResult> Engine::ExecuteParallelJoin(const JoinSpec& spec,
   DFLOW_ASSIGN_OR_RETURN(std::shared_ptr<Table> probe_table,
                          catalog_.Lookup(spec.probe_table));
 
+  // Each side reads only what the join touches: the build key, and the
+  // probe key plus the probe filter's columns (in table order).
+  std::set<std::string> needed{spec.probe_key};
+  CollectColumnNames(spec.probe_filter, &needed);
+  std::vector<std::string> probe_names;
+  for (const Field& f : probe_table->schema().fields()) {
+    if (needed.count(f.name) > 0) probe_names.push_back(f.name);
+  }
+  DFLOW_ASSIGN_OR_RETURN(
+      TableScanSource build_scan,
+      TableScanSource::Make(build_table, {spec.build_key}, nullptr));
+  // The filter also prunes probe row groups by zone map (resolved by name
+  // against the table); the surviving rows get it row-wise inside the
+  // probe tasks.
+  DFLOW_ASSIGN_OR_RETURN(
+      TableScanSource probe_scan,
+      TableScanSource::Make(probe_table, probe_names, spec.probe_filter));
+
   parallel::ParallelJoinInputs inputs;
-  inputs.build_schema = build_table->schema();
-  inputs.probe_schema = probe_table->schema();
+  inputs.build = &build_scan;
+  inputs.probe = &probe_scan;
   DFLOW_ASSIGN_OR_RETURN(inputs.build_key,
-                         build_table->schema().FieldIndex(spec.build_key));
+                         build_scan.output_schema().FieldIndex(spec.build_key));
   DFLOW_ASSIGN_OR_RETURN(inputs.probe_key,
-                         probe_table->schema().FieldIndex(spec.probe_key));
-  // Partition count mirrors the simulated plan's num_nodes, so the
-  // per-partition counts line up with the per-node sink counts.
-  inputs.partitions = static_cast<uint32_t>(spec.num_nodes);
+                         probe_scan.output_schema().FieldIndex(spec.probe_key));
   if (spec.probe_filter != nullptr) {
     DFLOW_ASSIGN_OR_RETURN(
         inputs.probe_filter,
-        Expr::Resolve(spec.probe_filter, probe_table->schema()));
+        Expr::Resolve(spec.probe_filter, probe_scan.output_schema()));
   }
-
-  {
-    DFLOW_ASSIGN_OR_RETURN(TableScanSource scan,
-                           TableScanSource::Make(build_table, {}, nullptr));
-    DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce());
-    for (ScanBatch& b : batches) {
-      for (ScanChunk& sc : b.chunks) {
-        inputs.build_chunks.push_back(std::move(sc.chunk));
-      }
-    }
-  }
-  TableScanSource::ScanStats scan_stats;
-  {
-    // Zone pruning via the filter; the surviving rows still get the row
-    // filter inside the join's probe tasks.
-    DFLOW_ASSIGN_OR_RETURN(
-        TableScanSource scan,
-        TableScanSource::Make(probe_table, {}, inputs.probe_filter));
-    DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches,
-                           scan.Produce(&scan_stats));
-    for (ScanBatch& b : batches) {
-      for (ScanChunk& sc : b.chunks) {
-        inputs.probe_chunks.push_back(std::move(sc.chunk));
-      }
-    }
-  }
+  // Partition count mirrors the simulated plan's num_nodes, so the
+  // per-partition counts line up with the per-node sink counts.
+  inputs.partitions = static_cast<uint32_t>(spec.num_nodes);
 
   parallel::ParallelExecOptions popt;
   popt.workers = std::max(1u, options.parallel_workers);
-  popt.morsel_rows = options.morsel_rows;
   popt.queue_capacity = options.credits;
 
   JoinRunResult result;
@@ -241,7 +225,7 @@ Result<JoinRunResult> Engine::ExecuteParallelJoin(const JoinSpec& spec,
       "real-parallel-join:w" + std::to_string(popt.workers);
   result.report.sim_ns = 0;
   result.report.result_rows = static_cast<uint64_t>(result.total_rows);
-  result.report.scan = scan_stats;
+  result.report.scan = probe_scan.Stats();
   return result;
 }
 

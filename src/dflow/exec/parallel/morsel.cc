@@ -1,38 +1,60 @@
 #include "dflow/exec/parallel/morsel.h"
 
-#include <algorithm>
+#include <atomic>
+#include <memory>
+#include <utility>
+#include <vector>
 
-#include "dflow/vector/column_vector.h"
+#include "dflow/exec/parallel/error_slot.h"
 
 namespace dflow::parallel {
 
-DataChunk Morsel::Materialize() const {
-  if (chunk == nullptr) return DataChunk();
-  if (row_begin == 0 && row_end == chunk->num_rows()) return *chunk;
-  std::vector<uint32_t> indices;
-  indices.reserve(num_rows());
-  for (uint32_t r = row_begin; r < row_end; ++r) indices.push_back(r);
-  return chunk->Gather(SelectionVector(std::move(indices)));
-}
+Status DispatchMorsels(const TableScanSource& scan, const MorselFn& fn,
+                       WorkStealingScheduler* scheduler,
+                       DispatchStats* stats) {
+  ErrorSlot errors;
+  std::atomic<uint64_t> morsels{0};
+  std::atomic<uint64_t> rows{0};
+  auto run = [&](uint32_t worker, Morsel&& morsel) {
+    if (errors.failed()) return;
+    morsels += 1;
+    rows += morsel.chunk.num_rows();
+    errors.Record(fn(worker, std::move(morsel)));
+  };
 
-std::vector<Morsel> SplitIntoMorsels(const std::vector<DataChunk>& chunks,
-                                     size_t morsel_rows) {
-  if (morsel_rows == 0) morsel_rows = kDefaultMorselRows;
-  std::vector<Morsel> morsels;
-  uint64_t sequence = 0;
-  for (const DataChunk& chunk : chunks) {
-    const size_t rows = chunk.num_rows();
-    if (rows == 0) continue;
-    for (size_t begin = 0; begin < rows; begin += morsel_rows) {
-      Morsel m;
-      m.chunk = &chunk;
-      m.row_begin = static_cast<uint32_t>(begin);
-      m.row_end = static_cast<uint32_t>(std::min(rows, begin + morsel_rows));
-      m.sequence = sequence++;
-      morsels.push_back(m);
-    }
+  const std::vector<size_t> groups = scan.SurvivingRowGroups();
+  for (size_t i = 0; i < groups.size(); ++i) {
+    const size_t rg = groups[i];
+    scheduler->SubmitTo(
+        static_cast<uint32_t>(i % scheduler->num_workers()),
+        [&, rg](uint32_t worker) {
+          if (errors.failed()) return;
+          Result<std::vector<DataChunk>> decoded = scan.DecodeRowGroup(rg);
+          if (!decoded.ok()) {
+            errors.Record(decoded.status());
+            return;
+          }
+          std::vector<DataChunk> chunks = std::move(decoded).ValueOrDie();
+          for (size_t c = 1; c < chunks.size(); ++c) {
+            // std::function needs a copyable task; the shared_ptr makes
+            // the decoded chunk's one trip into `fn` a move.
+            auto morsel = std::make_shared<Morsel>(
+                Morsel{std::move(chunks[c]), uint64_t{rg} << 32 | c});
+            scheduler->SubmitTo(worker, [&run, morsel](uint32_t w) {
+              run(w, std::move(*morsel));
+            });
+          }
+          if (!chunks.empty()) {
+            run(worker, Morsel{std::move(chunks[0]), uint64_t{rg} << 32});
+          }
+        });
   }
-  return morsels;
+  errors.Record(scheduler->Wait());
+  if (stats != nullptr) {
+    stats->morsels += morsels.load();
+    stats->rows += rows.load();
+  }
+  return errors.first();
 }
 
 }  // namespace dflow::parallel

@@ -1,43 +1,48 @@
 #ifndef DFLOW_EXEC_PARALLEL_MORSEL_H_
 #define DFLOW_EXEC_PARALLEL_MORSEL_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <functional>
 
+#include "dflow/common/result.h"
+#include "dflow/exec/parallel/task_scheduler.h"
+#include "dflow/exec/scan.h"
 #include "dflow/vector/data_chunk.h"
 
 namespace dflow::parallel {
 
-/// Default rows per morsel. Half a vector batch: small enough that a
-/// skewed filter can't serialize a pipeline behind one giant task, large
-/// enough that per-task overhead (deque push, queue handoff) stays in the
-/// noise against ~1k rows of real columnar work.
-inline constexpr size_t kDefaultMorselRows = 1024;
-
-/// The unit of parallel work: a row range of one input chunk. Morsels are
-/// created once, up front, from the scan's chunk list; workers claim them
-/// as tasks (morsel-driven parallelism). `sequence` is the morsel's global
-/// position in scan order — downstream merging sorts on it so the final
-/// output never depends on which worker ran which morsel.
+/// The unit of parallel work: one kVectorSize-row chunk of a surviving row
+/// group, decoded by the worker that claimed the group. `sequence` is
+/// (row-group index << 32 | chunk index) — scan order — so downstream
+/// merging sorts on it and the output never depends on which worker ran
+/// which morsel.
 struct Morsel {
-  const DataChunk* chunk = nullptr;
-  uint32_t row_begin = 0;
-  uint32_t row_end = 0;  // exclusive
+  DataChunk chunk;
   uint64_t sequence = 0;
-
-  size_t num_rows() const { return row_end - row_begin; }
-
-  /// The morsel's rows as a standalone chunk (whole-chunk morsels return a
-  /// copy of the chunk; partial morsels gather the row range).
-  DataChunk Materialize() const;
 };
 
-/// Chops `chunks` into row-range morsels of at most `morsel_rows` rows
-/// each, numbered in scan order. The chunk pointers alias `chunks`, which
-/// must outlive the morsels. morsel_rows == 0 falls back to the default.
-std::vector<Morsel> SplitIntoMorsels(const std::vector<DataChunk>& chunks,
-                                     size_t morsel_rows);
+/// Per-morsel work; it owns the morsel. `worker` is the executing worker's
+/// id, so the callback can address worker-local state without locks.
+using MorselFn = std::function<Status(uint32_t worker, Morsel morsel)>;
+
+struct DispatchStats {
+  uint64_t morsels = 0;
+  uint64_t rows = 0;
+};
+
+/// The one morsel-dispatch loop (morsel-driven parallelism, Leis et al.
+/// SIGMOD 2014): every row group `scan` does not prune becomes a claim
+/// task, dealt round-robin. The worker that claims a group decodes only the
+/// scan's columns, submits all but the first chunk to its own deque as
+/// stealable tasks, and runs the first itself — so a few large row groups
+/// still balance over many workers, and no chunk is copied on the way to
+/// `fn`. Blocks until every morsel ran (scheduler->Wait() is the barrier)
+/// and returns the first decode or `fn` error; after an error the remaining
+/// morsels are skipped. `stats` (optional) accumulates the morsels and
+/// rows run, so one DispatchStats can total several phases.
+Status DispatchMorsels(const TableScanSource& scan, const MorselFn& fn,
+                       WorkStealingScheduler* scheduler,
+                       DispatchStats* stats = nullptr);
 
 }  // namespace dflow::parallel
 

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "dflow/exec/parallel/error_slot.h"
 #include "dflow/exec/parallel/mpmc_queue.h"
 #include "dflow/exec/parallel/task_scheduler.h"
 #include "dflow/types/value.h"
@@ -16,20 +15,24 @@ namespace dflow::parallel {
 
 namespace {
 
-/// Worker output in flight to the merge: the chunks one morsel (or one
-/// worker's Finish) produced, tagged with its position in the canonical
-/// order.
+/// Worker output in flight to the merge: the chunks one morsel produced,
+/// tagged with the morsel's sequence.
 struct ResultItem {
   uint64_t sequence = 0;
   std::vector<DataChunk> chunks;
 };
 
-/// Pushes `chunk` through ops[from..] and appends the tail-stage output.
+/// Pushes `chunk` through ops[from..] and appends the tail-stage output
+/// (`chunk` itself when the chain has no stage left).
 Status PushThroughChain(std::vector<OperatorPtr>* ops, size_t from,
-                        const DataChunk& chunk, std::vector<DataChunk>* out) {
+                        DataChunk chunk, std::vector<DataChunk>* out) {
+  if (from == ops->size()) {
+    out->push_back(std::move(chunk));
+    return Status::OK();
+  }
   std::vector<DataChunk> current;
-  current.push_back(chunk);
-  for (size_t i = from; i < ops->size(); ++i) {
+  DFLOW_RETURN_NOT_OK((*ops)[from]->Push(chunk, &current));
+  for (size_t i = from + 1; i < ops->size(); ++i) {
     std::vector<DataChunk> next;
     for (const DataChunk& c : current) {
       DFLOW_RETURN_NOT_OK((*ops)[i]->Push(c, &next));
@@ -48,8 +51,8 @@ Status FinishChain(std::vector<OperatorPtr>* ops,
   for (size_t i = 0; i < ops->size(); ++i) {
     std::vector<DataChunk> flushed;
     DFLOW_RETURN_NOT_OK((*ops)[i]->Finish(&flushed));
-    for (const DataChunk& c : flushed) {
-      DFLOW_RETURN_NOT_OK(PushThroughChain(ops, i + 1, c, out));
+    for (DataChunk& c : flushed) {
+      DFLOW_RETURN_NOT_OK(PushThroughChain(ops, i + 1, std::move(c), out));
     }
   }
   return Status::OK();
@@ -62,8 +65,8 @@ Result<std::vector<DataChunk>> RunSerialChain(
   DFLOW_ASSIGN_OR_RETURN(std::vector<OperatorPtr> ops, factory());
   if (ops.empty()) return chunks;
   std::vector<DataChunk> out;
-  for (const DataChunk& c : chunks) {
-    DFLOW_RETURN_NOT_OK(PushThroughChain(&ops, 0, c, &out));
+  for (DataChunk& c : chunks) {
+    DFLOW_RETURN_NOT_OK(PushThroughChain(&ops, 0, std::move(c), &out));
   }
   DFLOW_RETURN_NOT_OK(FinishChain(&ops, &out));
   return out;
@@ -115,7 +118,7 @@ std::vector<DataChunk> CanonicalOrder(const std::vector<DataChunk>& chunks) {
 }  // namespace
 
 Result<std::vector<DataChunk>> RunMorselPipeline(
-    const std::vector<DataChunk>& inputs, const ParallelPipelineSpec& spec,
+    const TableScanSource& scan, const ParallelPipelineSpec& spec,
     const ParallelExecOptions& options, ParallelExecStats* stats) {
   if (!spec.make_worker_chain) {
     return Status::InvalidArgument("parallel pipeline needs a worker chain");
@@ -129,73 +132,47 @@ Result<std::vector<DataChunk>> RunMorselPipeline(
   }
   const auto wall_start = std::chrono::steady_clock::now();
 
-  const std::vector<Morsel> morsels =
-      SplitIntoMorsels(inputs, options.morsel_rows);
-  const uint32_t workers = options.workers;
-
-  // One private operator chain per worker: stateful stages (partial
-  // aggregation, counting) accumulate worker-locally and flush at Finish.
-  std::vector<std::vector<OperatorPtr>> chains;
-  chains.reserve(workers);
-  for (uint32_t w = 0; w < workers; ++w) {
+  MpmcQueue<ResultItem> queue(options.queue_capacity);
+  // A fresh worker chain per morsel, finished right after it: partial state
+  // is flushed under the morsel's sequence (see ParallelPipelineSpec).
+  // A null `chunk` finishes the chain over no input.
+  auto run_chain = [&spec, &queue](DataChunk* chunk,
+                                   uint64_t sequence) -> Status {
     DFLOW_ASSIGN_OR_RETURN(std::vector<OperatorPtr> chain,
                            spec.make_worker_chain());
-    chains.push_back(std::move(chain));
-  }
-
-  MpmcQueue<ResultItem> queue(options.queue_capacity);
-  ErrorSlot errors;
+    std::vector<DataChunk> outs;
+    if (chunk != nullptr) {
+      DFLOW_RETURN_NOT_OK(
+          PushThroughChain(&chain, 0, std::move(*chunk), &outs));
+    }
+    DFLOW_RETURN_NOT_OK(FinishChain(&chain, &outs));
+    // Blocks when the merge side is `queue_capacity` items behind — the
+    // same backpressure the simulator applies via edge credits.
+    if (!outs.empty()) queue.Push(ResultItem{sequence, std::move(outs)});
+    return Status::OK();
+  };
 
   WorkStealingScheduler::Options sched_options;
-  sched_options.workers = workers;
+  sched_options.workers = options.workers;
   sched_options.steal_seed = options.steal_seed;
   std::vector<DataChunk> collected;
-  uint64_t rows_in = 0;
   uint64_t queue_items = 0;
+  DispatchStats dispatched;
+  Status run_status;
   WorkStealingScheduler::Stats sched_stats;
   {
     WorkStealingScheduler scheduler(sched_options);
-
-    // One task per morsel, dealt round-robin; stealing rebalances skew.
-    for (size_t i = 0; i < morsels.size(); ++i) {
-      const Morsel& morsel = morsels[i];
-      rows_in += morsel.num_rows();
-      scheduler.SubmitTo(
-          static_cast<uint32_t>(i % workers), [&, morsel](uint32_t worker) {
-            if (errors.failed()) return;
-            const DataChunk chunk = morsel.Materialize();
-            std::vector<DataChunk> outs;
-            const Status s =
-                PushThroughChain(&chains[worker], 0, chunk, &outs);
-            if (!s.ok()) {
-              errors.Record(s);
-              return;
-            }
-            if (outs.empty()) return;
-            // Blocks when the merge side is `queue_capacity` chunks
-            // behind — the same backpressure the simulator applies via
-            // edge credits.
-            queue.Push(ResultItem{morsel.sequence, std::move(outs)});
-          });
-    }
-
-    // The closer drains the scheduler, flushes each worker chain in worker
-    // order (sequence-tagged after every morsel), and closes the queue so
-    // the collector below terminates.
-    const uint64_t finish_base = morsels.size();
+    // The closer dispatches every morsel and then closes the queue, so the
+    // collector below terminates.
     std::thread closer([&] {
-      errors.Record(scheduler.Wait());
-      if (!errors.failed()) {
-        for (uint32_t w = 0; w < workers; ++w) {
-          std::vector<DataChunk> flushed;
-          const Status s = FinishChain(&chains[w], &flushed);
-          if (!s.ok()) {
-            errors.Record(s);
-            break;
-          }
-          if (flushed.empty()) continue;
-          queue.Push(ResultItem{finish_base + w, std::move(flushed)});
-        }
+      run_status = DispatchMorsels(
+          scan,
+          [&run_chain](uint32_t, Morsel morsel) {
+            return run_chain(&morsel.chunk, morsel.sequence);
+          },
+          &scheduler, &dispatched);
+      if (run_status.ok() && dispatched.morsels == 0) {
+        run_status = run_chain(nullptr, 0);
       }
       queue.Close();
     });
@@ -220,7 +197,7 @@ Result<std::vector<DataChunk>> RunMorselPipeline(
     }
   }  // joins the worker pool
 
-  DFLOW_RETURN_NOT_OK(errors.first());
+  DFLOW_RETURN_NOT_OK(run_status);
 
   DFLOW_ASSIGN_OR_RETURN(
       std::vector<DataChunk> merged,
@@ -231,8 +208,8 @@ Result<std::vector<DataChunk>> RunMorselPipeline(
       RunSerialChain(spec.make_output_chain, std::move(merged)));
 
   if (stats != nullptr) {
-    stats->morsels = morsels.size();
-    stats->rows_in = rows_in;
+    stats->morsels = dispatched.morsels;
+    stats->rows_in = dispatched.rows;
     stats->tasks_run = sched_stats.tasks_run;
     stats->steals = sched_stats.steals;
     stats->queue_items = queue_items;

@@ -15,8 +15,6 @@ struct ParallelExecOptions {
   /// Worker threads (>= 1). 1 gives the serial shape of the same code
   /// path — useful as the scaling baseline and for debugging.
   uint32_t workers = 4;
-  /// Rows per morsel (0 = kDefaultMorselRows).
-  size_t morsel_rows = kDefaultMorselRows;
   /// Capacity of the worker→merge result queue: the real-thread
   /// incarnation of ExecOptions::credits (chunks in flight per edge).
   size_t queue_capacity = 8;
@@ -30,36 +28,38 @@ struct ParallelExecStats {
   uint64_t tasks_run = 0;
   uint64_t steals = 0;
   uint64_t queue_items = 0;
-  /// Wall-clock time of the parallel region (split → merge complete),
+  /// Wall-clock time of the parallel region (dispatch, decode, compute and
+  /// merge),
   /// measured on a steady clock. The one place outside bench code where
   /// real time is allowed: it reports performance and never influences
   /// results.
   uint64_t wall_ns = 0;
 };
 
-/// Builds one linear operator chain. Worker-chain factories are invoked
-/// once per worker (each worker owns private operator state); merge and
-/// output factories once.
+/// Builds one linear operator chain. The worker-chain factory is invoked
+/// once per morsel (each morsel runs and flushes private operator state);
+/// merge and output factories once.
 using ChainFactory = std::function<Result<std::vector<OperatorPtr>>()>;
 
 /// A morsel-parallel pipeline in three layers:
 ///
-///   morsels → [worker chain]×W → ordered union → [merge chain]
+///   morsels → [worker chain]×M → ordered union → [merge chain]
 ///           → (canonical order) → [output chain]
 ///
-/// Worker chains run concurrently over morsels (streaming stages plus
-/// worker-local partial state such as pre-aggregation or counting). Their
-/// outputs carry the originating morsel's sequence number and are sorted
-/// on it before the single-threaded merge chain runs, so the merge sees a
-/// deterministic stream no matter how work was stolen. Stateful worker
-/// output produced at Finish (e.g. partial aggregates) is tagged after all
-/// morsels, in worker order — deterministic in *position* but not in
-/// content (which morsels a worker processed depends on stealing), which
-/// is why a query without a total order asks for `canonical_order`: after
-/// the merge chain the rows are sorted canonically (column by column,
-/// nulls first), making the final output independent of interleaving.
-/// The output chain (ORDER BY / LIMIT) then runs over that deterministic
-/// stream.
+/// Each morsel runs through a fresh worker chain (streaming stages plus
+/// stateful ones such as pre-aggregation or counting) that is finished
+/// right after the morsel, so every output — streamed rows and flushed
+/// partial state alike — carries its morsel's sequence number. The outputs
+/// are sorted on it before the single-threaded merge chain runs, so the
+/// merge sees the same stream, in scan order, no matter which worker ran
+/// which morsel: partial DOUBLE sums are added in one fixed order and are
+/// bit-stable across worker counts and steal schedules. With zero morsels
+/// one fresh worker chain is finished over no input, so its empty-input
+/// state still reaches the merge (COUNT(*) of nothing is a 0 row). A query
+/// without a total order asks for `canonical_order`: after the merge chain
+/// the rows are sorted canonically (column by column, nulls first), which
+/// erases the group order a hash aggregate picks. The output chain
+/// (ORDER BY / LIMIT) then runs over that deterministic stream.
 struct ParallelPipelineSpec {
   ChainFactory make_worker_chain;           // required; may return {}
   ChainFactory make_merge_chain;            // optional (null = pass-through)
@@ -69,12 +69,12 @@ struct ParallelPipelineSpec {
   ChainFactory make_output_chain;           // optional (ORDER BY, LIMIT)
 };
 
-/// Runs `inputs` through the pipeline with real threads. Returns the final
-/// chunk stream; deterministic for a fixed (inputs, spec) regardless of
-/// worker count or interleaving whenever the spec follows the contract
-/// above. `inputs` must stay alive for the duration of the call.
+/// Runs `scan` through the pipeline with real threads: the scan's surviving
+/// row groups are decoded by the workers that claim them (DispatchMorsels).
+/// Returns the final chunk stream; deterministic for a fixed (scan, spec)
+/// regardless of worker count or interleaving.
 Result<std::vector<DataChunk>> RunMorselPipeline(
-    const std::vector<DataChunk>& inputs, const ParallelPipelineSpec& spec,
+    const TableScanSource& scan, const ParallelPipelineSpec& spec,
     const ParallelExecOptions& options, ParallelExecStats* stats = nullptr);
 
 }  // namespace dflow::parallel

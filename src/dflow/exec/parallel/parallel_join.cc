@@ -9,7 +9,6 @@
 #include "dflow/common/thread_annotations.h"
 #include "dflow/exec/filter.h"
 #include "dflow/exec/join.h"
-#include "dflow/exec/parallel/error_slot.h"
 #include "dflow/exec/parallel/morsel.h"
 #include "dflow/exec/parallel/task_scheduler.h"
 #include "dflow/exec/partition.h"
@@ -36,32 +35,14 @@ struct BuildShard {
   }
 };
 
-/// Probe-side match counters, merged per task under one leaf lock.
-class MatchCounters {
- public:
-  explicit MatchCounters(uint32_t partitions)
-      : counts_(partitions, 0) {}
-
-  void Merge(const std::vector<int64_t>& local) DFLOW_EXCLUDES(mu_) {
-    RankedMutexLock lock(&mu_);
-    for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += local[i];
-  }
-
-  std::vector<int64_t> Take() DFLOW_EXCLUDES(mu_) {
-    RankedMutexLock lock(&mu_);
-    return std::move(counts_);
-  }
-
- private:
-  RankedMutex mu_{LockRank::kJoinPartition};
-  std::vector<int64_t> counts_ DFLOW_GUARDED_BY(mu_);
-};
-
 }  // namespace
 
 Result<ParallelJoinResult> RunParallelHashJoin(
     const ParallelJoinInputs& inputs, const ParallelExecOptions& options,
     ParallelExecStats* stats) {
+  if (inputs.build == nullptr || inputs.probe == nullptr) {
+    return Status::InvalidArgument("join needs a build and a probe scan");
+  }
   if (inputs.partitions == 0) {
     return Status::InvalidArgument("join needs >= 1 partition");
   }
@@ -74,139 +55,97 @@ Result<ParallelJoinResult> RunParallelHashJoin(
   std::vector<std::shared_ptr<JoinHashTable>> tables;
   tables.reserve(p);
   for (uint32_t i = 0; i < p; ++i) {
-    tables.push_back(
-        std::make_shared<JoinHashTable>(inputs.build_schema, inputs.build_key));
+    tables.push_back(std::make_shared<JoinHashTable>(
+        inputs.build->output_schema(), inputs.build_key));
   }
   // std::deque: BuildShard holds a RankedMutex and cannot move.
   std::deque<BuildShard> shards(p);
   for (uint32_t i = 0; i < p; ++i) shards[i].table = tables[i].get();
 
-  ErrorSlot errors;
-
-  WorkStealingScheduler::Options sched_options;
-  sched_options.workers = options.workers;
-  sched_options.steal_seed = options.steal_seed;
+  // Worker-local probe state: the filter is built once per worker, and
+  // each worker counts matches in its own slot (read after the barrier).
+  std::vector<OperatorPtr> filters;
+  if (inputs.probe_filter != nullptr) {
+    for (uint32_t w = 0; w < options.workers; ++w) {
+      DFLOW_ASSIGN_OR_RETURN(
+          OperatorPtr filter,
+          FilterOperator::Make(inputs.probe_filter,
+                               inputs.probe->output_schema()));
+      filters.push_back(std::move(filter));
+    }
+  }
+  std::vector<std::vector<int64_t>> worker_counts(
+      options.workers, std::vector<int64_t>(p, 0));
 
   const HashPartitioner build_part(inputs.build_key, p);
   const HashPartitioner probe_part(inputs.probe_key, p);
 
-  uint64_t tasks = 0;
-  uint64_t steals = 0;
-  uint64_t morsel_count = 0;
-  uint64_t probe_rows = 0;
+  WorkStealingScheduler::Options sched_options;
+  sched_options.workers = options.workers;
+  sched_options.steal_seed = options.steal_seed;
+  WorkStealingScheduler scheduler(sched_options);
 
   // ------------------------------------------------------- build phase
-  {
-    const std::vector<Morsel> morsels =
-        SplitIntoMorsels(inputs.build_chunks, options.morsel_rows);
-    morsel_count += morsels.size();
-    WorkStealingScheduler scheduler(sched_options);
-    for (size_t i = 0; i < morsels.size(); ++i) {
-      const Morsel& morsel = morsels[i];
-      scheduler.SubmitTo(
-          static_cast<uint32_t>(i % options.workers),
-          [&, morsel](uint32_t) {
-            if (errors.failed()) return;
-            const DataChunk chunk = morsel.Materialize();
-            std::vector<DataChunk> parts;
-            Status s = build_part.Split(chunk, &parts);
-            if (!s.ok()) {
-              errors.Record(s);
-              return;
-            }
-            for (uint32_t part = 0; part < p; ++part) {
-              if (parts[part].empty()) continue;
-              s = shards[part].Insert(parts[part]);
-              if (!s.ok()) {
-                errors.Record(s);
-                return;
-              }
-            }
-          });
-    }
-    errors.Record(scheduler.Wait());
-    const WorkStealingScheduler::Stats ss = scheduler.stats();
-    tasks += ss.tasks_run;
-    steals += ss.steals;
-  }
-  DFLOW_RETURN_NOT_OK(errors.first());
+  DispatchStats build_dispatched;
+  DFLOW_RETURN_NOT_OK(DispatchMorsels(
+      *inputs.build,
+      [&](uint32_t, Morsel morsel) -> Status {
+        std::vector<DataChunk> parts;
+        DFLOW_RETURN_NOT_OK(build_part.Split(morsel.chunk, &parts));
+        for (uint32_t part = 0; part < p; ++part) {
+          if (parts[part].empty()) continue;
+          DFLOW_RETURN_NOT_OK(shards[part].Insert(parts[part]));
+        }
+        return Status::OK();
+      },
+      &scheduler, &build_dispatched));
 
   // ------------------------------------------------------- probe phase
-  MatchCounters counters(p);
-  {
-    const std::vector<Morsel> morsels =
-        SplitIntoMorsels(inputs.probe_chunks, options.morsel_rows);
-    morsel_count += morsels.size();
-    for (const Morsel& m : morsels) probe_rows += m.num_rows();
-    WorkStealingScheduler scheduler(sched_options);
-    for (size_t i = 0; i < morsels.size(); ++i) {
-      const Morsel& morsel = morsels[i];
-      scheduler.SubmitTo(
-          static_cast<uint32_t>(i % options.workers),
-          [&, morsel](uint32_t) {
-            if (errors.failed()) return;
-            DataChunk chunk = morsel.Materialize();
-            if (inputs.probe_filter != nullptr) {
-              auto filter = FilterOperator::Make(inputs.probe_filter,
-                                                 inputs.probe_schema);
-              if (!filter.ok()) {
-                errors.Record(filter.status());
-                return;
-              }
-              std::vector<DataChunk> kept;
-              const Status s = filter.ValueOrDie()->Push(chunk, &kept);
-              if (!s.ok()) {
-                errors.Record(s);
-                return;
-              }
-              if (kept.empty()) return;
-              chunk = std::move(kept[0]);
-              for (size_t k = 1; k < kept.size(); ++k) {
-                for (size_t r = 0; r < kept[k].num_rows(); ++r) {
-                  chunk.AppendRowFrom(kept[k], r);
-                }
-              }
-            }
-            if (chunk.empty()) return;
-            std::vector<DataChunk> parts;
-            Status s = probe_part.Split(chunk, &parts);
-            if (!s.ok()) {
-              errors.Record(s);
-              return;
-            }
-            std::vector<int64_t> local(p, 0);
-            for (uint32_t part = 0; part < p; ++part) {
-              if (parts[part].empty()) continue;
-              std::vector<std::pair<uint32_t, uint32_t>> matches;
-              // Lock-free read: the build barrier published the tables and
-              // nothing mutates them during the probe phase.
-              s = tables[part]->Probe(parts[part].column(inputs.probe_key),
-                                      &matches);
-              if (!s.ok()) {
-                errors.Record(s);
-                return;
-              }
-              local[part] += static_cast<int64_t>(matches.size());
-            }
-            counters.Merge(local);
-          });
+  auto probe_chunk = [&](const DataChunk& chunk,
+                         std::vector<int64_t>* counts) -> Status {
+    std::vector<DataChunk> parts;
+    DFLOW_RETURN_NOT_OK(probe_part.Split(chunk, &parts));
+    std::vector<std::pair<uint32_t, uint32_t>> matches;
+    for (uint32_t part = 0; part < p; ++part) {
+      if (parts[part].empty()) continue;
+      matches.clear();
+      // Lock-free read: the build barrier published the tables and nothing
+      // mutates them during the probe phase.
+      DFLOW_RETURN_NOT_OK(
+          tables[part]->Probe(parts[part].column(inputs.probe_key), &matches));
+      (*counts)[part] += static_cast<int64_t>(matches.size());
     }
-    errors.Record(scheduler.Wait());
-    const WorkStealingScheduler::Stats ss = scheduler.stats();
-    tasks += ss.tasks_run;
-    steals += ss.steals;
-  }
-  DFLOW_RETURN_NOT_OK(errors.first());
+    return Status::OK();
+  };
+  DispatchStats probe_dispatched;
+  DFLOW_RETURN_NOT_OK(DispatchMorsels(
+      *inputs.probe,
+      [&](uint32_t worker, Morsel morsel) -> Status {
+        std::vector<int64_t>* counts = &worker_counts[worker];
+        if (filters.empty()) return probe_chunk(morsel.chunk, counts);
+        std::vector<DataChunk> kept;
+        DFLOW_RETURN_NOT_OK(filters[worker]->Push(morsel.chunk, &kept));
+        for (const DataChunk& chunk : kept) {
+          if (!chunk.empty()) DFLOW_RETURN_NOT_OK(probe_chunk(chunk, counts));
+        }
+        return Status::OK();
+      },
+      &scheduler, &probe_dispatched));
 
   ParallelJoinResult result;
-  result.partition_counts = counters.Take();
-  for (int64_t c : result.partition_counts) result.total_rows += c;
-  result.probe_rows_in = probe_rows;
+  result.partition_counts.assign(p, 0);
+  for (const std::vector<int64_t>& counts : worker_counts) {
+    for (uint32_t part = 0; part < p; ++part) {
+      result.partition_counts[part] += counts[part];
+      result.total_rows += counts[part];
+    }
+  }
   if (stats != nullptr) {
-    stats->morsels = morsel_count;
-    stats->rows_in = probe_rows;
-    stats->tasks_run = tasks;
-    stats->steals = steals;
+    const WorkStealingScheduler::Stats ss = scheduler.stats();
+    stats->morsels = build_dispatched.morsels + probe_dispatched.morsels;
+    stats->rows_in = probe_dispatched.rows;
+    stats->tasks_run = ss.tasks_run;
+    stats->steals = ss.steals;
     stats->wall_ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - wall_start)

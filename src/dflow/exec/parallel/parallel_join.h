@@ -6,6 +6,7 @@
 
 #include "dflow/common/result.h"
 #include "dflow/exec/parallel/parallel_executor.h"
+#include "dflow/exec/scan.h"
 #include "dflow/plan/expr.h"
 #include "dflow/vector/data_chunk.h"
 
@@ -14,19 +15,21 @@ namespace dflow::parallel {
 /// A partitioned hash equi-join run with real threads: build-side morsels
 /// are hash-partitioned into P independent hash tables (per-partition
 /// locking, so workers build concurrently), then probe-side morsels are
-/// partitioned the same way and probed in parallel. Partition routing uses
-/// the engine-wide hash (common/hash.h), so partition contents — and hence
-/// the per-partition match counts — are a pure function of the data,
+/// partitioned the same way and probed in parallel. Both sides are scans
+/// whose row groups the workers decode themselves (DispatchMorsels), so
+/// each reads only the columns its scan names. Partition routing uses the
+/// engine-wide hash (common/hash.h), so partition contents — and hence the
+/// per-partition match counts — are a pure function of the data,
 /// independent of worker count and steal schedule.
 struct ParallelJoinInputs {
-  std::vector<DataChunk> build_chunks;
-  std::vector<DataChunk> probe_chunks;
-  Schema build_schema;
-  Schema probe_schema;
+  const TableScanSource* build = nullptr;
+  const TableScanSource* probe = nullptr;
+  /// Key columns, as indices into the scans' output schemas.
   size_t build_key = 0;
   size_t probe_key = 0;
   uint32_t partitions = 1;
-  /// Optional row filter on the probe side, resolved against probe_schema.
+  /// Optional row filter on the probe side, resolved against the probe
+  /// scan's output schema.
   ExprPtr probe_filter;
 };
 
@@ -34,7 +37,6 @@ struct ParallelJoinResult {
   /// Matched-row count per partition (deterministic; sums to total_rows).
   std::vector<int64_t> partition_counts;
   int64_t total_rows = 0;
-  uint64_t probe_rows_in = 0;
 };
 
 Result<ParallelJoinResult> RunParallelHashJoin(

@@ -102,6 +102,11 @@ TableScanSource::ScanStats TableScanSource::Stats() const {
   return StatsOver(SurvivingRowGroups());
 }
 
+Result<std::vector<DataChunk>> TableScanSource::DecodeRowGroup(
+    size_t rg_idx) const {
+  return table_->row_group(rg_idx).DecodeChunks(column_indices_);
+}
+
 Result<std::vector<ScanBatch>> TableScanSource::Produce(
     ScanStats* stats) const {
   const std::vector<size_t> survivors = SurvivingRowGroups();
@@ -111,7 +116,7 @@ Result<std::vector<ScanBatch>> TableScanSource::Produce(
     const RowGroup& rg = table_->row_group(rg_idx);
     const uint64_t encoded_bytes = rg.EncodedBytes(column_indices_);
     DFLOW_ASSIGN_OR_RETURN(std::vector<DataChunk> chunks,
-                           rg.DecodeChunks(column_indices_));
+                           DecodeRowGroup(rg_idx));
     ScanBatch batch;
     batch.device_bytes = encoded_bytes;
     batch.chunks.reserve(chunks.size());

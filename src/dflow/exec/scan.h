@@ -65,12 +65,18 @@ class TableScanSource {
   /// simulator charges the time to whatever device hosts the scan.
   Result<std::vector<ScanBatch>> Produce(ScanStats* stats = nullptr) const;
 
+  /// Indices of the row groups the prune conjuncts cannot rule out, in
+  /// table order: the one zone-map pruning loop, shared by Stats, Produce
+  /// and the parallel executor's morsel dispatch.
+  std::vector<size_t> SurvivingRowGroups() const;
+
+  /// Decodes the scan's columns of row group `rg_idx` into kVectorSize-row
+  /// chunks (ranges moved out of each decoded column, not copied).
+  Result<std::vector<DataChunk>> DecodeRowGroup(size_t rg_idx) const;
+
  private:
   TableScanSource() = default;
 
-  /// Indices of the row groups the prune conjuncts cannot rule out: the one
-  /// zone-map pruning loop, shared by Stats and Produce.
-  std::vector<size_t> SurvivingRowGroups() const;
   ScanStats StatsOver(const std::vector<size_t>& survivors) const;
 
   std::shared_ptr<const Table> table_;

@@ -2,15 +2,19 @@
 // (src/dflow/exec/parallel/): the bounded MPMC queue (FIFO per producer,
 // capacity backpressure, close semantics, tuple conservation under
 // stress), the work-stealing scheduler (steal correctness, drain-on-
-// shutdown, exception propagation), and end-to-end plan equivalence:
-// ExecMode::kParallel must fingerprint byte-identically to the Volcano
-// reference at 1, 2, and 8 workers. This suite is the TSan CI leg's main
+// shutdown, exception propagation), row-group morsel dispatch, and
+// end-to-end plan equivalence: ExecMode::kParallel must fingerprint
+// byte-identically to the Volcano reference at 1, 2, and 8 workers, give
+// bit-stable DOUBLE aggregates, report the simulated scan and match the
+// simulated join's partition counts. This suite is the TSan CI leg's main
 // course.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -25,9 +29,11 @@
 #include "dflow/exec/parallel/mpmc_queue.h"
 #include "dflow/exec/parallel/parallel_executor.h"
 #include "dflow/exec/parallel/task_scheduler.h"
+#include "dflow/plan/parser.h"
 #include "dflow/testing/canonical.h"
 #include "dflow/testing/diff_runner.h"
 #include "dflow/testing/plan_gen.h"
+#include "dflow/workload/tpch_like.h"
 
 namespace dflow::parallel {
 namespace {
@@ -342,24 +348,76 @@ TEST(WorkStealingSchedulerTest, FirstTaskExceptionSurfacesFromWait) {
 
 // --------------------------------------------------------------- morsels
 
+// Table "ids": id = 0..rows-1 in order (so zone maps prune id ranges) and
+// v = id / 10, a DOUBLE that is not exactly representable.
+std::shared_ptr<Table> MakeIdTable(size_t rows, size_t row_group_size) {
+  TableBuilder builder(
+      "ids", Schema({{"id", DataType::kInt64}, {"v", DataType::kDouble}}),
+      row_group_size);
+  std::vector<int64_t> ids(rows);
+  std::vector<double> values(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    ids[i] = static_cast<int64_t>(i);
+    values[i] = static_cast<double>(i) / 10.0;
+  }
+  DFLOW_CHECK(builder
+                  .Append(DataChunk({ColumnVector::FromInt64(std::move(ids)),
+                                     ColumnVector::FromDouble(
+                                         std::move(values))}))
+                  .ok());
+  return std::make_shared<Table>(builder.Finish().ValueOrDie());
+}
+
 TEST(MorselTest, SplitCoversEveryRowExactlyOnceInScanOrder) {
-  std::vector<DataChunk> chunks;
-  for (size_t rows : {5u, 0u, 2048u, 100u}) {
-    std::vector<int64_t> ids(rows);
-    for (size_t i = 0; i < rows; ++i) ids[i] = static_cast<int64_t>(i);
-    chunks.push_back(DataChunk({ColumnVector::FromInt64(std::move(ids))}));
+  // Row groups of 5000, 5000 and 2000 rows: chunks of 2048, 2048, 904 per
+  // full group. The prune predicate rules out the first group.
+  const std::shared_ptr<Table> table = MakeIdTable(12000, 5000);
+  const TableScanSource scan =
+      TableScanSource::Make(table, {"id"},
+                            Expr::Cmp(CompareOp::kGe, Expr::Col("id"),
+                                      Expr::Lit(Value::Int64(5000))))
+          .ValueOrDie();
+  ASSERT_EQ(scan.SurvivingRowGroups(), (std::vector<size_t>{1, 2}));
+  for (uint32_t workers : {1u, 3u}) {
+    WorkStealingScheduler::Options options;
+    options.workers = workers;
+    WorkStealingScheduler scheduler(options);
+    std::mutex mu;
+    std::vector<Morsel> seen;
+    DispatchStats stats;
+    ASSERT_TRUE(DispatchMorsels(
+                    scan,
+                    [&](uint32_t, Morsel morsel) {
+                      std::lock_guard<std::mutex> lock(mu);
+                      seen.push_back(std::move(morsel));
+                      return Status::OK();
+                    },
+                    &scheduler, &stats)
+                    .ok());
+    std::sort(seen.begin(), seen.end(), [](const Morsel& a, const Morsel& b) {
+      return a.sequence < b.sequence;
+    });
+    EXPECT_EQ(stats.morsels, seen.size());
+    EXPECT_EQ(stats.rows, 7000u);
+    EXPECT_EQ(scheduler.stats().tasks_run, seen.size());
+    // Sequence = (row group, chunk index); concatenated in sequence order
+    // the morsels are the surviving rows, each exactly once, in scan order.
+    std::vector<uint64_t> expected_sequences = {
+        1ull << 32, 1ull << 32 | 1, 1ull << 32 | 2, 2ull << 32};
+    std::vector<uint64_t> sequences;
+    int64_t next_id = 5000;
+    for (const Morsel& m : seen) {
+      sequences.push_back(m.sequence);
+      ASSERT_EQ(m.chunk.num_columns(), 1u);  // only the scan's columns
+      EXPECT_GT(m.chunk.num_rows(), 0u);
+      EXPECT_LE(m.chunk.num_rows(), kVectorSize);
+      for (size_t r = 0; r < m.chunk.num_rows(); ++r) {
+        EXPECT_EQ(m.chunk.GetValue(r, 0).int64_value(), next_id++);
+      }
+    }
+    EXPECT_EQ(sequences, expected_sequences) << workers << " workers";
+    EXPECT_EQ(next_id, 12000);
   }
-  const std::vector<Morsel> morsels = SplitIntoMorsels(chunks, 700);
-  uint64_t expected_sequence = 0;
-  size_t total = 0;
-  for (const Morsel& m : morsels) {
-    EXPECT_EQ(m.sequence, expected_sequence++);
-    EXPECT_GT(m.num_rows(), 0u);
-    EXPECT_LE(m.num_rows(), 700u);
-    EXPECT_EQ(m.Materialize().num_rows(), m.num_rows());
-    total += m.num_rows();
-  }
-  EXPECT_EQ(total, 5u + 2048u + 100u);
 }
 
 // ------------------------------------------- end-to-end plan equivalence
@@ -458,31 +516,38 @@ TEST(ParallelEquivalenceTest, OutputStreamIsIdenticalAcrossWorkerCounts) {
 }
 
 TEST(ParallelExecutorTest, ReportsStatsAndHonorsCreditCapacity) {
-  testing::PlanGen gen;
   sim::FabricConfig config;
-  config.num_compute_nodes = 2;
-  uint64_t seed = 0;
-  testing::GeneratedCase c = gen.Generate(seed);
-  while (c.is_join) c = gen.Generate(++seed);
   Engine engine(config);
-  for (const auto& table : c.tables) {
-    ASSERT_TRUE(engine.catalog().Register(table).ok());
-  }
+  // 1000-row row groups: 20 single-chunk morsels, so many tasks.
+  ASSERT_TRUE(engine.catalog().Register(MakeIdTable(20000, 1000)).ok());
+  QuerySpec spec;
+  spec.table = "ids";
+  spec.filter = Expr::Cmp(CompareOp::kGe, Expr::Col("v"),
+                          Expr::Lit(Value::Double(0.0)));
   ExecOptions options;
   options.mode = ExecMode::kParallel;
   options.parallel_workers = 4;
-  options.morsel_rows = 256;  // small morsels: force many tasks
-  options.credits = 2;        // tight queue: force backpressure
+  options.credits = 2;  // tight queue: force backpressure
   options.verify = verify::VerifyMode::kOff;
-  auto r = engine.Execute(c.query, options);
+  const uint64_t checks_before = invariants::checks_run();
+  auto r = engine.Execute(spec, options);
   ASSERT_TRUE(r.ok()) << r.status().message();
   const QueryResult& result = r.ValueOrDie();
-  EXPECT_GT(result.parallel.morsels, 0u);
+  EXPECT_EQ(result.parallel.morsels, 20u);
   EXPECT_EQ(result.parallel.tasks_run, result.parallel.morsels);
-  EXPECT_GT(result.parallel.rows_in, 0u);
+  EXPECT_EQ(result.parallel.rows_in, 20000u);
+  // Every morsel's output crossed the 2-credit queue.
+  EXPECT_EQ(result.parallel.queue_items, 20u);
   EXPECT_GT(result.parallel.wall_ns, 0u);
   EXPECT_EQ(result.report.variant, "real-parallel:w4");
   EXPECT_EQ(result.report.sim_ns, 0u);
+  EXPECT_EQ(result.report.result_rows, 20000u);
+#ifndef DFLOW_INVARIANTS_DISABLED
+  // The queue's occupancy <= capacity ledger was checked on every push.
+  EXPECT_GE(invariants::checks_run(), checks_before + 20);
+#else
+  (void)checks_before;
+#endif
 }
 
 TEST(ParallelExecutorTest, ZeroCreditsIsAnExplicitError) {
@@ -501,6 +566,163 @@ TEST(ParallelExecutorTest, ZeroCreditsIsAnExplicitError) {
   options.credits = 0;
   options.verify = verify::VerifyMode::kOff;
   EXPECT_FALSE(engine.Execute(c.query, options).ok());
+}
+
+// ------------------------------------------------ scan, join, aggregates
+
+std::string Fingerprint(const QueryResult& result) {
+  return testing::CanonicalizeChunks(result.chunks).fingerprint;
+}
+
+ExecOptions ParallelOptions(uint32_t workers) {
+  ExecOptions options;
+  options.mode = ExecMode::kParallel;
+  options.parallel_workers = workers;
+  options.verify = verify::VerifyMode::kOff;
+  return options;
+}
+
+// Worker-local partials used to accumulate over whichever morsels a worker
+// stole, so DOUBLE sums depended on the schedule. They are now flushed per
+// morsel and merged in sequence order: the same bits at every worker count.
+TEST(ParallelAggregateTest, DoubleSumsAreBitStableAcrossRunsAndWorkerCounts) {
+  sim::FabricConfig config;
+  Engine engine(config);
+  LineitemSpec lineitem;
+  lineitem.rows = 20'000;
+  lineitem.row_group_size = 4096;
+  ASSERT_TRUE(
+      engine.catalog().Register(MakeLineitemTable(lineitem).ValueOrDie()).ok());
+  ASSERT_TRUE(engine.catalog().Register(MakeIdTable(20'000, 3000)).ok());
+  QuerySpec q6;
+  q6.table = "lineitem";
+  q6.filter = Expr::Cmp(CompareOp::kLt, Expr::Col("l_shipdate"),
+                        Expr::Lit(Value::Date32(9400)));
+  q6.projections = {Expr::Arith(ArithOp::kMul, Expr::Col("l_extendedprice"),
+                                Expr::Col("l_discount"))};
+  q6.projection_names = {"revenue"};
+  q6.aggregates = {{AggFunc::kSum, "revenue", "revenue"}};
+  const std::vector<QuerySpec> specs = {
+      q6,
+      ParseQuery("SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS q, "
+                 "SUM(l_extendedprice) AS p, SUM(l_tax) AS t, COUNT(*) AS n "
+                 "FROM lineitem GROUP BY l_returnflag, l_linestatus")
+          .ValueOrDie(),
+      ParseQuery("SELECT SUM(v) AS s FROM ids").ValueOrDie()};
+  for (size_t i = 0; i < specs.size(); ++i) {
+    auto first = engine.Execute(specs[i], ParallelOptions(2));
+    ASSERT_TRUE(first.ok()) << first.status().message();
+    const std::string reference = Fingerprint(first.ValueOrDie());
+    for (uint32_t workers : {2u, 2u, 2u, 2u, 1u, 4u}) {
+      auto r = engine.Execute(specs[i], ParallelOptions(workers));
+      ASSERT_TRUE(r.ok()) << r.status().message();
+      EXPECT_EQ(Fingerprint(r.ValueOrDie()), reference)
+          << "plan " << i << " changed bits at " << workers << " workers";
+    }
+  }
+}
+
+TEST(ParallelJoinTest, PartitionCountsMatchTheSimulatedJoin) {
+  sim::FabricConfig config;
+  config.num_compute_nodes = 4;
+  Engine engine(config);
+  OrdersSpec orders;
+  orders.rows = 5'000;
+  orders.row_group_size = 2048;
+  LineitemSpec lineitem;
+  lineitem.rows = 20'000;
+  lineitem.num_orders = orders.rows;
+  lineitem.row_group_size = 4096;
+  ASSERT_TRUE(
+      engine.catalog().Register(MakeOrdersTable(orders).ValueOrDie()).ok());
+  ASSERT_TRUE(
+      engine.catalog().Register(MakeLineitemTable(lineitem).ValueOrDie()).ok());
+  JoinSpec join;
+  join.build_table = "orders";
+  join.probe_table = "lineitem";
+  join.build_key = "o_orderkey";
+  join.probe_key = "l_orderkey";
+  join.num_nodes = 4;
+  for (bool filtered : {false, true}) {
+    // The filter reads two non-key columns, which the probe scan must add.
+    join.probe_filter =
+        filtered ? Expr::And({Expr::Cmp(CompareOp::kGt,
+                                        Expr::Col("l_discount"),
+                                        Expr::Lit(Value::Double(0.05))),
+                              Expr::Cmp(CompareOp::kLt,
+                                        Expr::Col("l_shipdate"),
+                                        Expr::Lit(Value::Date32(9000)))})
+                 : nullptr;
+    auto simulated = engine.ExecutePartitionedJoin(join);
+    ASSERT_TRUE(simulated.ok()) << simulated.status().message();
+    const JoinRunResult& sim = simulated.ValueOrDie();
+    ASSERT_GT(sim.total_rows, 0);
+    for (uint32_t workers : {1u, 2u, 4u}) {
+      auto r = engine.ExecutePartitionedJoin(join, ParallelOptions(workers));
+      ASSERT_TRUE(r.ok()) << r.status().message();
+      const JoinRunResult& par = r.ValueOrDie();
+      EXPECT_EQ(par.node_counts, sim.node_counts)
+          << (filtered ? "filtered" : "unfiltered") << " w=" << workers;
+      EXPECT_EQ(par.total_rows, sim.total_rows);
+      // Same rows and row groups as the simulated probe scan, but only the
+      // key and filter columns decoded.
+      EXPECT_EQ(par.report.scan.rows_produced, sim.report.scan.rows_produced);
+      EXPECT_EQ(par.report.scan.row_groups_read(),
+                sim.report.scan.row_groups_read());
+      EXPECT_LT(par.report.scan.decoded_bytes, sim.report.scan.decoded_bytes);
+    }
+  }
+}
+
+TEST(ParallelScanTest, ReportScanEqualsTheSimulatedScan) {
+  sim::FabricConfig config;
+  Engine engine(config);
+  ASSERT_TRUE(engine.catalog().Register(MakeIdTable(20'000, 3000)).ok());
+  // Prunes the first two of seven row groups.
+  const QuerySpec spec =
+      ParseQuery("SELECT SUM(v) AS s, COUNT(*) AS n FROM ids WHERE id >= 6000")
+          .ValueOrDie();
+  ExecOptions simulated;
+  simulated.placement = PlacementChoice::kCpuOnly;
+  auto sim = engine.Execute(spec, simulated);
+  ASSERT_TRUE(sim.ok()) << sim.status().message();
+  auto par = engine.Execute(spec, ParallelOptions(4));
+  ASSERT_TRUE(par.ok()) << par.status().message();
+  const TableScanSource::ScanStats& want = sim.ValueOrDie().report.scan;
+  const TableScanSource::ScanStats& got = par.ValueOrDie().report.scan;
+  EXPECT_EQ(want.row_groups_total, 7u);
+  EXPECT_EQ(want.row_groups_pruned, 2u);
+  EXPECT_EQ(got.row_groups_total, want.row_groups_total);
+  EXPECT_EQ(got.row_groups_pruned, want.row_groups_pruned);
+  EXPECT_EQ(got.rows_produced, want.rows_produced);
+  EXPECT_EQ(got.encoded_bytes_read, want.encoded_bytes_read);
+  EXPECT_EQ(got.decoded_bytes, want.decoded_bytes);
+  EXPECT_EQ(par.ValueOrDie().parallel.rows_in, want.rows_produced);
+}
+
+TEST(ParallelScanTest, FullyPrunedScanDispatchesAndDecodesNothing) {
+  sim::FabricConfig config;
+  Engine engine(config);
+  ASSERT_TRUE(engine.catalog().Register(MakeIdTable(20'000, 3000)).ok());
+  for (const char* sql :
+       {"SELECT COUNT(*) AS n FROM ids WHERE id > 1000000",
+        "SELECT SUM(v) AS s FROM ids WHERE id > 1000000",
+        "SELECT id, v FROM ids WHERE id > 1000000"}) {
+    const QuerySpec spec = ParseQuery(sql).ValueOrDie();
+    auto sim = engine.Execute(spec);
+    ASSERT_TRUE(sim.ok()) << sim.status().message();
+    for (uint32_t workers : {1u, 4u}) {
+      auto r = engine.Execute(spec, ParallelOptions(workers));
+      ASSERT_TRUE(r.ok()) << r.status().message();
+      const QueryResult& par = r.ValueOrDie();
+      EXPECT_EQ(par.parallel.morsels, 0u) << sql;
+      EXPECT_EQ(par.parallel.rows_in, 0u) << sql;
+      EXPECT_EQ(par.report.scan.row_groups_read(), 0u) << sql;
+      EXPECT_EQ(par.report.scan.decoded_bytes, 0u) << sql;
+      // COUNT(*) of nothing is still a 0 row; SUM of nothing is NULL.
+      EXPECT_EQ(Fingerprint(par), Fingerprint(sim.ValueOrDie())) << sql;
+    }
+  }
 }
 
 // The DiffRunner lane itself: options flow through and the lanes appear.

@@ -17,10 +17,16 @@ Two checks:
 
   2. Scaling: for each plan present at both 1 and 4 workers, the 4-worker
      rows_per_sec must be >= min_scaling x the 1-worker number. Default
-     min_scaling = 2.0. The check is SKIPPED (with a notice) when the
-     recording host had fewer than 4 cores — the report carries
-     "host_cores" precisely so a laptop or a 1-core CI runner cannot fail a
-     parallel-scaling gate it physically cannot pass.
+     min_scaling = 2.0.
+
+Both checks trust a multi-worker number only if the host could run four
+threads in parallel while the bench ran. The report carries
+"host_parallel_speedup", what a shared-nothing spin loop gained from 1 to 4
+threads during the run (hardware_concurrency() cannot see a starved or
+oversubscribed host). When the probe is below MIN_PROBE (3.5), a failing
+multi-worker check is *inconclusive*, not failed: the gate exits 3
+and says what the host delivered. CI treats that as a failure to measure,
+never as a pass. Failing 1-worker checks fail regardless of the probe.
 
 The trajectory file (--trajectory) is an append-only JSONL perf history:
 one line per gated run, so the artifact accumulated across CI runs plots
@@ -34,9 +40,11 @@ Usage:
       [--max-regression 0.25] [--min-scaling 2.0]
   check_bench_trend.py --report ... --baseline ... --update-baseline
       rewrites the baseline from the observed report, derated by
-      --headroom (default 0.30) so run-to-run noise does not gate.
+      --headroom (default 0.30) so run-to-run noise does not gate. It
+      refuses (exit 3) a report whose probe is below MIN_PROBE.
 
-Exit codes: 0 ok, 1 regression/malformed input, 2 usage error.
+Exit codes: 0 ok, 1 regression/malformed input, 2 usage error,
+3 inconclusive (the host could not scale, so scaling was not measured).
 """
 
 import argparse
@@ -44,6 +52,9 @@ import json
 import sys
 
 SCHEMA = "dflow.bench_parallel.v1"
+EXIT_INCONCLUSIVE = 3
+# Least 1->4 thread spin-probe speedup for multi-worker numbers to be judged.
+MIN_PROBE = 3.5
 
 
 def load_report(path):
@@ -61,6 +72,7 @@ def append_trajectory(path, doc, label):
     line = {
         "bench": doc.get("bench", ""),
         "host_cores": doc.get("host_cores", 0),
+        "host_parallel_speedup": doc.get("host_parallel_speedup"),
         "entries": doc.get("entries", []),
     }
     if label:
@@ -73,6 +85,7 @@ def update_baseline(doc, entries, path, headroom):
     out = {
         "bench": doc.get("bench", ""),
         "host_cores": doc.get("host_cores", 0),
+        "host_parallel_speedup": doc.get("host_parallel_speedup"),
         "headroom": headroom,
         "entries": [
             {
@@ -129,7 +142,22 @@ def main():
         append_trajectory(args.trajectory, doc, args.label)
         print(f"appended run to {args.trajectory}")
 
+    try:
+        # A report without the probe cannot vouch for its host.
+        probe = float(doc.get("host_parallel_speedup") or 0.0)
+    except (TypeError, ValueError):
+        print("error: host_parallel_speedup is not a number",
+              file=sys.stderr)
+        return 1
+    host_scaled = probe >= MIN_PROBE
+    host_note = (f"host delivered {probe:.2f}x on the probe "
+                 f"(need >= {MIN_PROBE:.1f}x)")
+
     if args.update_baseline:
+        if not host_scaled:
+            print(f"inconclusive: {host_note}; not re-recording the "
+                  f"baseline from this run")
+            return EXIT_INCONCLUSIVE
         update_baseline(doc, entries, args.baseline, args.headroom)
         return 0
 
@@ -141,7 +169,16 @@ def main():
         return 1
 
     failures = []
+    inconclusive = []
     checked = 0
+
+    def judge(workers, message):
+        # A multi-worker number from a host that could not scale says
+        # nothing about the executor.
+        if workers > 1 and not host_scaled:
+            inconclusive.append(message)
+        else:
+            failures.append(message)
 
     # 1. Throughput floor per (plan, workers) pair.
     for b in baseline.get("entries", []):
@@ -154,47 +191,51 @@ def main():
         floor = b["rows_per_sec"] * (1.0 - args.max_regression)
         if got["rows_per_sec"] < floor:
             drop = 1.0 - got["rows_per_sec"] / b["rows_per_sec"]
-            failures.append(
-                f"{key[0]}/w={key[1]}: {got['rows_per_sec']:.0f} rows/s is "
-                f"{drop:.0%} below baseline {b['rows_per_sec']:.0f} "
-                f"(allowed {args.max_regression:.0%})")
+            judge(key[1],
+                  f"{key[0]}/w={key[1]}: {got['rows_per_sec']:.0f} rows/s is "
+                  f"{drop:.0%} below baseline {b['rows_per_sec']:.0f} "
+                  f"(allowed {args.max_regression:.0%})")
 
-    # 2. 1->4 worker scaling, only meaningful on a host with >= 4 cores.
-    host_cores = int(doc.get("host_cores", 0))
-    plans = sorted({plan for (plan, _) in entries})
-    if host_cores < 4:
-        print(f"scaling gate skipped: host has {host_cores} core(s), "
-              f"need >= 4 for a meaningful 1->4 worker ratio")
-    else:
-        for plan in plans:
-            one = entries.get((plan, 1))
-            four = entries.get((plan, 4))
-            if one is None or four is None:
-                continue  # sweep did not cover both; floor check still ran
-            checked += 1
-            if one["rows_per_sec"] <= 0:
-                failures.append(f"{plan}: zero 1-worker throughput")
-                continue
-            ratio = four["rows_per_sec"] / one["rows_per_sec"]
-            if ratio < args.min_scaling:
-                failures.append(
-                    f"{plan}: 1->4 worker scaling {ratio:.2f}x below the "
-                    f"{args.min_scaling:.1f}x floor "
-                    f"({one['rows_per_sec']:.0f} -> "
-                    f"{four['rows_per_sec']:.0f} rows/s)")
+    # 2. 1->4 worker scaling.
+    for plan in sorted({plan for (plan, _) in entries}):
+        one = entries.get((plan, 1))
+        four = entries.get((plan, 4))
+        if one is None or four is None:
+            continue  # sweep did not cover both; floor check still ran
+        checked += 1
+        if one["rows_per_sec"] <= 0:
+            failures.append(f"{plan}: zero 1-worker throughput")
+            continue
+        ratio = four["rows_per_sec"] / one["rows_per_sec"]
+        if ratio < args.min_scaling:
+            judge(4,
+                  f"{plan}: 1->4 worker scaling {ratio:.2f}x below the "
+                  f"{args.min_scaling:.1f}x floor "
+                  f"({one['rows_per_sec']:.0f} -> "
+                  f"{four['rows_per_sec']:.0f} rows/s)")
 
     if failures:
         print(f"PERF GATE FAILED ({len(failures)} of {checked} checks):")
         for f_ in failures:
             print(f"  {f_}")
+        if inconclusive:
+            print(f"inconclusive: {host_note}; "
+                  f"{len(inconclusive)} more could not be judged:")
+            for f_ in inconclusive:
+                print(f"  {f_}")
         print("If the change is intentional, regenerate with "
               "tools/check_bench_trend.py --update-baseline and commit the "
               "diff.")
         return 1
+    if inconclusive:
+        print(f"PERF GATE INCONCLUSIVE: {host_note}; "
+              f"{len(inconclusive)} of {checked} checks could not be judged:")
+        for f_ in inconclusive:
+            print(f"  {f_}")
+        return EXIT_INCONCLUSIVE
     print(f"perf gate ok: {checked} checks "
-          f"(max regression {args.max_regression:.0%}"
-          + (f", 1->4 scaling >= {args.min_scaling:.1f}x" if host_cores >= 4
-             else ", scaling skipped") + ")")
+          f"(max regression {args.max_regression:.0%}, 1->4 scaling >= "
+          f"{args.min_scaling:.1f}x; host probe {probe:.2f}x)")
     return 0
 
 
