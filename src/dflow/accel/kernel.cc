@@ -33,13 +33,4 @@ Status KernelRegistry::Invoke(const std::string& name, const DataChunk& input,
   return it->second(input, out);
 }
 
-std::vector<std::string> KernelRegistry::InstalledKernels() const {
-  std::vector<std::string> names;
-  names.reserve(kernels_.size());
-  for (const auto& [name, fn] : kernels_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 }  // namespace dflow

@@ -34,8 +34,6 @@ class KernelRegistry {
   Status Invoke(const std::string& name, const DataChunk& input,
                 std::vector<DataChunk>* out) const;
 
-  std::vector<std::string> InstalledKernels() const;
-
  private:
   std::map<std::string, KernelFn> kernels_;
 };

@@ -155,11 +155,4 @@ void Cluster::ArmLinkFaults() {
   }
 }
 
-void Cluster::DisarmLinkFaults() {
-  link_faults_armed_ = false;
-  for (auto& link : links_) {
-    if (link != nullptr) link->DisarmFaults();
-  }
-}
-
 }  // namespace dflow::cluster

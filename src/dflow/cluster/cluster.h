@@ -134,7 +134,6 @@ class Cluster {
 
   /// Arms the seeded frame-fault process on every link per config().fault.
   void ArmLinkFaults();
-  void DisarmLinkFaults();
   bool link_faults_armed() const { return link_faults_armed_; }
 
  private:

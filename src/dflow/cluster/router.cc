@@ -200,22 +200,6 @@ class PlanRunner {
 
 }  // namespace
 
-std::string_view TaskStateToString(TaskInfo::State state) {
-  switch (state) {
-    case TaskInfo::State::kRegistered:
-      return "REGISTERED";
-    case TaskInfo::State::kRunning:
-      return "RUNNING";
-    case TaskInfo::State::kDone:
-      return "DONE";
-    case TaskInfo::State::kCancelled:
-      return "CANCELLED";
-    case TaskInfo::State::kFailed:
-      return "FAILED";
-  }
-  return "?";
-}
-
 QueryRouter::QueryRouter(Cluster* cluster, RouterOptions options)
     : cluster_(cluster), options_(std::move(options)) {
   for (int i = 0; i < cluster_->num_nodes(); ++i) {

@@ -42,8 +42,6 @@ struct TaskInfo {
   bool straggler = false;
 };
 
-std::string_view TaskStateToString(TaskInfo::State state);
-
 /// Result of one distributed query. `outcome` is a stable code —
 /// "DONE", "CANCELLED", "NODE_LOST", "RETRY_EXHAUSTED" — tests and the
 /// serving layer match on it exactly; a non-DONE outcome still returns OK

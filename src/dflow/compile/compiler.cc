@@ -7,6 +7,7 @@
 // preparation); they live here because the program format, the fusion
 // pass, and the cache they feed are this subsystem.
 
+#include <set>
 #include <utility>
 
 #include "dflow/common/logging.h"
@@ -17,6 +18,7 @@
 #include "dflow/engine/engine.h"
 #include "dflow/exec/aggregate.h"
 #include "dflow/exec/filter.h"
+#include "dflow/exec/join.h"
 #include "dflow/exec/misc_ops.h"
 #include "dflow/exec/project.h"
 #include "dflow/exec/scan.h"
@@ -234,9 +236,51 @@ Result<OperatorPtr> InstantiateOp(const DflowProgram& program,
       return OperatorPtr(new EncodeOperator(pop.output_schema));
     case OpCode::kReDecode:
       return OperatorPtr(new DecodeOperator(pop.output_schema));
+    case OpCode::kPartition:
+    case OpCode::kBuild:
+    case OpCode::kProbe:
+      break;  // join phases only: InstantiateJoinOp
   }
-  return Status::Internal("unknown opcode in program");
+  return Status::Internal("opcode " + std::string(OpCodeToString(pop.code)) +
+                          " is not a query operator");
 }
+
+namespace {
+
+/// The join case of the opcode table: BUILD and PROBE bind `table`, their
+/// partition's hash table. PARTITION is a graph fan-out, not an operator.
+Result<OperatorPtr> InstantiateJoinOp(
+    const JoinProgram::Phase& phase, const ProgramOp& op,
+    const std::shared_ptr<JoinHashTable>& table) {
+  switch (op.code) {
+    case OpCode::kDecode:
+      return OperatorPtr(new DecodeOperator(phase.scan_schema));
+    case OpCode::kFilter:
+      return FilterOperator::Make(phase.filter, phase.scan_schema);
+    case OpCode::kBuild:
+      return JoinBuildOperator::Make(table);
+    case OpCode::kProbe:
+      return HashJoinProbeOperator::Make(table, phase.scan_schema, phase.key);
+    case OpCode::kCount:
+      return OperatorPtr(new CountOperator());
+    default:
+      return Status::Internal("opcode " + std::string(OpCodeToString(op.code)) +
+                              " is not a join operator");
+  }
+}
+
+/// One empty hash table per partition, shared by the join's two phases.
+std::vector<std::shared_ptr<JoinHashTable>> NewJoinTables(
+    const JoinProgram& program) {
+  std::vector<std::shared_ptr<JoinHashTable>> tables;
+  for (uint32_t i = 0; i < program.partitions; ++i) {
+    tables.push_back(std::make_shared<JoinHashTable>(program.build.scan_schema,
+                                                     program.build.key));
+  }
+  return tables;
+}
+
+}  // namespace
 
 }  // namespace compile
 
@@ -292,6 +336,200 @@ Result<compile::ProgramPtr> Engine::LowerProgram(
                                    b.verify_stamp.ToString());
   }
   return std::move(b).Build();
+}
+
+Result<compile::JoinProgramPtr> Engine::LowerJoin(const JoinSpec& spec,
+                                                  const ExecOptions& options) {
+  const bool parallel = options.mode == ExecMode::kParallel;
+  if (spec.num_nodes < 1 ||
+      (!parallel && spec.num_nodes > fabric_.num_nodes())) {
+    return Status::InvalidArgument(
+        parallel ? "join needs >= 1 partition"
+                 : "join needs 1.." + std::to_string(fabric_.num_nodes()) +
+                       " nodes");
+  }
+  const bool nic_scatter = spec.exchange == JoinSpec::Exchange::kNicScatter;
+  auto program = std::make_shared<compile::JoinProgram>();
+  program->partitions = static_cast<uint32_t>(spec.num_nodes);
+  program->credits = options.credits;
+  program->variant = nic_scatter ? "nic-scatter" : "cpu-exchange";
+
+  // NIC scatter decodes and filters on the storage processor and
+  // partitions on the storage NIC; CPU exchange ships everything to node
+  // 0's CPU first and re-partitions from there.
+  const Site front = nic_scatter ? Site::kStorageProc : Site::kCpu;
+  auto lower_phase = [&](compile::JoinProgram::Phase* phase,
+                         const std::string& table_name, const std::string& key,
+                         const ExprPtr& filter) -> Status {
+    DFLOW_ASSIGN_OR_RETURN(phase->table, catalog_.Lookup(table_name));
+    // The join's one column rule: the simulated join ships whole tuples
+    // (every report's bytes depend on it); the kParallel join reads only
+    // the key and the filter's columns, in table order.
+    std::set<std::string> needed{key};
+    CollectColumnNames(filter, &needed);
+    const Schema& schema = phase->table->schema();
+    std::vector<size_t> indices;
+    for (size_t i = 0; i < schema.num_fields(); ++i) {
+      if (parallel && needed.count(schema.field(i).name) == 0) continue;
+      indices.push_back(i);
+      phase->scan_columns.push_back(schema.field(i).name);
+    }
+    phase->scan_schema = schema.Select(indices);
+    DFLOW_ASSIGN_OR_RETURN(phase->key, phase->scan_schema.FieldIndex(key));
+    if (filter != nullptr) {
+      DFLOW_ASSIGN_OR_RETURN(phase->filter,
+                             Expr::Resolve(filter, phase->scan_schema));
+    }
+    auto add = [phase](OpCode code, std::string label, Site site) {
+      phase->ops.push_back(ProgramOp{code, std::move(label), site, {}, {}});
+    };
+    add(OpCode::kDecode, "decode", front);
+    if (filter != nullptr) add(OpCode::kFilter, "filter", front);
+    add(OpCode::kPartition, nic_scatter ? "scatter" : "exchange",
+        nic_scatter ? Site::kStorageNic : Site::kCpu);
+    for (uint32_t i = 0; i < program->partitions; ++i) {
+      const std::string at = "@" + std::to_string(i);
+      if (phase == &program->build) {
+        add(OpCode::kBuild, "build" + at, Site::kCpu);
+      } else {
+        add(OpCode::kProbe, "probe" + at, Site::kCpu);
+        add(OpCode::kCount, "count" + at, Site::kCpu);
+      }
+    }
+    return Status::OK();
+  };
+  DFLOW_RETURN_NOT_OK(lower_phase(&program->build, spec.build_table,
+                                  spec.build_key, nullptr));
+  DFLOW_RETURN_NOT_OK(lower_phase(&program->probe, spec.probe_table,
+                                  spec.probe_key, spec.probe_filter));
+  // kParallel runs scans and keys, not graphs: there is nothing to verify.
+  if (parallel || options.verify == verify::VerifyMode::kOff) {
+    return compile::JoinProgramPtr(std::move(program));
+  }
+
+  // Both phase graphs, built without scan rows over empty hash tables, are
+  // verified before either phase runs.
+  const auto tables = compile::NewJoinTables(*program);
+  for (compile::JoinProgram::Phase* phase :
+       {&program->build, &program->probe}) {
+    DataflowGraph scratch(&fabric_.simulator());
+    DFLOW_RETURN_NOT_OK(
+        BuildJoinPhaseGraph(&scratch, *program, *phase, tables, {}).status());
+    phase->verify = VerifyGraphSpec(scratch.Describe());
+    if (options.verify == verify::VerifyMode::kStrict && !phase->verify.ok()) {
+      return Status::InvalidArgument(
+          std::string("join ") +
+          (phase == &program->build ? "build" : "probe") +
+          " phase rejected by static verifier: " + phase->verify.ToString());
+    }
+  }
+  return compile::JoinProgramPtr(std::move(program));
+}
+
+Result<std::vector<DataflowGraph::NodeId>> Engine::BuildJoinPhaseGraph(
+    DataflowGraph* graph, const compile::JoinProgram& program,
+    const compile::JoinProgram::Phase& phase,
+    const std::vector<std::shared_ptr<JoinHashTable>>& tables,
+    std::vector<ScanBatch> batches) {
+  DataflowGraph::NodeId prev =
+      graph->AddSource("scan:" + phase.table->name(), fabric_.store_media(),
+                       sim::CostClass::kScan, std::move(batches),
+                       phase.scan_schema);
+  Site prev_site = Site::kStorageProc;  // the media feeds the storage side
+  DataflowGraph::NodeId partition = 0;
+  Site partition_site = Site::kCpu;
+  uint32_t node = 0;  // 0 on the front, i on partition i's branch
+  uint32_t branches = 0;
+  std::vector<DataflowGraph::NodeId> sinks;
+  for (const ProgramOp& op : phase.ops) {
+    DataflowGraph::NodeId id;
+    std::vector<sim::Link*> path;
+    if (op.code == OpCode::kPartition) {
+      id = graph->AddPartitionStage(
+          op.label, HashPartitioner(phase.key, program.partitions),
+          SiteDevice(op.site, 0));
+      partition = id;
+      partition_site = op.site;
+      path = PathBetween(prev_site, op.site, 0);
+    } else {
+      // BUILD and PROBE open the next partition's branch, fed by the
+      // partition stage: over the storage NIC's links, or (CPU exchange)
+      // from node 0's CPU across the inter-node network.
+      const bool opens_branch =
+          op.code == OpCode::kBuild || op.code == OpCode::kProbe;
+      if (opens_branch) {
+        node = branches++;
+        prev = partition;
+        prev_site = partition_site;
+      }
+      DFLOW_ASSIGN_OR_RETURN(
+          OperatorPtr live, compile::InstantiateJoinOp(phase, op, tables[node]));
+      id = graph->AddStage(op.label, std::move(live),
+                           SiteDevice(op.site, node));
+      if (opens_branch && partition_site == Site::kCpu && node > 0) {
+        path = {fabric_.node(0).net_tx.get(), fabric_.node(node).net_rx.get(),
+                fabric_.node(node).interconnect.get(),
+                fabric_.node(node).memory_bus.get()};
+      } else {
+        path = PathBetween(prev_site, op.site, node);
+      }
+    }
+    DFLOW_RETURN_NOT_OK(
+        graph->Connect(prev, id, std::move(path), program.credits));
+    prev = id;
+    prev_site = op.site;
+    if (op.code == OpCode::kCount) {  // ends the branch at node i's client
+      sinks.push_back(graph->AddSink("client@" + std::to_string(node)));
+      DFLOW_RETURN_NOT_OK(
+          graph->Connect(id, sinks.back(), {}, program.credits));
+    }
+  }
+  return sinks;
+}
+
+Result<JoinRunResult> Engine::ExecutePartitionedJoin(
+    const JoinSpec& spec, const ExecOptions& options) {
+  DFLOW_ASSIGN_OR_RETURN(compile::JoinProgramPtr program,
+                         LowerJoin(spec, options));
+  if (options.mode == ExecMode::kParallel) {
+    return ExecuteParallelJoin(*program, options);
+  }
+  BeginRun(options);
+
+  // The build phase fills one hash table per node; the probe phase counts
+  // each node's matches into its client sink.
+  const auto tables = compile::NewJoinTables(*program);
+  JoinRunResult result;
+  for (const compile::JoinProgram::Phase* phase :
+       {&program->build, &program->probe}) {
+    DataflowGraph graph(&fabric_.simulator());
+    ArmGraph(&graph);
+    TableScanSource::ScanStats stats;
+    DFLOW_ASSIGN_OR_RETURN(TableScanSource scan, ScanOf(*phase));
+    DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches,
+                           scan.Produce(&stats));
+    DFLOW_ASSIGN_OR_RETURN(
+        std::vector<DataflowGraph::NodeId> sinks,
+        BuildJoinPhaseGraph(&graph, *program, *phase, tables,
+                            std::move(batches)));
+    DFLOW_RETURN_NOT_OK(graph.Run());
+    if (phase == &program->build) continue;
+    for (DataflowGraph::NodeId sink : sinks) {
+      const auto& chunks = graph.sink_chunks(sink);
+      int64_t count = 0;
+      if (!chunks.empty()) count = chunks[0].GetValue(0, 0).int64_value();
+      result.node_counts.push_back(count);
+      result.total_rows += count;
+    }
+    result.report = CollectReport(graph, sinks[0], program->variant, stats);
+    result.report.verify = phase->verify;
+  }
+  return result;
+}
+
+Result<TableScanSource> Engine::ScanOf(
+    const compile::JoinProgram::Phase& phase) {
+  return TableScanSource::Make(phase.table, phase.scan_columns, phase.filter);
 }
 
 Result<TableScanSource> Engine::ScanOf(const compile::DflowProgram& program) {
@@ -490,12 +728,7 @@ Result<QueryResult> Engine::ExecuteProgram(const compile::DflowProgram& program,
   return RunProgram(program, options, /*allow_fallback=*/true);
 }
 
-Result<QueryResult> Engine::RunProgram(const compile::DflowProgram& program,
-                                       const ExecOptions& options,
-                                       bool allow_fallback) {
-  TableScanSource::ScanStats stats;
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches,
-                         DecodeScan(program, &stats));
+void Engine::BeginRun(const ExecOptions& options) {
   if (options.trace.enabled && tracer_ == nullptr) {
     EnableTracing(options.trace);
   }
@@ -508,6 +741,15 @@ Result<QueryResult> Engine::RunProgram(const compile::DflowProgram& program,
     // counters so this run's report counts only its own traffic.
     fabric_.ResetMetrics();
   }
+}
+
+Result<QueryResult> Engine::RunProgram(const compile::DflowProgram& program,
+                                       const ExecOptions& options,
+                                       bool allow_fallback) {
+  TableScanSource::ScanStats stats;
+  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches,
+                         DecodeScan(program, &stats));
+  BeginRun(options);
   DataflowGraph graph(&fabric_.simulator());
   ArmGraph(&graph);
   DFLOW_TRACE(tracer_.get(),

@@ -11,11 +11,12 @@
 // Engine::CompileVariant, Engine::Compile, Engine::ExecuteProgram,
 // Engine::BuildProgramPipeline — see engine.h), and every simulated and
 // parallel Execute entry point lowers through the same private
-// Engine::LowerProgram. Their implementation lives in this subsystem
-// (compiler.cc) because lowering needs the engine's private query
-// preparation. This header carries the one opcode -> operator table and
-// the compiler's modeled cost constants, shared by the serving loop's
-// cache accounting and the bench gates.
+// Engine::LowerProgram, every partitioned join through Engine::LowerJoin.
+// Their implementation lives in this subsystem (compiler.cc) because
+// lowering needs the engine's private query preparation. This header
+// carries the one opcode -> operator table (its join case sits beside it
+// in compiler.cc) and the compiler's modeled cost constants, shared by the
+// serving loop's cache accounting and the bench gates.
 
 namespace dflow::compile {
 

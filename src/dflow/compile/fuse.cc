@@ -4,10 +4,6 @@
 
 namespace dflow::compile {
 
-std::string_view FuseModeToString(FuseMode m) {
-  return m == FuseMode::kOn ? "on" : "off";
-}
-
 Result<FuseMode> ParseFuseMode(std::string_view text) {
   if (text == "on") return FuseMode::kOn;
   if (text == "off") return FuseMode::kOff;

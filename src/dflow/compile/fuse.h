@@ -9,8 +9,6 @@
 
 namespace dflow::compile {
 
-std::string_view FuseModeToString(FuseMode m);
-
 /// Parses "on" / "off" (as in --dflow_fuse=).
 Result<FuseMode> ParseFuseMode(std::string_view text);
 

@@ -32,6 +32,12 @@ std::string_view OpCodeToString(OpCode code) {
       return "ENCODE";
     case OpCode::kReDecode:
       return "REDECODE";
+    case OpCode::kPartition:
+      return "PARTITION";
+    case OpCode::kBuild:
+      return "BUILD";
+    case OpCode::kProbe:
+      return "PROBE";
   }
   return "UNKNOWN";
 }

@@ -42,6 +42,9 @@ enum class OpCode : uint8_t {
   kLimit = 8,
   kEncode = 9,    // compress_uplink: re-encode before the network hop
   kReDecode = 10,  // compress_uplink: decode right after the network hop
+  kPartition = 11,  // join: hash-partition on the key, one edge per node
+  kBuild = 12,      // join: insert into this node's hash table
+  kProbe = 13,      // join: match against this node's hash table
 };
 
 std::string_view OpCodeToString(OpCode code);
@@ -182,6 +185,36 @@ class DflowProgram {
 };
 
 using ProgramPtr = std::shared_ptr<const DflowProgram>;
+
+/// A partitioned hash join (Figure 4) lowered once, by Engine::LowerJoin,
+/// for both executors: the simulator builds each phase's dataflow graph
+/// from it (Engine::BuildJoinPhaseGraph), the kParallel executor runs its
+/// scans, keys and probe filter on worker threads. Shared as an immutable
+/// JoinProgramPtr; never serialized or cached.
+struct JoinProgram {
+  /// One phase's scan and instruction list: DECODE and [FILTER] on the
+  /// front site, PARTITION on the key, then per partition i (compute node
+  /// i) a BUILD, or a PROBE and a COUNT that ends in node i's client sink.
+  /// Join ops carry no literal slots or output schema: nothing serializes
+  /// or fuses a join program.
+  struct Phase {
+    std::shared_ptr<Table> table;
+    std::vector<std::string> scan_columns;
+    Schema scan_schema;
+    ExprPtr filter;  // resolved against scan_schema; null = none
+    size_t key = 0;  // join key column in scan_schema
+    std::vector<ProgramOp> ops;
+    /// Verifier verdict on this phase's graph (empty when not verified).
+    verify::VerifyReport verify;
+  };
+  Phase build;
+  Phase probe;
+  uint32_t partitions = 1;
+  uint32_t credits = 8;
+  std::string variant;  // "nic-scatter" | "cpu-exchange"
+};
+
+using JoinProgramPtr = std::shared_ptr<const JoinProgram>;
 
 }  // namespace dflow::compile
 

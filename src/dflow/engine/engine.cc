@@ -6,9 +6,6 @@
 
 #include "dflow/common/logging.h"
 #include "dflow/common/string_util.h"
-#include "dflow/exec/filter.h"
-#include "dflow/exec/join.h"
-#include "dflow/exec/misc_ops.h"
 #include "dflow/exec/project.h"
 #include "dflow/opt/selectivity.h"
 
@@ -75,11 +72,6 @@ void Engine::EnableTracing(const trace::TraceOptions& options) {
   effective.enabled = true;
   tracer_ = std::make_unique<trace::Tracer>(effective);
   fabric_.AttachTracer(tracer_.get());
-}
-
-void Engine::DisableTracing() {
-  fabric_.AttachTracer(nullptr);
-  tracer_.reset();
 }
 
 namespace {
@@ -544,186 +536,6 @@ Result<Engine::ConcurrentResult> Engine::ExecuteConcurrent(
     result.result_rows.push_back(rows);
     result.makespan_ns =
         std::max(result.makespan_ns, graph.sink_finish_time(b.sink));
-  }
-  return result;
-}
-
-Result<JoinRunResult> Engine::ExecutePartitionedJoin(
-    const JoinSpec& spec, const ExecOptions& options) {
-  if (options.mode == ExecMode::kParallel) {
-    return ExecuteParallelJoin(spec, options);
-  }
-  if (spec.num_nodes < 1 || spec.num_nodes > fabric_.num_nodes()) {
-    return Status::InvalidArgument(
-        "join needs 1.." + std::to_string(fabric_.num_nodes()) + " nodes");
-  }
-  DFLOW_ASSIGN_OR_RETURN(std::shared_ptr<Table> build_table,
-                         catalog_.Lookup(spec.build_table));
-  DFLOW_ASSIGN_OR_RETURN(std::shared_ptr<Table> probe_table,
-                         catalog_.Lookup(spec.probe_table));
-  DFLOW_ASSIGN_OR_RETURN(size_t build_key,
-                         build_table->schema().FieldIndex(spec.build_key));
-  DFLOW_ASSIGN_OR_RETURN(size_t probe_key,
-                         probe_table->schema().FieldIndex(spec.probe_key));
-  const bool nic_scatter = spec.exchange == JoinSpec::Exchange::kNicScatter;
-  const uint32_t p = static_cast<uint32_t>(spec.num_nodes);
-
-  if (options.trace.enabled && tracer_ == nullptr) {
-    EnableTracing(options.trace);
-  }
-  if (options.reset_fabric) {
-    fabric_.Reset();
-    if (tracer_ != nullptr) tracer_->Clear();
-  } else {
-    fabric_.ResetMetrics();
-  }
-
-  // Per-node shared hash tables, filled by the build phase.
-  std::vector<std::shared_ptr<JoinHashTable>> tables;
-  for (uint32_t i = 0; i < p; ++i) {
-    tables.push_back(
-        std::make_shared<JoinHashTable>(build_table->schema(), build_key));
-  }
-
-  // Storage NIC to node i's CPU.
-  auto scatter_path = [&](uint32_t i) {
-    return std::vector<sim::Link*>{
-        fabric_.storage_uplink(), fabric_.node(i).net_rx.get(),
-        fabric_.node(i).interconnect.get(), fabric_.node(i).memory_bus.get()};
-  };
-  // Partition stage to node i's consumer: straight from the storage NIC
-  // (NIC scatter), or from node 0's CPU (CPU exchange; local on node 0).
-  auto consumer_path = [&](uint32_t i) -> std::vector<sim::Link*> {
-    if (nic_scatter) return scatter_path(i);
-    if (i == 0) return {};
-    return {fabric_.node(0).net_tx.get(), fabric_.node(i).net_rx.get(),
-            fabric_.node(i).interconnect.get(),
-            fabric_.node(i).memory_bus.get()};
-  };
-
-  // One phase's front: scan (pruned by `filter`) -> decode -> [filter] ->
-  // hash-partition on `key`, returning the partition stage. NIC scatter
-  // decodes and filters on the storage processor and partitions on the
-  // storage NIC; CPU exchange ships everything to node 0's CPU first and
-  // re-partitions from there.
-  sim::Device* const front_device =
-      nic_scatter ? fabric_.storage_proc() : fabric_.node(0).cpu.get();
-  auto add_front = [&](DataflowGraph& graph, const std::string& table_name,
-                       const std::shared_ptr<Table>& table,
-                       const ExprPtr& filter, size_t key,
-                       TableScanSource::ScanStats* stats)
-      -> Result<DataflowGraph::NodeId> {
-    const Schema& schema = table->schema();
-    ExprPtr resolved;
-    if (filter != nullptr) {
-      DFLOW_ASSIGN_OR_RETURN(resolved, Expr::Resolve(filter, schema));
-    }
-    DFLOW_ASSIGN_OR_RETURN(TableScanSource scan,
-                           TableScanSource::Make(table, {}, resolved));
-    DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches,
-                           scan.Produce(stats));
-    auto src = graph.AddSource("scan:" + table_name, fabric_.store_media(),
-                               sim::CostClass::kScan, std::move(batches),
-                               schema);
-    auto decode = graph.AddStage(
-        "decode", OperatorPtr(new DecodeOperator(schema)), front_device);
-    DFLOW_RETURN_NOT_OK(graph.Connect(
-        src, decode,
-        nic_scatter ? std::vector<sim::Link*>{} : scatter_path(0),
-        options.credits));
-    DataflowGraph::NodeId upstream = decode;
-    if (resolved != nullptr) {
-      DFLOW_ASSIGN_OR_RETURN(OperatorPtr filter_op,
-                             FilterOperator::Make(resolved, schema));
-      auto f = graph.AddStage("filter", std::move(filter_op), front_device);
-      DFLOW_RETURN_NOT_OK(graph.Connect(upstream, f, {}, options.credits));
-      upstream = f;
-    }
-    auto part = graph.AddPartitionStage(
-        nic_scatter ? "scatter" : "exchange", HashPartitioner(key, p),
-        nic_scatter ? fabric_.storage_nic() : fabric_.node(0).cpu.get());
-    DFLOW_RETURN_NOT_OK(graph.Connect(upstream, part, {}, options.credits));
-    return part;
-  };
-
-  // Verifies one phase's graph (strict mode refuses it), then runs it.
-  auto verify_and_run = [&](DataflowGraph& graph, const std::string& phase)
-      -> Result<verify::VerifyReport> {
-    verify::VerifyReport vreport;
-    if (options.verify != verify::VerifyMode::kOff) {
-      vreport = VerifyGraphSpec(graph.Describe());
-      if (options.verify == verify::VerifyMode::kStrict && !vreport.ok()) {
-        return Status::InvalidArgument("join " + phase +
-                                       " phase rejected by static verifier: " +
-                                       vreport.ToString());
-      }
-    }
-    DFLOW_RETURN_NOT_OK(graph.Run());
-    return vreport;
-  };
-
-  // ---------------------------------------------------------- build phase
-  {
-    DataflowGraph graph(&fabric_.simulator());
-    ArmGraph(&graph);
-    DFLOW_ASSIGN_OR_RETURN(DataflowGraph::NodeId part,
-                           add_front(graph, spec.build_table, build_table,
-                                     nullptr, build_key, nullptr));
-    for (uint32_t i = 0; i < p; ++i) {
-      DFLOW_ASSIGN_OR_RETURN(OperatorPtr build_op,
-                             JoinBuildOperator::Make(tables[i]));
-      auto build = graph.AddStage("build@" + std::to_string(i),
-                                  std::move(build_op),
-                                  fabric_.node(i).cpu.get());
-      DFLOW_RETURN_NOT_OK(
-          graph.Connect(part, build, consumer_path(i), options.credits));
-    }
-    DFLOW_RETURN_NOT_OK(verify_and_run(graph, "build").status());
-  }
-
-  // ---------------------------------------------------------- probe phase
-  JoinRunResult result;
-  {
-    DataflowGraph graph(&fabric_.simulator());
-    ArmGraph(&graph);
-    TableScanSource::ScanStats stats;
-    DFLOW_ASSIGN_OR_RETURN(
-        DataflowGraph::NodeId part,
-        add_front(graph, spec.probe_table, probe_table, spec.probe_filter,
-                  probe_key, &stats));
-    std::vector<DataflowGraph::NodeId> sinks;
-    for (uint32_t i = 0; i < p; ++i) {
-      DFLOW_ASSIGN_OR_RETURN(
-          OperatorPtr probe_op,
-          HashJoinProbeOperator::Make(tables[i], probe_table->schema(),
-                                      probe_key));
-      auto probe = graph.AddStage("probe@" + std::to_string(i),
-                                  std::move(probe_op),
-                                  fabric_.node(i).cpu.get());
-      DFLOW_RETURN_NOT_OK(
-          graph.Connect(part, probe, consumer_path(i), options.credits));
-      auto count = graph.AddStage("count@" + std::to_string(i),
-                                  OperatorPtr(new CountOperator()),
-                                  fabric_.node(i).cpu.get());
-      DFLOW_RETURN_NOT_OK(graph.Connect(probe, count, {}, options.credits));
-      auto sink = graph.AddSink("client@" + std::to_string(i));
-      DFLOW_RETURN_NOT_OK(graph.Connect(count, sink, {}, options.credits));
-      sinks.push_back(sink);
-    }
-    DFLOW_ASSIGN_OR_RETURN(verify::VerifyReport vreport,
-                           verify_and_run(graph, "probe"));
-    for (DataflowGraph::NodeId sink : sinks) {
-      const auto& chunks = graph.sink_chunks(sink);
-      int64_t count = 0;
-      if (!chunks.empty()) count = chunks[0].GetValue(0, 0).int64_value();
-      result.node_counts.push_back(count);
-      result.total_rows += count;
-    }
-    result.report = CollectReport(graph, sinks[0],
-                                  nic_scatter ? "nic-scatter" : "cpu-exchange",
-                                  stats);
-    result.report.sim_ns = fabric_.simulator().now();
-    result.report.verify = std::move(vreport);
   }
   return result;
 }

@@ -20,6 +20,8 @@
 
 namespace dflow {
 
+class JoinHashTable;
+
 namespace compile {
 struct CompiledQuery;
 }  // namespace compile
@@ -121,7 +123,6 @@ class Engine {
   /// reset_fabric set (chained runs append). Also enabled lazily by
   /// ExecOptions::trace.enabled.
   void EnableTracing(const trace::TraceOptions& options);
-  void DisableTracing();
   /// The active tracer; null when tracing is off.
   trace::Tracer* tracer() { return tracer_.get(); }
 
@@ -131,7 +132,6 @@ class Engine {
   void MarkDeviceUnhealthy(const std::string& name);
   bool IsDeviceHealthy(const std::string& name) const;
   void ClearDeviceHealth();
-  const std::set<std::string>& unhealthy_devices() const { return unhealthy_; }
   /// Monotone device-health epoch: every MarkDeviceUnhealthy /
   /// ClearDeviceHealth bumps it. Part of the program-cache key, so a
   /// compiled program verified against a stale health registry is never
@@ -270,8 +270,18 @@ class Engine {
       const std::vector<double>& network_rate_limits_gbps = {},
       const std::vector<sim::SimTime>& start_offsets_ns = {});
 
-  /// Distributed partitioned hash join across compute nodes (Figure 4).
+  /// Distributed partitioned hash join across compute nodes (Figure 4):
+  /// runs the LowerJoin program, on the simulated fabric or, with
+  /// ExecMode::kParallel, on the morsel-driven executor.
   Result<JoinRunResult> ExecutePartitionedJoin(
+      const JoinSpec& spec, const ExecOptions& options = ExecOptions());
+
+  /// The one join lowering: both phases' scans (whole tuples on the
+  /// simulated fabric, as Figure 4 ships them; keys and probe-filter
+  /// columns for kParallel), ops, sites and credits. Unless options.verify
+  /// is kOff or the mode is kParallel, each phase's graph is verified,
+  /// without scan rows, before anything runs; strict refuses errors.
+  Result<compile::JoinProgramPtr> LowerJoin(
       const JoinSpec& spec, const ExecOptions& options = ExecOptions());
 
   /// Runs the same query on the conventional engine (pull-based iterators
@@ -280,8 +290,10 @@ class Engine {
                                             size_t pool_pages,
                                             int repeats = 1);
 
-  // Implementation helpers exposed for the plan compiler (and useful to
-  // power users assembling custom graphs on the engine's fabric).
+  // Lowering internals: the prepared query the compiler's lowering reads,
+  // and the site -> device map its graph builders wire with. Dataflow
+  // graphs are built only by the compiler (BuildProgramGraph,
+  // BuildJoinPhaseGraph).
   struct PreparedQuery {
     enum class StageKind {
       kDecode,
@@ -307,10 +319,9 @@ class Engine {
   /// The processing element hosting `site` on compute node `node`.
   sim::Device* SiteDevice(Site site, int node);
 
+ private:
   /// The ordered links a chunk crosses moving from `from` to `to`.
   std::vector<sim::Link*> PathBetween(Site from, Site to, int node);
-
- private:
   /// Collects the names of all column references in an expression tree.
   static void CollectColumnNames(const ExprPtr& expr,
                                  std::set<std::string>* out);
@@ -341,8 +352,11 @@ class Engine {
       const Placement& placement, compile::FuseMode fuse,
       const ExecOptions& options, const std::string& label,
       const CostEstimate& demand = CostEstimate());
-  /// The program's scan: its columns, pruned by its filter's zone maps.
+  /// The program's (or join phase's) scan: its columns, pruned by its
+  /// filter's zone maps.
   static Result<TableScanSource> ScanOf(const compile::DflowProgram& program);
+  static Result<TableScanSource> ScanOf(
+      const compile::JoinProgram::Phase& phase);
   /// Decodes the program's surviving row groups.
   Result<std::vector<ScanBatch>> DecodeScan(
       const compile::DflowProgram& program,
@@ -354,6 +368,18 @@ class Engine {
       DataflowGraph* graph, const compile::DflowProgram& program,
       std::vector<ScanBatch> batches, const std::string& label,
       double rate_limit_gbps);
+  /// Replays one join phase into `graph` over `batches` (empty for a
+  /// verification graph): the front chain on node 0 or the storage side,
+  /// then partition i's ops on node i, bound to `tables[i]`. Returns the
+  /// phase's client sinks, one per partition (none for the build phase).
+  Result<std::vector<DataflowGraph::NodeId>> BuildJoinPhaseGraph(
+      DataflowGraph* graph, const compile::JoinProgram& program,
+      const compile::JoinProgram::Phase& phase,
+      const std::vector<std::shared_ptr<JoinHashTable>>& tables,
+      std::vector<ScanBatch> batches);
+  /// Opens a simulated run's window per options.trace and
+  /// options.reset_fabric.
+  void BeginRun(const ExecOptions& options);
   /// Runs a program on the fabric and collects its report. Never verifies:
   /// the program's stamp is the report's verdict. On a permanent device
   /// death (with `allow_fallback`) quarantines the device and re-runs the
@@ -363,11 +389,12 @@ class Engine {
                                  bool allow_fallback);
   /// ExecMode::kParallel implementations (engine/parallel_runner.cc) on
   /// the morsel-driven work-stealing executor with real threads: a query
-  /// runs its CPU-only program, a join its hand-built build/probe tasks.
+  /// runs its CPU-only program, a join its join program's scans, keys and
+  /// probe filter.
   Result<QueryResult> ExecuteParallel(const QuerySpec& spec,
                                       const ExecOptions& options);
-  Result<JoinRunResult> ExecuteParallelJoin(const JoinSpec& spec,
-                                            const ExecOptions& options);
+  Result<JoinRunResult> ExecuteParallelJoin(
+      const compile::JoinProgram& program, const ExecOptions& options);
   ExecutionReport CollectReport(const DataflowGraph& graph,
                                 DataflowGraph::NodeId sink,
                                 const std::string& variant,

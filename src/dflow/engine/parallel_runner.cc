@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -167,60 +166,26 @@ Result<QueryResult> Engine::ExecuteParallel(const QuerySpec& spec,
   return result;
 }
 
-Result<JoinRunResult> Engine::ExecuteParallelJoin(const JoinSpec& spec,
-                                                  const ExecOptions& options) {
-  if (spec.num_nodes < 1) {
-    return Status::InvalidArgument("join needs >= 1 partition");
-  }
-  DFLOW_ASSIGN_OR_RETURN(std::shared_ptr<Table> build_table,
-                         catalog_.Lookup(spec.build_table));
-  DFLOW_ASSIGN_OR_RETURN(std::shared_ptr<Table> probe_table,
-                         catalog_.Lookup(spec.probe_table));
-
-  // Each side reads only what the join touches: the build key, and the
-  // probe key plus the probe filter's columns (in table order).
-  std::set<std::string> needed{spec.probe_key};
-  CollectColumnNames(spec.probe_filter, &needed);
-  std::vector<std::string> probe_names;
-  for (const Field& f : probe_table->schema().fields()) {
-    if (needed.count(f.name) > 0) probe_names.push_back(f.name);
-  }
-  DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource build_scan,
-      TableScanSource::Make(build_table, {spec.build_key}, nullptr));
-  // The filter also prunes probe row groups by zone map (resolved by name
-  // against the table); the surviving rows get it row-wise inside the
-  // probe tasks.
-  DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource probe_scan,
-      TableScanSource::Make(probe_table, probe_names, spec.probe_filter));
-
-  parallel::ParallelJoinInputs inputs;
-  inputs.build = &build_scan;
-  inputs.probe = &probe_scan;
-  DFLOW_ASSIGN_OR_RETURN(inputs.build_key,
-                         build_scan.output_schema().FieldIndex(spec.build_key));
-  DFLOW_ASSIGN_OR_RETURN(inputs.probe_key,
-                         probe_scan.output_schema().FieldIndex(spec.probe_key));
-  if (spec.probe_filter != nullptr) {
-    DFLOW_ASSIGN_OR_RETURN(
-        inputs.probe_filter,
-        Expr::Resolve(spec.probe_filter, probe_scan.output_schema()));
-  }
-  // Partition count mirrors the simulated plan's num_nodes, so the
-  // per-partition counts line up with the per-node sink counts.
-  inputs.partitions = static_cast<uint32_t>(spec.num_nodes);
-
+Result<JoinRunResult> Engine::ExecuteParallelJoin(
+    const compile::JoinProgram& program, const ExecOptions& options) {
+  // The probe filter also prunes probe row groups by zone map; the
+  // surviving rows get it row-wise inside the probe tasks.
+  DFLOW_ASSIGN_OR_RETURN(TableScanSource build_scan, ScanOf(program.build));
+  DFLOW_ASSIGN_OR_RETURN(TableScanSource probe_scan, ScanOf(program.probe));
+  // One partition per simulated node, so the per-partition counts line up
+  // with the per-node sink counts.
+  const parallel::ParallelJoinInputs inputs{
+      &build_scan,       &probe_scan,        program.build.key,
+      program.probe.key, program.partitions, program.probe.filter};
   parallel::ParallelExecOptions popt;
   popt.workers = std::max(1u, options.parallel_workers);
   popt.queue_capacity = options.credits;
 
   JoinRunResult result;
   DFLOW_ASSIGN_OR_RETURN(
-      parallel::ParallelJoinResult joined,
+      result.node_counts,
       parallel::RunParallelHashJoin(inputs, popt, &result.parallel));
-  result.node_counts = std::move(joined.partition_counts);
-  result.total_rows = joined.total_rows;
+  for (int64_t count : result.node_counts) result.total_rows += count;
   result.report.variant =
       "real-parallel-join:w" + std::to_string(popt.workers);
   result.report.sim_ns = 0;

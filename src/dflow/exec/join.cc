@@ -48,13 +48,6 @@ Status JoinHashTable::Probe(
   return Status::OK();
 }
 
-uint64_t JoinHashTable::MemoryBytes() const {
-  uint64_t bytes = rows_.ByteSize();
-  bytes += table_.size() * 48;  // bucket overhead estimate
-  bytes += rows_.num_rows() * sizeof(uint32_t);
-  return bytes;
-}
-
 Result<OperatorPtr> JoinBuildOperator::Make(
     std::shared_ptr<JoinHashTable> table) {
   if (table == nullptr) {

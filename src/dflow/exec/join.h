@@ -34,9 +34,6 @@ class JoinHashTable {
   /// All build rows, columnar (for probe-side payload materialization).
   const DataChunk& rows() const { return rows_; }
 
-  /// Approximate resident bytes (rows + hash directory).
-  uint64_t MemoryBytes() const;
-
  private:
   Schema build_schema_;
   size_t key_col_;

@@ -37,7 +37,7 @@ struct BuildShard {
 
 }  // namespace
 
-Result<ParallelJoinResult> RunParallelHashJoin(
+Result<std::vector<int64_t>> RunParallelHashJoin(
     const ParallelJoinInputs& inputs, const ParallelExecOptions& options,
     ParallelExecStats* stats) {
   if (inputs.build == nullptr || inputs.probe == nullptr) {
@@ -132,12 +132,10 @@ Result<ParallelJoinResult> RunParallelHashJoin(
       },
       &scheduler, &probe_dispatched));
 
-  ParallelJoinResult result;
-  result.partition_counts.assign(p, 0);
+  std::vector<int64_t> partition_counts(p, 0);
   for (const std::vector<int64_t>& counts : worker_counts) {
     for (uint32_t part = 0; part < p; ++part) {
-      result.partition_counts[part] += counts[part];
-      result.total_rows += counts[part];
+      partition_counts[part] += counts[part];
     }
   }
   if (stats != nullptr) {
@@ -151,7 +149,7 @@ Result<ParallelJoinResult> RunParallelHashJoin(
             std::chrono::steady_clock::now() - wall_start)
             .count());
   }
-  return result;
+  return partition_counts;
 }
 
 }  // namespace dflow::parallel

@@ -33,13 +33,8 @@ struct ParallelJoinInputs {
   ExprPtr probe_filter;
 };
 
-struct ParallelJoinResult {
-  /// Matched-row count per partition (deterministic; sums to total_rows).
-  std::vector<int64_t> partition_counts;
-  int64_t total_rows = 0;
-};
-
-Result<ParallelJoinResult> RunParallelHashJoin(
+/// Returns the matched-row count per partition (deterministic).
+Result<std::vector<int64_t>> RunParallelHashJoin(
     const ParallelJoinInputs& inputs, const ParallelExecOptions& options,
     ParallelExecStats* stats = nullptr);
 

@@ -6,18 +6,6 @@
 
 namespace dflow::lifecycle {
 
-const char* BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "CLOSED";
-    case BreakerState::kOpen:
-      return "OPEN";
-    case BreakerState::kHalfOpen:
-      return "HALF_OPEN";
-  }
-  return "UNKNOWN";
-}
-
 BreakerState CircuitBreaker::state(sim::SimTime now) const {
   if (stored_ == BreakerState::kOpen && now >= open_until_) {
     return BreakerState::kHalfOpen;
@@ -155,17 +143,6 @@ size_t BreakerRegistry::open_count(sim::SimTime now) const {
     if (breaker.state(now) == BreakerState::kOpen) ++open;
   }
   return open;
-}
-
-bool BreakerRegistry::HasProbeSlot(sim::SimTime now) const {
-  RankedMutexLock lock(&mutex_);
-  for (const auto& [name, breaker] : breakers_) {
-    (void)name;
-    if (breaker.state(now) == BreakerState::kHalfOpen && breaker.Allows(now)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 uint64_t BreakerRegistry::transitions_total() const {

@@ -25,7 +25,6 @@ namespace dflow::lifecycle {
 /// All transitions are driven by virtual-time calls from the service loop,
 /// so breaker behaviour is deterministic per --dflow_seed.
 enum class BreakerState : uint8_t { kClosed = 0, kOpen, kHalfOpen };
-const char* BreakerStateName(BreakerState state);  // "CLOSED" / ...
 
 struct BreakerConfig {
   /// Master switch: disabled means the registry never opens a breaker and
@@ -120,8 +119,6 @@ class BreakerRegistry {
 
   /// Number of devices whose breaker is open (not yet cooled) at `now`.
   size_t open_count(sim::SimTime now) const DFLOW_EXCLUDES(mutex_);
-  /// Whether any device is half-open with a free probe slot at `now`.
-  bool HasProbeSlot(sim::SimTime now) const DFLOW_EXCLUDES(mutex_);
 
   uint64_t transitions_total() const DFLOW_EXCLUDES(mutex_);
   uint64_t probes_total() const DFLOW_EXCLUDES(mutex_) {

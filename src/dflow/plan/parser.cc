@@ -1,12 +1,21 @@
 #include "dflow/plan/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <map>
 #include <vector>
 
 namespace dflow {
 
 namespace {
+
+/// Deepest expression the parser accepts. It caps both the parser's own
+/// recursion (parentheses, NOT, unary minus) and the height of the Expr
+/// tree it builds, which the recursive walkers (Resolve, Evaluate,
+/// fingerprinting) descend — so hostile SQL is an InvalidArgument, never a
+/// stack overflow.
+constexpr size_t kMaxExprDepth = 256;
 
 // ------------------------------------------------------------ tokenizer ----
 
@@ -308,7 +317,38 @@ class Parser {
   }
 
   // ---- expressions (precedence climbing) ----------------------------------
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() {
+    return Nested([this] { return ParseOr(); });
+  }
+
+  // Every recursive descent (a parenthesized group, NOT, unary minus)
+  // passes through here.
+  template <typename ParseFn>
+  Result<ExprPtr> Nested(ParseFn parse) {
+    if (depth_ >= kMaxExprDepth) return TooDeep();
+    ++depth_;
+    Result<ExprPtr> inner = parse();
+    --depth_;
+    return inner;
+  }
+
+  // Records a freshly built node's height (its children were recorded when
+  // they were built; leaves are 0) and refuses a tree taller than the cap.
+  Result<ExprPtr> Node(ExprPtr e) {
+    size_t height = 0;
+    for (const ExprPtr& c : e->children()) {
+      auto it = heights_.find(c);
+      height = std::max(height, (it == heights_.end() ? 0 : it->second) + 1);
+    }
+    if (height > kMaxExprDepth) return TooDeep();
+    heights_[e] = height;
+    return e;
+  }
+
+  Status TooDeep() const {
+    return Error("expression nested deeper than " +
+                 std::to_string(kMaxExprDepth) + " levels");
+  }
 
   Result<ExprPtr> ParseOr() {
     DFLOW_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
@@ -317,7 +357,7 @@ class Parser {
       DFLOW_ASSIGN_OR_RETURN(ExprPtr next, ParseAnd());
       terms.push_back(std::move(next));
     }
-    return terms.size() == 1 ? terms[0] : Expr::Or(std::move(terms));
+    return terms.size() == 1 ? terms[0] : Node(Expr::Or(std::move(terms)));
   }
 
   Result<ExprPtr> ParseAnd() {
@@ -327,13 +367,14 @@ class Parser {
       DFLOW_ASSIGN_OR_RETURN(ExprPtr next, ParseNot());
       terms.push_back(std::move(next));
     }
-    return terms.size() == 1 ? terms[0] : Expr::And(std::move(terms));
+    return terms.size() == 1 ? terms[0] : Node(Expr::And(std::move(terms)));
   }
 
   Result<ExprPtr> ParseNot() {
     if (AcceptKeyword("NOT")) {
-      DFLOW_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
-      return Expr::Not(std::move(inner));
+      DFLOW_ASSIGN_OR_RETURN(ExprPtr inner,
+                             Nested([this] { return ParseNot(); }));
+      return Node(Expr::Not(std::move(inner)));
     }
     return ParseComparison();
   }
@@ -352,7 +393,7 @@ class Parser {
       if (t.text == ">=") op = CompareOp::kGe;
       Advance();
       DFLOW_ASSIGN_OR_RETURN(ExprPtr right, ParseAdditive());
-      return Expr::Cmp(op, std::move(left), std::move(right));
+      return Node(Expr::Cmp(op, std::move(left), std::move(right)));
     }
     if (t.type == TokenType::kKeyword && t.text == "LIKE") {
       Advance();
@@ -361,7 +402,7 @@ class Parser {
       }
       std::string pattern = Peek().text;
       Advance();
-      return Expr::Like(std::move(left), std::move(pattern));
+      return Node(Expr::Like(std::move(left), std::move(pattern)));
     }
     if (t.type == TokenType::kKeyword && t.text == "BETWEEN") {
       Advance();
@@ -369,9 +410,11 @@ class Parser {
       DFLOW_RETURN_NOT_OK(ExpectKeyword("AND"));
       DFLOW_ASSIGN_OR_RETURN(ExprPtr hi, ParseAdditive());
       // SQL BETWEEN is inclusive on both ends.
-      return Expr::And(
-          {Expr::Cmp(CompareOp::kGe, left, std::move(lo)),
-           Expr::Cmp(CompareOp::kLe, std::move(left), std::move(hi))});
+      DFLOW_ASSIGN_OR_RETURN(ExprPtr ge,
+                             Node(Expr::Cmp(CompareOp::kGe, left, lo)));
+      DFLOW_ASSIGN_OR_RETURN(ExprPtr le,
+                             Node(Expr::Cmp(CompareOp::kLe, left, hi)));
+      return Node(Expr::And({std::move(ge), std::move(le)}));
     }
     return left;
   }
@@ -386,7 +429,8 @@ class Parser {
       const ArithOp op = t.text == "+" ? ArithOp::kAdd : ArithOp::kSub;
       Advance();
       DFLOW_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
-      left = Expr::Arith(op, std::move(left), std::move(right));
+      DFLOW_ASSIGN_OR_RETURN(
+          left, Node(Expr::Arith(op, std::move(left), std::move(right))));
     }
   }
 
@@ -400,7 +444,8 @@ class Parser {
       const ArithOp op = t.text == "*" ? ArithOp::kMul : ArithOp::kDiv;
       Advance();
       DFLOW_ASSIGN_OR_RETURN(ExprPtr right, ParsePrimary());
-      left = Expr::Arith(op, std::move(left), std::move(right));
+      DFLOW_ASSIGN_OR_RETURN(
+          left, Node(Expr::Arith(op, std::move(left), std::move(right))));
     }
   }
 
@@ -449,9 +494,10 @@ class Parser {
         }
         if (t.text == "-") {  // unary minus on literals
           Advance();
-          DFLOW_ASSIGN_OR_RETURN(ExprPtr inner, ParsePrimary());
-          return Expr::Arith(ArithOp::kSub, Expr::Lit(Value::Int64(0)),
-                             std::move(inner));
+          DFLOW_ASSIGN_OR_RETURN(ExprPtr inner,
+                                 Nested([this] { return ParsePrimary(); }));
+          return Node(Expr::Arith(ArithOp::kSub, Expr::Lit(Value::Int64(0)),
+                                  std::move(inner)));
         }
         return Error("unexpected symbol '" + t.text + "' in expression");
       }
@@ -526,6 +572,9 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   std::vector<std::string> plain_select_columns_;
+  size_t depth_ = 0;
+  // Keyed by node, which also keeps every recorded node alive.
+  std::map<ExprPtr, size_t> heights_;
 };
 
 }  // namespace

@@ -27,6 +27,10 @@ ServiceLoop::ServiceLoop(Engine* engine, std::vector<TenantConfig> tenants,
   latencies_.resize(tenants_.size());
   for (size_t t = 0; t < tenants_.size(); ++t) {
     stats_[t].name = tenants_[t].name;
+    template_fingerprints_.emplace_back();
+    for (const TemplateMix& tmpl : tenants_[t].templates) {
+      template_fingerprints_[t].push_back(FingerprintQuerySpec(tmpl.spec));
+    }
   }
 }
 
@@ -306,9 +310,10 @@ Status ServiceLoop::StartQuery(
   // node's programs.
   constexpr int kServeNode = 0;
   program_cache_.InvalidateStaleEpochs(engine_->fabric_epoch(kServeNode));
-  const compile::CacheKey key{FingerprintQuerySpec(tmpl.spec),
-                              engine_->fabric_epoch(kServeNode),
-                              verify::kVerifierVersion, kServeNode};
+  const compile::CacheKey key{
+      template_fingerprints_[ticket.tenant][ticket.template_index],
+      engine_->fabric_epoch(kServeNode), verify::kVerifierVersion,
+      kServeNode};
   std::shared_ptr<compile::CompiledQuery> plan = program_cache_.Lookup(key);
   bool fresh_plan = false;
   if (plan == nullptr) {

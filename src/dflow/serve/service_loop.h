@@ -173,6 +173,9 @@ class ServiceLoop {
 
   Engine* engine_;
   std::vector<TenantConfig> tenants_;
+  /// [tenant][template] plan fingerprint, the program-cache key's first
+  /// half: computed once here, since templates never change.
+  std::vector<std::vector<uint64_t>> template_fingerprints_;
   ServiceConfig config_;
   WorkloadDriver driver_;
   AdmissionController admission_;

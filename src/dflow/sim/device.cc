@@ -52,10 +52,6 @@ void Device::SetRate(CostClass c, double gbps) {
   rates_gbps_[static_cast<int>(c)] = gbps;
 }
 
-void Device::SetAllRates(double gbps) {
-  for (double& r : rates_gbps_) r = gbps;
-}
-
 double Device::RateGbps(CostClass c) const {
   return rates_gbps_[static_cast<int>(c)];
 }

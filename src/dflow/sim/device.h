@@ -40,10 +40,6 @@ class Device {
   /// A rate of 0 marks the class unsupported on this device.
   void SetRate(CostClass c, double gbps);
 
-  /// Sets the same rate for all cost classes (convenience for CPU-like
-  /// general-purpose devices; override specific classes afterwards).
-  void SetAllRates(double gbps);
-
   double RateGbps(CostClass c) const;
   bool Supports(CostClass c) const { return RateBytesPerNs(c) > 0; }
 

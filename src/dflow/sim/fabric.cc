@@ -1,9 +1,5 @@
 #include "dflow/sim/fabric.h"
 
-#include <sstream>
-
-#include "dflow/common/string_util.h"
-
 namespace dflow::sim {
 
 void ConfigureCpuDevice(Device* dev, const FabricConfig& config) {
@@ -161,26 +157,6 @@ std::vector<Device*> Fabric::AllDevices() {
     devices.push_back(n.cpu.get());
   }
   return devices;
-}
-
-std::string Fabric::ReportString() {
-  std::ostringstream os;
-  os << "fabric @ " << FormatNanos(sim_.now()) << "\n";
-  os << "  links:\n";
-  for (Link* l : AllLinks()) {
-    if (l->num_messages() == 0) continue;
-    os << "    " << l->name() << ": " << FormatBytes(l->bytes_transferred())
-       << " in " << l->num_messages() << " msgs, busy "
-       << FormatNanos(l->busy_ns()) << "\n";
-  }
-  os << "  devices:\n";
-  for (Device* d : AllDevices()) {
-    if (d->items_processed() == 0) continue;
-    os << "    " << d->name() << ": " << FormatBytes(d->bytes_processed())
-       << " in " << d->items_processed() << " items, busy "
-       << FormatNanos(d->busy_ns()) << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace dflow::sim

@@ -119,9 +119,6 @@ class Fabric {
   void AttachTracer(trace::Tracer* tracer);
   trace::Tracer* tracer() { return tracer_; }
 
-  /// Human-readable utilization report at the current sim time.
-  std::string ReportString();
-
  private:
   FabricConfig config_;
   Simulator sim_;

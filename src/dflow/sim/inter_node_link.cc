@@ -123,8 +123,6 @@ void InterNodeLink::ArmFaults(double drop_probability,
   max_attempts_ = max_attempts == 0 ? 1 : max_attempts;
 }
 
-void InterNodeLink::DisarmFaults() { faults_armed_ = false; }
-
 void InterNodeLink::CancelWindow() {
   credits_released_ += window_.size();
   window_.clear();

@@ -65,7 +65,6 @@ class InterNodeLink {
   /// function of (seed, frame sequence, attempt): same seed, same schedule.
   void ArmFaults(double drop_probability, double corrupt_probability,
                  uint64_t seed, uint32_t max_attempts);
-  void DisarmFaults();
 
   /// Returns every in-flight credit (the cancel path). After this the
   /// window is empty and credits_released() == credits_acquired().

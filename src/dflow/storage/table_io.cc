@@ -213,12 +213,6 @@ Result<EncodedColumn> StoredTableReader::ReadColumn(size_t row_group,
   return ec;
 }
 
-Result<ColumnVector> StoredTableReader::ReadDecodedColumn(size_t row_group,
-                                                          size_t column) const {
-  DFLOW_ASSIGN_OR_RETURN(EncodedColumn ec, ReadColumn(row_group, column));
-  return DecodeColumn(ec);
-}
-
 Result<Table> ReadTableFromStore(const ObjectStore& store,
                                  const std::string& name) {
   DFLOW_ASSIGN_OR_RETURN(StoredTableReader reader,

@@ -57,10 +57,6 @@ class StoredTableReader {
   /// Fetches and returns one encoded column via a ranged GET.
   Result<EncodedColumn> ReadColumn(size_t row_group, size_t column) const;
 
-  /// Fetches and decodes one column.
-  Result<ColumnVector> ReadDecodedColumn(size_t row_group,
-                                         size_t column) const;
-
  private:
   StoredTableReader() = default;
 

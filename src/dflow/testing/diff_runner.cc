@@ -5,6 +5,7 @@
 
 #include "dflow/cluster/cluster.h"
 #include "dflow/cluster/router.h"
+#include "dflow/common/string_util.h"
 #include "dflow/engine/engine.h"
 #include "dflow/exec/test_hooks.h"
 #include "dflow/serve/service_loop.h"
@@ -238,6 +239,7 @@ Result<DiffResult> DiffRunner::Run(const GeneratedCase& c) const {
   strict.verify = verify::VerifyMode::kStrict;
 
   if (c.is_join) {
+    std::vector<int64_t> dataflow_counts;  // per-node sinks, dataflow lane
     auto run_join = [&](const std::string& lane_name, Engine* eng,
                         bool fault_free) {
       auto r = eng->ExecutePartitionedJoin(c.join, strict);
@@ -251,6 +253,12 @@ Result<DiffResult> DiffRunner::Run(const GeneratedCase& c) const {
       LaneResult& lane =
           add_lane(lane_name, canon, static_cast<uint64_t>(r.ValueOrDie().report.sim_ns));
       check_lane(lane, fault_free, r.ValueOrDie().report);
+      if (eng == &engine) dataflow_counts = r.ValueOrDie().node_counts;
+    };
+    auto counts_text = [](const std::vector<int64_t>& counts) {
+      std::vector<std::string> parts;
+      for (int64_t n : counts) parts.push_back(std::to_string(n));
+      return "[" + JoinStrings(parts, ",") + "]";
     };
 
     run_join("dataflow", &engine, /*fault_free=*/true);
@@ -279,6 +287,14 @@ Result<DiffResult> DiffRunner::Run(const GeneratedCase& c) const {
           note_divergence("lane '" + lane_name + "' fingerprint " +
                           lane.fingerprint + " != volcano reference " +
                           out.reference_fingerprint);
+        }
+        // Same hash routing, so each partition's count is the simulated
+        // node's (JoinRunResult::node_counts).
+        if (r.ValueOrDie().node_counts != dataflow_counts) {
+          note_divergence("lane '" + lane_name + "' partition counts " +
+                          counts_text(r.ValueOrDie().node_counts) +
+                          " != dataflow per-node counts " +
+                          counts_text(dataflow_counts));
         }
       }
     }

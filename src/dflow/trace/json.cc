@@ -137,6 +137,12 @@ JsonValue JsonValue::MakeObject(std::map<std::string, JsonValue> members) {
 
 namespace {
 
+/// Deepest array/object nesting ParseJson accepts. The parser and
+/// JsonValue's destructor recurse once per level, so a hostile document
+/// is an InvalidArgument, never a stack overflow; no file this project
+/// writes nests more than a few levels.
+constexpr size_t kMaxJsonDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -183,8 +189,17 @@ class Parser {
       return Status::InvalidArgument("json: unexpected end of input");
     }
     const char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) {
+        return Status::InvalidArgument(
+            "json: nested deeper than " + std::to_string(kMaxJsonDepth) +
+            " levels at offset " + std::to_string(pos_));
+      }
+      ++depth_;
+      Result<JsonValue> v = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       DFLOW_ASSIGN_OR_RETURN(std::string s, ParseString());
       return JsonValue::MakeString(std::move(s));
@@ -319,6 +334,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;
 };
 
 }  // namespace

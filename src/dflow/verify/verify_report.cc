@@ -18,18 +18,6 @@ std::string_view SeverityToString(Severity s) {
   return "error";
 }
 
-std::string_view VerifyModeToString(VerifyMode m) {
-  switch (m) {
-    case VerifyMode::kOff:
-      return "off";
-    case VerifyMode::kWarn:
-      return "warn";
-    case VerifyMode::kStrict:
-      return "strict";
-  }
-  return "strict";
-}
-
 Result<VerifyMode> ParseVerifyMode(std::string_view text) {
   if (text == "off") return VerifyMode::kOff;
   if (text == "warn") return VerifyMode::kWarn;

@@ -32,8 +32,6 @@ enum class VerifyMode { kOff, kWarn, kStrict };
 /// from a current one — the program cache keys on this.
 inline constexpr int kVerifierVersion = 1;
 
-std::string_view VerifyModeToString(VerifyMode m);
-
 /// Parses "strict" / "warn" / "off" (as in --dflow_verify=).
 Result<VerifyMode> ParseVerifyMode(std::string_view text);
 

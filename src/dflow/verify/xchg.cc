@@ -27,18 +27,6 @@ bool Contains(const std::vector<int>& v, int x) {
 
 }  // namespace
 
-std::string_view ExchangeKindToString(ExchangeKind kind) {
-  switch (kind) {
-    case ExchangeKind::kShuffle:
-      return "shuffle";
-    case ExchangeKind::kBroadcast:
-      return "broadcast";
-    case ExchangeKind::kGather:
-      return "gather";
-  }
-  return "?";
-}
-
 VerifyReport VerifyExchangePlan(const ExchangePlanSpec& plan) {
   VerifyReport report;
   for (const ExchangeSpec& x : plan.exchanges) {

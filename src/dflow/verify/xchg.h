@@ -16,8 +16,6 @@ enum class ExchangeKind {
   kGather,     // funnel everything to one destination (the coordinator)
 };
 
-std::string_view ExchangeKindToString(ExchangeKind kind);
-
 /// One exchange edge of a distributed plan, as plain data. The router
 /// describes each of a query's exchanges as one of these, runs the
 /// VY_XCHG_* family over the plan before any frame moves, and then runs

@@ -54,16 +54,39 @@ TEST(PlanGenTest, GeneratedPlansPassTheStrictVerifier) {
   sim::FabricConfig config;
   config.num_compute_nodes = 2;
   Engine engine(config);
-  for (uint64_t seed = 0; seed < 12; ++seed) {
+  ExecOptions strict;
+  strict.verify = verify::VerifyMode::kStrict;
+  size_t joins = 0;
+  for (uint64_t seed = 0; seed < 24; ++seed) {
     GeneratedCase c = gen.Generate(seed);
-    if (c.is_join) continue;  // joins verify inside ExecutePartitionedJoin
     for (const auto& table : c.tables) {
       ASSERT_TRUE(engine.catalog().Register(table).ok());
     }
-    auto report = engine.Verify(c.query);
-    ASSERT_TRUE(report.ok()) << report.status().message();
-    EXPECT_EQ(report.ValueOrDie().num_errors(), 0u) << "seed " << seed;
+    if (!c.is_join) {
+      auto report = engine.Verify(c.query);
+      ASSERT_TRUE(report.ok()) << report.status().message();
+      EXPECT_EQ(report.ValueOrDie().num_errors(), 0u) << "seed " << seed;
+      continue;
+    }
+    // A strict join lowering verifies both phase graphs up front, under
+    // either exchange.
+    ++joins;
+    for (JoinSpec::Exchange exchange :
+         {JoinSpec::Exchange::kNicScatter, JoinSpec::Exchange::kCpuExchange}) {
+      JoinSpec join = c.join;
+      join.exchange = exchange;
+      auto program = engine.LowerJoin(join, strict);
+      ASSERT_TRUE(program.ok()) << "seed " << seed << ": "
+                                << program.status().message();
+      const compile::JoinProgram& p = *program.ValueOrDie();
+      for (const compile::JoinProgram::Phase* phase : {&p.build, &p.probe}) {
+        EXPECT_EQ(phase->verify.num_errors(), 0u)
+            << "seed " << seed << " " << p.variant << ": "
+            << phase->verify.ToString();
+      }
+    }
   }
+  EXPECT_GE(joins, 1u);
 }
 
 TEST(PlanGenTest, FeedbackSpecVerifiesCleanly) {

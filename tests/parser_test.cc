@@ -69,6 +69,44 @@ TEST(ParserTest, ArithmeticPrecedence) {
   EXPECT_EQ(parens->ToString(), "((a + b) * c)");
 }
 
+// Hostile nesting is an InvalidArgument, not a stack overflow: 5,000
+// nested parentheses, NOT or unary-minus chains, and an arithmetic chain
+// whose (left-deep) tree would be 5,000 levels tall. Nesting a little
+// under the cap still parses.
+TEST(ParserTest, DeepNestingIsRejectedNotACrash) {
+  const size_t kDeep = 5000;
+  const std::string parens = "SELECT * FROM t WHERE " +
+                             std::string(kDeep, '(') + "a = 1" +
+                             std::string(kDeep, ')');
+  std::string nots = "SELECT * FROM t WHERE ";
+  std::string minus = "SELECT * FROM t WHERE a = ";
+  std::string chain = "SELECT * FROM t WHERE a";
+  for (size_t i = 0; i < kDeep; ++i) {
+    nots += "NOT ";
+    minus += "- ";
+    chain += " + a";
+  }
+  nots += "a = 1";
+  minus += "1";
+  chain += " = 1";
+  for (const std::string& sql : {parens, nots, minus, chain}) {
+    auto r = ParseQuery(sql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("nested deeper than"),
+              std::string::npos)
+        << r.status().message();
+  }
+
+  const size_t kFine = 200;
+  std::string sum = "a";
+  for (size_t i = 0; i < kFine; ++i) sum += " + a";
+  EXPECT_TRUE(ParseQuery("SELECT * FROM t WHERE " + std::string(kFine, '(') +
+                         "a = 1" + std::string(kFine, ')'))
+                  .ok());
+  EXPECT_TRUE(ParseQuery("SELECT * FROM t WHERE " + sum + " = 1").ok());
+}
+
 TEST(ParserTest, GroupByAggregates) {
   auto spec = ParseQuery(
                   "SELECT flag, SUM(qty) AS total, COUNT(*) AS n, MIN(d), "

@@ -268,6 +268,27 @@ TEST_F(TraceEngineTest, JsonParserRejectsGarbage) {
   EXPECT_FALSE(ParseJson("").ok());
 }
 
+// 10,000 nested arrays (or objects) are an InvalidArgument, not a stack
+// overflow; nesting a little under the cap still parses.
+TEST(TraceJsonTest, DeepNestingIsRejectedNotACrash) {
+  const size_t kDeep = 10000;
+  std::string objects;
+  for (size_t i = 0; i < kDeep; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(kDeep, '}');
+  for (const std::string& text :
+       {std::string(kDeep, '[') + std::string(kDeep, ']'), objects}) {
+    auto r = ParseJson(text);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("nested deeper than"),
+              std::string::npos)
+        << r.status().message();
+  }
+  const size_t kFine = 200;
+  EXPECT_TRUE(
+      ParseJson(std::string(kFine, '[') + std::string(kFine, ']')).ok());
+}
+
 // reset_fabric=true promises a report scoped to its own run: after a faulted
 // execution leaves drop/corruption/stall counts on the links and devices,
 // the next (fault-free) run must report all fault counters at zero — i.e.
