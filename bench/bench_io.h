@@ -12,8 +12,6 @@
 //   --dflow_verify=MODE           static plan verification: strict (default;
 //                                 refuse to run plans with verifier errors),
 //                                 warn (report but run), off
-//   --dflow_fuse=on|off           plan-compiler operator fusion (on by
-//                                 default; off bisects suspected fusion bugs)
 //   --dflow_seed=N                seed for workload/arrival RNG streams in
 //                                 benches that generate load (serving
 //                                 benches); same seed => byte-identical
@@ -29,7 +27,6 @@
 #include <map>
 #include <string>
 
-#include "dflow/compile/fuse.h"
 #include "dflow/engine/engine.h"
 #include "dflow/trace/chrome_export.h"
 #include "dflow/trace/json.h"
@@ -90,13 +87,6 @@ inline void InitBenchIo(int* argc, char** argv) {
         std::exit(2);
       }
       verify::SetDefaultMode(mode.ValueOrDie());
-    } else if (const char* v = value_of("--dflow_fuse=")) {
-      auto fuse = compile::ParseFuseMode(v);
-      if (!fuse.ok()) {
-        std::fprintf(stderr, "bad --dflow_fuse=%s (want on|off)\n", v);
-        std::exit(2);
-      }
-      compile::SetDefaultFuseMode(fuse.ValueOrDie());
     } else {
       argv[out++] = argv[i];
     }

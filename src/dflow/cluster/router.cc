@@ -238,10 +238,9 @@ Result<QueryResult> QueryRouter::RunLocalFragment(int node,
   // ledger for the duration of the run — the same charge/release
   // discipline the serving loop applies, kept per node so a hot shard's
   // commitment is visible.
-  DFLOW_ASSIGN_OR_RETURN(compile::ProgramPtr program,
-                         engine.Compile(spec, options_.placement,
-                                        options_.verify,
-                                        compile::FuseMode::kOff));
+  DFLOW_ASSIGN_OR_RETURN(
+      compile::ProgramPtr program,
+      engine.Compile(spec, options_.placement, options_.verify));
   const CostEstimate cost = program->demand();
   ledgers_[node]->Charge(*schedulers_[node], cost);
   ledger_charges_++;

@@ -1,11 +1,11 @@
 // The plan compiler: the one lowering from a prepared query to an
-// immutable, verified DflowProgram, and the one builder that turns a
-// program into a dataflow graph. Every simulated entry point (Execute,
-// ExecuteWithPlacement, Verify, ExecuteConcurrent, CompileVariant, the
-// serving loop) goes through LowerProgram and BuildProgramGraph. These are
-// Engine member functions (lowering needs the engine's private query
-// preparation); they live here because the program format, the fusion
-// pass, and the cache they feed are this subsystem.
+// immutable, verified, always-fused DflowProgram, and the one builder that
+// turns a program into a dataflow graph. Every entry point (Execute, Verify,
+// ExecuteConcurrent, CompileVariant, the serving loop, the cluster router,
+// kParallel) runs the program LowerProgram builds, so a stamp covers the
+// graph that runs. These are Engine member functions (lowering needs the
+// engine's private query preparation); they live here because the program
+// format, the fusion pass, and the cache they feed are this subsystem.
 
 #include <set>
 #include <utility>
@@ -286,9 +286,9 @@ std::vector<std::shared_ptr<JoinHashTable>> NewJoinTables(
 
 Result<compile::ProgramPtr> Engine::LowerProgram(
     const QuerySpec& spec, const PreparedQuery& prepared,
-    const Placement& placement, compile::FuseMode fuse,
-    const ExecOptions& options, const std::string& label,
-    const CostEstimate& demand) {
+    const Placement& placement, const ExecOptions& options,
+    const std::string& label, const CostEstimate& demand) {
+  DFLOW_RETURN_NOT_OK(CheckNode(options.node));
   if (placement.sites.size() != prepared.kinds.size()) {
     return Status::InvalidArgument("placement '" + placement.name +
                                    "' does not match query stages");
@@ -304,8 +304,7 @@ Result<compile::ProgramPtr> Engine::LowerProgram(
   b.projections = prepared.projections;
   b.ops = std::move(lowered.ops);
   b.literals = std::move(lowered.literals);
-  if (fuse == compile::FuseMode::kOn) b.fused_groups = PlanFusion(b.ops);
-  b.fuse = fuse;
+  b.fused_groups = PlanFusion(b.ops);
   b.placement = placement;
   b.credits = options.credits;
   b.node = options.node;
@@ -663,7 +662,7 @@ Result<std::shared_ptr<compile::CompiledQuery>> Engine::CompilePlan(
 
 Result<compile::ProgramPtr> Engine::CompileVariant(
     compile::CompiledQuery* plan, const Placement& placement,
-    verify::VerifyMode mode, compile::FuseMode fuse, int node) {
+    verify::VerifyMode mode, int node) {
   DFLOW_CHECK(plan != nullptr);
   compile::ProgramPtr existing = plan->ProgramFor(placement.name);
   if (existing != nullptr && existing->node() == node) return existing;
@@ -684,7 +683,7 @@ Result<compile::ProgramPtr> Engine::CompileVariant(
   options.node = node;
   DFLOW_ASSIGN_OR_RETURN(
       compile::ProgramPtr program,
-      LowerProgram(plan->spec, prepared, placement, fuse, options, "compile",
+      LowerProgram(plan->spec, prepared, placement, options, "compile",
                    variant->cost));
   DFLOW_TRACE(tracer_.get(),
               Instant("compile", "compiler", "compile",
@@ -704,8 +703,8 @@ Result<compile::ProgramPtr> Engine::CompileVariant(
 
 Result<compile::ProgramPtr> Engine::Compile(const QuerySpec& spec,
                                             PlacementChoice choice,
-                                            verify::VerifyMode mode,
-                                            compile::FuseMode fuse, int node) {
+                                            verify::VerifyMode mode, int node) {
+  DFLOW_RETURN_NOT_OK(CheckNode(node));
   DFLOW_ASSIGN_OR_RETURN(std::shared_ptr<compile::CompiledQuery> plan,
                          CompilePlan(spec));
   Placement placement = plan->full_offload;
@@ -714,7 +713,7 @@ Result<compile::ProgramPtr> Engine::Compile(const QuerySpec& spec,
   } else if (choice == PlacementChoice::kCpuOnly) {
     placement = plan->cpu_only;
   }
-  return CompileVariant(plan.get(), placement, mode, fuse, node);
+  return CompileVariant(plan.get(), placement, mode, node);
 }
 
 Result<QueryResult> Engine::ExecuteProgram(const compile::DflowProgram& program,
@@ -785,8 +784,7 @@ Result<QueryResult> Engine::RunProgram(const compile::DflowProgram& program,
         retry.credits = program.credits();
         DFLOW_ASSIGN_OR_RETURN(
             compile::ProgramPtr fallback,
-            LowerProgram(spec, prepared, cpu_only, program.fuse(), retry,
-                         spec.table));
+            LowerProgram(spec, prepared, cpu_only, retry, spec.table));
         DFLOW_ASSIGN_OR_RETURN(
             QueryResult result,
             RunProgram(*fallback, retry, /*allow_fallback=*/false));

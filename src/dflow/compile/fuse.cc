@@ -4,16 +4,7 @@
 
 namespace dflow::compile {
 
-Result<FuseMode> ParseFuseMode(std::string_view text) {
-  if (text == "on") return FuseMode::kOn;
-  if (text == "off") return FuseMode::kOff;
-  return Status::InvalidArgument("unknown fuse mode '" + std::string(text) +
-                                 "' (want on|off)");
-}
-
 namespace {
-FuseMode g_default_fuse_mode = FuseMode::kOn;
-
 bool Fusible(OpCode code) {
   switch (code) {
     case OpCode::kFilter:
@@ -25,9 +16,6 @@ bool Fusible(OpCode code) {
   }
 }
 }  // namespace
-
-FuseMode DefaultFuseMode() { return g_default_fuse_mode; }
-void SetDefaultFuseMode(FuseMode mode) { g_default_fuse_mode = mode; }
 
 std::vector<FusedGroup> PlanFusion(const std::vector<ProgramOp>& ops) {
   std::vector<FusedGroup> groups;

@@ -1,21 +1,13 @@
 #ifndef DFLOW_COMPILE_FUSE_H_
 #define DFLOW_COMPILE_FUSE_H_
 
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "dflow/compile/program.h"
 #include "dflow/exec/operator.h"
 
 namespace dflow::compile {
-
-/// Parses "on" / "off" (as in --dflow_fuse=).
-Result<FuseMode> ParseFuseMode(std::string_view text);
-
-/// Process-wide default, mirroring verify::DefaultMode(). Not thread-safe;
-/// set once during startup (bench/tool flag parsing).
-FuseMode DefaultFuseMode();
-void SetDefaultFuseMode(FuseMode mode);
 
 /// The fusion pass: finds every maximal run of >= 2 adjacent ops that are
 /// (a) placed at the same site and (b) fusible kinds — filter, project,

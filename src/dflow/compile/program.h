@@ -16,14 +16,6 @@
 
 namespace dflow::compile {
 
-/// Whether the compiler's operator-fusion pass runs (see compile/fuse.h).
-/// On by default for Engine::Compile; the Execute entry points lower
-/// unfused. The --dflow_fuse=off escape hatch exists so any suspected
-/// fusion bug can be bisected in one flag flip; the DiffRunner holds the
-/// fused compiled:* lanes and the unfused cpu_only/variant:* lanes to the
-/// same reference fingerprint continuously.
-enum class FuseMode { kOff, kOn };
-
 /// Opcode of one lowered pipeline stage. The list is the *final* stage
 /// sequence after plan normalization: a CPU-placed partial aggregate has
 /// already been collapsed into a single kCompleteAgg, and the optional
@@ -93,7 +85,6 @@ class DflowProgram {
     std::vector<ExprPtr> projections;  // resolved against scan_schema
     std::vector<ProgramOp> ops;
     std::vector<FusedGroup> fused_groups;
-    FuseMode fuse = FuseMode::kOff;
     std::vector<Value> literals;
     Placement placement;
     uint32_t credits = 8;
@@ -128,10 +119,6 @@ class DflowProgram {
   /// Compute node the program was lowered and verified for; its graph is
   /// built there and nowhere else.
   int node() const { return node_; }
-  /// Whether the fusion pass ran; a crash fallback relowers the CPU-only
-  /// variant with the same setting. Not serialized: fused_groups already
-  /// renders what fusion did to this plan.
-  FuseMode fuse() const { return fuse_; }
   /// The chosen variant's cost-model output — the demand vector the
   /// scheduler charges the ledger from on a cache hit.
   const CostEstimate& demand() const { return demand_; }
@@ -170,7 +157,6 @@ class DflowProgram {
   std::vector<ExprPtr> projections_;
   std::vector<ProgramOp> ops_;
   std::vector<FusedGroup> fused_groups_;
-  FuseMode fuse_ = FuseMode::kOff;
   std::vector<Value> literals_;
   Placement placement_;
   uint32_t credits_ = 8;

@@ -2,13 +2,9 @@
 
 #include <utility>
 
-#include "dflow/common/logging.h"
-
 namespace dflow::compile {
 
-ProgramCache::ProgramCache(size_t capacity) : capacity_(capacity) {
-  DFLOW_CHECK(capacity_ > 0);
-}
+ProgramCache::ProgramCache(size_t capacity) : capacity_(capacity) {}
 
 std::shared_ptr<CompiledQuery> ProgramCache::Lookup(const CacheKey& key) {
   auto it = index_.find(key);

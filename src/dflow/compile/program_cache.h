@@ -85,6 +85,7 @@ struct CacheStats {
 /// fully deterministic (recency order is usage order, ties impossible).
 class ProgramCache {
  public:
+  /// A zero `capacity` holds nothing: every Insert is evicted at once.
   explicit ProgramCache(size_t capacity = 64);
 
   /// Returns the entry and marks it most-recently-used; null when absent.

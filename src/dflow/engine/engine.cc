@@ -318,8 +318,16 @@ Placement Engine::HealthiestVariant(
   return variants.front().placement;
 }
 
+Status Engine::CheckNode(int node) const {
+  if (node >= 0 && node < fabric_.num_nodes()) return Status::OK();
+  return Status::InvalidArgument(
+      "compute node " + std::to_string(node) + " is outside the fabric's " +
+      std::to_string(fabric_.num_nodes()) + " node(s)");
+}
+
 Result<Placement> Engine::ResolvePlacement(const PreparedQuery& prepared,
                                            PlacementChoice choice, int node) {
+  DFLOW_RETURN_NOT_OK(CheckNode(node));
   PlacementOptimizer::Input input;
   input.stages = prepared.descs;
   input.config = config_;
@@ -440,10 +448,14 @@ Result<QueryResult> Engine::Execute(const QuerySpec& spec,
   if (options.mode == ExecMode::kParallel) {
     return ExecuteParallel(spec, options);
   }
+  DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
   DFLOW_ASSIGN_OR_RETURN(
       Placement placement,
-      ChoosePlacement(spec, options.placement, options.node));
-  return ExecuteWithPlacement(spec, placement, options);
+      ResolvePlacement(prepared, options.placement, options.node));
+  DFLOW_ASSIGN_OR_RETURN(
+      compile::ProgramPtr program,
+      LowerProgram(spec, prepared, placement, options, spec.table));
+  return RunProgram(*program, options, /*allow_fallback=*/true);
 }
 
 Result<QueryResult> Engine::ExecuteWithPlacement(const QuerySpec& spec,
@@ -452,8 +464,7 @@ Result<QueryResult> Engine::ExecuteWithPlacement(const QuerySpec& spec,
   DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
   DFLOW_ASSIGN_OR_RETURN(
       compile::ProgramPtr program,
-      LowerProgram(spec, prepared, placement, compile::FuseMode::kOff,
-                   options, spec.table));
+      LowerProgram(spec, prepared, placement, options, spec.table));
   return RunProgram(*program, options, /*allow_fallback=*/true);
 }
 
@@ -472,17 +483,22 @@ Result<verify::VerifyReport> Engine::Verify(const QuerySpec& spec,
   warn.verify = verify::VerifyMode::kWarn;  // report errors, never refuse
   DFLOW_ASSIGN_OR_RETURN(
       compile::ProgramPtr program,
-      LowerProgram(spec, prepared, placement, compile::FuseMode::kOff, warn,
-                   spec.table));
+      LowerProgram(spec, prepared, placement, warn, spec.table));
   return program->verify_stamp();
 }
 
 Result<verify::VerifyReport> Engine::Verify(const QuerySpec& spec,
                                             const ExecOptions& options) {
+  DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
   DFLOW_ASSIGN_OR_RETURN(
       Placement placement,
-      ChoosePlacement(spec, PlacementChoice::kAuto, options.node));
-  return Verify(spec, placement, options);
+      ResolvePlacement(prepared, PlacementChoice::kAuto, options.node));
+  ExecOptions warn = options;
+  warn.verify = verify::VerifyMode::kWarn;
+  DFLOW_ASSIGN_OR_RETURN(
+      compile::ProgramPtr program,
+      LowerProgram(spec, prepared, placement, warn, spec.table));
+  return program->verify_stamp();
 }
 
 Result<Engine::ConcurrentResult> Engine::ExecuteConcurrent(
@@ -513,8 +529,7 @@ Result<Engine::ConcurrentResult> Engine::ExecuteConcurrent(
     DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(specs[q]));
     DFLOW_ASSIGN_OR_RETURN(
         compile::ProgramPtr program,
-        LowerProgram(specs[q], prepared, placements[q],
-                     compile::FuseMode::kOff, options, label));
+        LowerProgram(specs[q], prepared, placements[q], options, label));
     DFLOW_ASSIGN_OR_RETURN(
         AdmittedPipeline b,
         BuildProgramPipeline(&graph, *program, label,

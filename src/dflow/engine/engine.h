@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "dflow/compile/fuse.h"
 #include "dflow/compile/program.h"
 #include "dflow/engine/report.h"
 #include "dflow/engine/volcano_runner.h"
@@ -55,7 +54,9 @@ struct ExecOptions {
   /// DMA rate limit on the network edge, Gbps (0 = none). Set by the
   /// scheduler to tame background queries.
   double network_rate_limit_gbps = 0.0;
-  /// Compute node hosting the query's final stages.
+  /// Compute node hosting the query's final stages. Every entry point
+  /// taking a node (this, or the `node` of Compile, CompileVariant and
+  /// ChoosePlacement) refuses one outside the fabric: InvalidArgument.
   int node = 0;
   /// Reset fabric clock/stats before running (disable to chain phases).
   bool reset_fabric = true;
@@ -169,10 +170,10 @@ class Engine {
   /// fabric topology, device-health registry, and fault injector.
   verify::VerifyReport VerifyGraphSpec(const verify::GraphSpec& spec);
 
-  /// Runs a query on the data-flow architecture: lowers it to an unfused
-  /// DflowProgram for the chosen placement (verified per options.verify)
-  /// and runs the program. ExecMode::kParallel lowers the CPU-only program
-  /// and runs it on the morsel-driven executor instead.
+  /// Runs a query on the data-flow architecture: lowers it to the fused
+  /// DflowProgram Compile builds for the chosen placement (verified per
+  /// options.verify) and runs it. ExecMode::kParallel lowers the CPU-only
+  /// program and runs it on the morsel-driven executor instead.
   Result<QueryResult> Execute(const QuerySpec& spec,
                               const ExecOptions& options = ExecOptions());
 
@@ -185,29 +186,26 @@ class Engine {
 
   /// Back half: lowers one chosen variant of `plan` into an immutable
   /// DflowProgram (opcode list with literal parameter slots, schema table,
-  /// placement, credit layout, precomputed demand vector, verifier stamp),
-  /// runs the fusion pass per `fuse`, verifies the lowered graph once, and
-  /// records the program in `plan->programs`. Strict mode refuses to
-  /// produce a program whose stamp has errors.
+  /// placement, credit layout, fused groups, precomputed demand vector,
+  /// verifier stamp), verifies the lowered graph once, and records the
+  /// program in `plan->programs`. Strict mode refuses to produce a program
+  /// whose stamp has errors.
   Result<compile::ProgramPtr> CompileVariant(
       compile::CompiledQuery* plan, const Placement& placement,
-      verify::VerifyMode mode = verify::DefaultMode(),
-      compile::FuseMode fuse = compile::DefaultFuseMode(), int node = 0);
+      verify::VerifyMode mode = verify::DefaultMode(), int node = 0);
 
   /// One-shot convenience: CompilePlan, resolve `choice` to a placement
   /// (healthy-first for kAuto, the forced extreme otherwise), CompileVariant.
   Result<compile::ProgramPtr> Compile(
       const QuerySpec& spec, PlacementChoice choice = PlacementChoice::kAuto,
-      verify::VerifyMode mode = verify::DefaultMode(),
-      compile::FuseMode fuse = compile::DefaultFuseMode(), int node = 0);
+      verify::VerifyMode mode = verify::DefaultMode(), int node = 0);
 
   /// Executes a compiled program on the simulated fabric, on the compute
   /// node it was compiled (and verified) for: `options.node` must match
   /// the program's node. No planning, no placement enumeration, no
   /// re-verification — the program's embedded stamp and its epoch key
   /// already cover those. If a device dies permanently mid-run, the
-  /// CPU-only variant is relowered with the program's fusion setting (a
-  /// recompile, not a re-plan) and re-run.
+  /// CPU-only variant is relowered (a recompile, not a re-plan) and re-run.
   Result<QueryResult> ExecuteProgram(const compile::DflowProgram& program,
                                      const ExecOptions& options =
                                          ExecOptions());
@@ -258,7 +256,8 @@ class Engine {
   /// network DMA, and `start_offsets_ns` (same length, or empty) delays
   /// each query's admission to the given virtual time — the batch
   /// degenerates to the classic everything-at-t=0 run when empty. Returns
-  /// per-query completion and the overall makespan.
+  /// per-query completion and the overall makespan. Every program passes
+  /// the default-mode static gate before any query runs.
   struct ConcurrentResult {
     std::vector<sim::SimTime> completion_ns;
     std::vector<uint64_t> result_rows;
@@ -326,6 +325,8 @@ class Engine {
   static void CollectColumnNames(const ExprPtr& expr,
                                  std::set<std::string>* out);
   Result<PreparedQuery> Prepare(const QuerySpec& spec) const;
+  /// InvalidArgument unless `node` is one of the fabric's compute nodes.
+  Status CheckNode(int node) const;
   /// Sizes the prepared query's scan from row-group metadata (no decode)
   /// and enumerates + costs its placement variants, best first.
   Result<std::vector<RankedPlacement>> EnumerateVariants(
@@ -343,15 +344,14 @@ class Engine {
   // Program lowering, verification and execution live in
   // src/dflow/compile/compiler.cc.
   /// The one path from a prepared query to something executable: lowers
-  /// (spec, placement) into a DflowProgram with `fuse`, options.credits and
+  /// (spec, placement) into a fused DflowProgram with options.credits and
   /// options.node, and — unless options.verify is kOff — stamps it with the
   /// verifier's verdict on the program's graph built without scan rows and
   /// labelled `label`. Strict mode refuses a stamp with errors.
   Result<compile::ProgramPtr> LowerProgram(
       const QuerySpec& spec, const PreparedQuery& prepared,
-      const Placement& placement, compile::FuseMode fuse,
-      const ExecOptions& options, const std::string& label,
-      const CostEstimate& demand = CostEstimate());
+      const Placement& placement, const ExecOptions& options,
+      const std::string& label, const CostEstimate& demand = CostEstimate());
   /// The program's (or join phase's) scan: its columns, pruned by its
   /// filter's zone maps.
   static Result<TableScanSource> ScanOf(const compile::DflowProgram& program);
@@ -383,7 +383,7 @@ class Engine {
   /// Runs a program on the fabric and collects its report. Never verifies:
   /// the program's stamp is the report's verdict. On a permanent device
   /// death (with `allow_fallback`) quarantines the device and re-runs the
-  /// CPU-only variant relowered with the program's fusion setting.
+  /// CPU-only variant relowered.
   Result<QueryResult> RunProgram(const compile::DflowProgram& program,
                                  const ExecOptions& options,
                                  bool allow_fallback);

@@ -144,8 +144,7 @@ Result<QueryResult> Engine::ExecuteParallel(const QuerySpec& spec,
   unverified.verify = verify::VerifyMode::kOff;
   DFLOW_ASSIGN_OR_RETURN(
       compile::ProgramPtr program,
-      LowerProgram(spec, prepared, cpu_only, compile::FuseMode::kOff,
-                   unverified, spec.table));
+      LowerProgram(spec, prepared, cpu_only, unverified, spec.table));
   DFLOW_ASSIGN_OR_RETURN(TableScanSource scan, ScanOf(*program));
   DFLOW_ASSIGN_OR_RETURN(parallel::ParallelPipelineSpec pipeline,
                          BuildParallelPipelineSpec(program));

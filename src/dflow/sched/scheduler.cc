@@ -232,27 +232,6 @@ Result<IncrementalDecision> Scheduler::PlanFromVariants(
 
 Result<Engine::ConcurrentResult> Scheduler::Run(
     const std::vector<QuerySpec>& specs, const ScheduleDecision& decision) {
-  // Statically verify every (query, placement) decision before committing
-  // fabric time to any of them; under the strict default one bad decision
-  // rejects the batch up front rather than mid-run.
-  const verify::VerifyMode mode = verify::DefaultMode();
-  if (mode != verify::VerifyMode::kOff &&
-      specs.size() == decision.placements.size()) {
-    for (size_t q = 0; q < specs.size(); ++q) {
-      DFLOW_ASSIGN_OR_RETURN(verify::VerifyReport report,
-                             engine_->Verify(specs[q], decision.placements[q]));
-      for (const verify::VerifyIssue& issue : report.issues) {
-        DFLOW_LOG(Warning) << "sched verify (query " << q
-                           << "): " << issue.ToString();
-      }
-      if (mode == verify::VerifyMode::kStrict && !report.ok()) {
-        return Status::InvalidArgument(
-            "scheduler: query " + std::to_string(q) + " placement '" +
-            decision.placements[q].name +
-            "' rejected by static verifier: " + report.ToString());
-      }
-    }
-  }
   return engine_->ExecuteConcurrent(specs, decision.placements,
                                     decision.network_rate_limits_gbps);
 }

@@ -63,6 +63,8 @@ class Scheduler {
       const std::vector<QuerySpec>& specs) const;
 
   /// Executes a decision on the engine (all queries admitted at t = 0).
+  /// Every query's program passes the engine's static gate, under the
+  /// default verify mode, before any of them runs.
   Result<Engine::ConcurrentResult> Run(const std::vector<QuerySpec>& specs,
                                        const ScheduleDecision& decision);
 

@@ -19,7 +19,7 @@ const char* RejectCodeName(RejectCode code) {
 AdmissionController::AdmissionController(
     AdmissionConfig config, const std::vector<TenantConfig>* tenants)
     : config_(config), tenants_(tenants) {
-  DFLOW_CHECK(tenants != nullptr && !tenants->empty());
+  DFLOW_CHECK(tenants != nullptr);
   queues_.resize(tenants->size());
   in_flight_.resize(tenants->size(), 0);
 }

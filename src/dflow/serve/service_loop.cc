@@ -22,7 +22,7 @@ ServiceLoop::ServiceLoop(Engine* engine, std::vector<TenantConfig> tenants,
       breakers_(config.lifecycle.breaker),
       brownout_(config.lifecycle.brownout),
       program_cache_(config.program_cache_capacity) {
-  DFLOW_CHECK(engine != nullptr && !tenants_.empty());
+  DFLOW_CHECK(engine != nullptr);
   stats_.resize(tenants_.size());
   latencies_.resize(tenants_.size());
   for (size_t t = 0; t < tenants_.size(); ++t) {
@@ -35,6 +35,11 @@ ServiceLoop::ServiceLoop(Engine* engine, std::vector<TenantConfig> tenants,
 }
 
 Result<ServiceResult> ServiceLoop::Run() {
+  DFLOW_RETURN_NOT_OK(ValidateTenants(tenants_));
+  if (config_.program_cache_capacity == 0) {
+    return Status::InvalidArgument(
+        "ServiceConfig.program_cache_capacity must be > 0");
+  }
   engine_->fabric().Reset();
   if (engine_->tracer() != nullptr) engine_->tracer()->Clear();
   sim::Simulator& sim = engine_->fabric().simulator();

@@ -114,7 +114,9 @@ class ServiceLoop {
   ServiceLoop(Engine* engine, std::vector<TenantConfig> tenants,
               ServiceConfig config);
 
-  /// Runs the whole service to completion (resets the fabric first).
+  /// Runs the whole service to completion (resets the fabric first). A bad
+  /// TenantConfig (see ValidateTenants) or a zero program_cache_capacity
+  /// is InvalidArgument naming the field, before anything runs.
   Result<ServiceResult> Run();
 
  private:

@@ -24,12 +24,26 @@ uint64_t TenantSeed(uint64_t base, size_t tenant, uint64_t stream) {
 
 }  // namespace
 
+Status ValidateTenants(const std::vector<TenantConfig>& tenants) {
+  if (tenants.empty()) return Status::InvalidArgument("no tenants configured");
+  for (const TenantConfig& tenant : tenants) {
+    const std::string who = "tenant '" + tenant.name + "': ";
+    uint64_t weight = 0;
+    for (const TemplateMix& m : tenant.templates) weight += m.weight;
+    if (weight == 0) {
+      return Status::InvalidArgument(who + "templates has no positive weight");
+    }
+    if (tenant.slot_ns == 0) {
+      return Status::InvalidArgument(who + "slot_ns must be > 0");
+    }
+  }
+  return Status::OK();
+}
+
 WorkloadDriver::WorkloadDriver(std::vector<TenantConfig> tenants,
                                uint64_t seed, sim::SimTime horizon_ns)
     : tenants_(std::move(tenants)), horizon_ns_(horizon_ns) {
   for (size_t t = 0; t < tenants_.size(); ++t) {
-    DFLOW_CHECK(!tenants_[t].templates.empty());
-    DFLOW_CHECK(tenants_[t].slot_ns > 0);
     arrival_rng_.emplace_back(TenantSeed(seed, t, kArrivalStream));
     mix_rng_.emplace_back(TenantSeed(seed, t, kMixStream));
   }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "dflow/common/random.h"
+#include "dflow/common/status.h"
 #include "dflow/plan/query_spec.h"
 #include "dflow/sim/simulator.h"
 
@@ -56,12 +57,17 @@ struct Arrival {
   size_t template_index = 0;
 };
 
+/// InvalidArgument naming the first bad field: no tenants, a tenant without
+/// a positive-weight template, or a zero slot_ns.
+Status ValidateTenants(const std::vector<TenantConfig>& tenants);
+
 /// Deterministic arrival-stream generator. One Random stream per tenant
 /// per purpose (arrival times vs. template mix), each derived from the
 /// base seed and the tenant index, so adding a tenant or reordering calls
 /// for one tenant never perturbs another tenant's sequence.
 class WorkloadDriver {
  public:
+  /// `tenants` must pass ValidateTenants.
   WorkloadDriver(std::vector<TenantConfig> tenants, uint64_t seed,
                  sim::SimTime horizon_ns);
 

@@ -364,16 +364,17 @@ Result<DiffResult> DiffRunner::Run(const GeneratedCase& c) const {
   }
 
   // --- Compiled-program lanes: compile once, execute the program. --------
-  // The plan is lowered to an immutable fused DflowProgram (verified at
-  // compile time under strict mode) and run through Engine::ExecuteProgram
-  // — the admission path repeat queries take in the serving loop. The
-  // cpu_only and variant:* lanes above run unfused programs of the same
-  // plan, so every fused lane matching the Volcano reference is the
-  // fused-vs-unfused equivalence check.
+  // The plan is lowered to an immutable DflowProgram (verified at compile
+  // time under strict mode) and run through Engine::ExecuteProgram — the
+  // admission path repeat queries take in the serving loop. There is one
+  // lowering, and it always fuses: the cpu_only and variant:* lanes above
+  // run the same fused programs through Execute and ExecuteWithPlacement,
+  // so every lane holds a fused program to the Volcano reference. A fused
+  // kernel's own reference is its inner operators run one after another
+  // (compile_test).
   auto run_compiled = [&](const std::string& lane_name, Engine* eng,
                           PlacementChoice choice, bool fault_free) {
-    auto prog = eng->Compile(c.query, choice, verify::VerifyMode::kStrict,
-                             compile::FuseMode::kOn);
+    auto prog = eng->Compile(c.query, choice, verify::VerifyMode::kStrict);
     if (!prog.ok()) {
       add_failure(lane_name, prog.status());
       note_divergence("lane '" + lane_name +

@@ -10,6 +10,8 @@
 #include "dflow/compile/program.h"
 #include "dflow/compile/program_cache.h"
 #include "dflow/engine/engine.h"
+#include "dflow/exec/local_executor.h"
+#include "dflow/exec/scan.h"
 #include "dflow/plan/fingerprint.h"
 #include "dflow/plan/parser.h"
 #include "dflow/serve/service_loop.h"
@@ -24,7 +26,6 @@ namespace {
 using compile::CacheKey;
 using compile::CompiledQuery;
 using compile::DflowProgram;
-using compile::FuseMode;
 using compile::ProgramCache;
 using compile::ProgramPtr;
 
@@ -101,10 +102,8 @@ class CompileTest : public ::testing::Test {
   CompileTest() : engine_(MakeEngine()) {}
 
   ProgramPtr MustCompile(const QuerySpec& spec,
-                         PlacementChoice choice = PlacementChoice::kAuto,
-                         FuseMode fuse = FuseMode::kOn) {
-    auto program =
-        engine_->Compile(spec, choice, verify::VerifyMode::kStrict, fuse);
+                         PlacementChoice choice = PlacementChoice::kAuto) {
+    auto program = engine_->Compile(spec, choice, verify::VerifyMode::kStrict);
     DFLOW_CHECK(program.ok());
     return program.ValueOrDie();
   }
@@ -117,9 +116,11 @@ class CompileTest : public ::testing::Test {
     return testing::CanonicalizeChunks(result.ValueOrDie().chunks).fingerprint;
   }
 
-  std::string RunExecuteFingerprint(const QuerySpec& spec) {
+  std::string RunExecuteFingerprint(const QuerySpec& spec,
+                                    PlacementChoice choice) {
     ExecOptions options;
     options.verify = verify::VerifyMode::kStrict;
+    options.placement = choice;
     auto result = engine_->Execute(spec, options);
     DFLOW_CHECK(result.ok());
     return testing::CanonicalizeChunks(result.ValueOrDie().chunks).fingerprint;
@@ -166,22 +167,109 @@ TEST_F(CompileTest, CataloguePlansHaveDistinctFingerprints) {
 }
 
 // Fusion is part of the artifact: the CPU-only q6 pipeline has an adjacent
-// same-site filter -> project run, so fuse-on collapses it into a group
-// and the serialized bytes (and fingerprint) differ from fuse-off.
-TEST_F(CompileTest, FusionChangesArtifactAndIsRecorded) {
+// same-site filter -> project run, so lowering collapses it into a group of
+// same-site fusible ops, and the serialization records that group.
+TEST_F(CompileTest, FusionIsRecordedInTheArtifact) {
   const QuerySpec q6 = BuildCatalogue()[0].spec;
-  ProgramPtr fused = MustCompile(q6, PlacementChoice::kCpuOnly, FuseMode::kOn);
-  ProgramPtr plain = MustCompile(q6, PlacementChoice::kCpuOnly, FuseMode::kOff);
-  EXPECT_GE(fused->fused_groups().size(), 1u);
-  EXPECT_TRUE(plain->fused_groups().empty());
-  EXPECT_NE(fused->SerializeToString(), plain->SerializeToString());
-  EXPECT_NE(fused->fingerprint(), plain->fingerprint());
-  // Fusion never changes the op list itself, only the grouping.
-  ASSERT_EQ(fused->ops().size(), plain->ops().size());
-  for (size_t i = 0; i < fused->ops().size(); ++i) {
-    EXPECT_EQ(fused->ops()[i].label, plain->ops()[i].label);
-    EXPECT_EQ(fused->ops()[i].site, plain->ops()[i].site);
+  ProgramPtr program = MustCompile(q6, PlacementChoice::kCpuOnly);
+  ASSERT_GE(program->fused_groups().size(), 1u);
+  const std::string text = program->SerializeToString();
+  EXPECT_NE(text.find("fused " +
+                      std::to_string(program->fused_groups().size()) + "\n"),
+            std::string::npos)
+      << text;
+  for (const compile::FusedGroup& g : program->fused_groups()) {
+    ASSERT_GE(g.count, 2u);
+    for (uint32_t k = 1; k < g.count; ++k) {
+      EXPECT_EQ(program->ops()[g.first + k].site,
+                program->ops()[g.first].site);
+    }
   }
+}
+
+// The fused kernel's contract: for every fused group of every catalogue
+// program, FusedOperator over the group's inner operators emits exactly
+// what those operators emit run back to back (RunLocalPipeline) — the same
+// chunks, rows and values, including a partial aggregate's Finish flush.
+// The group's input is the plan's scan pushed through the ops before it.
+TEST_F(CompileTest, FusedKernelMatchesItsInnerChain) {
+  size_t groups_checked = 0;
+  size_t partial_agg_groups = 0;
+  for (const CataloguedPlan& plan : BuildCatalogue()) {
+    for (PlacementChoice choice :
+         {PlacementChoice::kAuto, PlacementChoice::kCpuOnly}) {
+      SCOPED_TRACE(plan.name + (choice == PlacementChoice::kAuto
+                                    ? "/auto"
+                                    : "/cpu_only"));
+      ProgramPtr program = MustCompile(plan.spec, choice);
+      auto scan = TableScanSource::Make(program->table(),
+                                        program->scan_columns(),
+                                        program->filter());
+      ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+      std::vector<DataChunk> scanned;
+      for (size_t rg : scan.ValueOrDie().SurvivingRowGroups()) {
+        auto chunks = scan.ValueOrDie().DecodeRowGroup(rg);
+        ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
+        for (DataChunk& c : chunks.ValueOrDie()) {
+          scanned.push_back(std::move(c));
+        }
+      }
+      // Fresh operators for ops [first, first + count), typed by the
+      // schema flowing out of the ops before them.
+      auto instantiate = [&](size_t first, size_t count) {
+        Schema current = program->scan_schema();
+        std::vector<OperatorPtr> ops;
+        for (size_t i = 0; i < first + count; ++i) {
+          auto op = compile::InstantiateOp(*program, program->ops()[i],
+                                           &current);
+          DFLOW_CHECK(op.ok());
+          if (i >= first) ops.push_back(std::move(op).ValueOrDie());
+        }
+        return ops;
+      };
+      auto raw = [](const std::vector<OperatorPtr>& ops) {
+        std::vector<Operator*> out;
+        for (const OperatorPtr& op : ops) out.push_back(op.get());
+        return out;
+      };
+      for (const compile::FusedGroup& g : program->fused_groups()) {
+        SCOPED_TRACE("group at op " + std::to_string(g.first));
+        ++groups_checked;
+        for (uint32_t k = 0; k < g.count; ++k) {
+          if (program->ops()[g.first + k].code ==
+              compile::OpCode::kPartialAgg) {
+            ++partial_agg_groups;
+          }
+        }
+        const std::vector<OperatorPtr> before = instantiate(0, g.first);
+        auto input = RunLocalPipeline(scanned, raw(before));
+        ASSERT_TRUE(input.ok()) << input.status().ToString();
+        const std::vector<OperatorPtr> inner = instantiate(g.first, g.count);
+        auto chain = RunLocalPipeline(input.ValueOrDie(), raw(inner));
+        ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+        auto fused =
+            compile::FusedOperator::Make(instantiate(g.first, g.count));
+        ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+        auto kernel =
+            RunLocalPipeline(input.ValueOrDie(), {fused.ValueOrDie().get()});
+        ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+
+        const std::vector<DataChunk>& want = chain.ValueOrDie();
+        const std::vector<DataChunk>& got = kernel.ValueOrDie();
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].num_rows(), want[i].num_rows()) << "chunk " << i;
+          EXPECT_EQ(got[i].num_columns(), want[i].num_columns());
+          EXPECT_EQ(ChecksumChunk(got[i]), ChecksumChunk(want[i]))
+              << "chunk " << i;
+        }
+      }
+    }
+  }
+  EXPECT_GT(groups_checked, 0u);
+  // At least one group ends in a partial aggregate, so Finish's flush
+  // through the kernel is part of what was compared.
+  EXPECT_GT(partial_agg_groups, 0u);
 }
 
 // A strict-mode compile embeds a clean verifier stamp; no re-verification
@@ -198,19 +286,22 @@ TEST_F(CompileTest, StrictCompileEmbedsCleanVerifyStamp) {
 
 // --------------------------------------------------- result equivalence --
 
-// Fused and unfused programs — and Engine::Execute, which lowers its own
-// unfused program — must agree on every catalogue plan, at auto placement
-// and forced CPU-only.
-TEST_F(CompileTest, FusedUnfusedAndExecuteResultsAgree) {
+// The compiled program and Engine::Execute, which lowers the same fused
+// program, must both match the Volcano reference on every catalogue plan,
+// at auto placement and forced CPU-only.
+TEST_F(CompileTest, CompiledAndExecuteResultsMatchVolcano) {
   for (const CataloguedPlan& plan : BuildCatalogue()) {
     SCOPED_TRACE(plan.name);
-    const std::string reference = RunExecuteFingerprint(plan.spec);
+    auto volcano = engine_->ExecuteOnVolcano(plan.spec, /*pool_pages=*/64);
+    ASSERT_TRUE(volcano.ok()) << volcano.status().ToString();
+    const std::string reference =
+        testing::CanonicalizeVolcanoRows(volcano.ValueOrDie().rows)
+            .fingerprint;
     for (PlacementChoice choice :
          {PlacementChoice::kAuto, PlacementChoice::kCpuOnly}) {
-      ProgramPtr fused = MustCompile(plan.spec, choice, FuseMode::kOn);
-      ProgramPtr plain = MustCompile(plan.spec, choice, FuseMode::kOff);
-      EXPECT_EQ(RunProgramFingerprint(*fused), reference);
-      EXPECT_EQ(RunProgramFingerprint(*plain), reference);
+      EXPECT_EQ(RunExecuteFingerprint(plan.spec, choice), reference);
+      EXPECT_EQ(RunProgramFingerprint(*MustCompile(plan.spec, choice)),
+                reference);
     }
   }
 }
@@ -350,8 +441,7 @@ TEST(CompileNodeTest, ProgramRunsOnlyOnTheNodeItWasCompiledFor) {
       engine.catalog().Register(MakeLineitemTable(table).ValueOrDie()).ok());
   const QuerySpec q6 = BuildCatalogue()[0].spec;
   auto program = engine.Compile(q6, PlacementChoice::kCpuOnly,
-                                verify::VerifyMode::kStrict, FuseMode::kOn,
-                                /*node=*/1);
+                                verify::VerifyMode::kStrict, /*node=*/1);
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   EXPECT_EQ(program.ValueOrDie()->node(), 1);
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "dflow/compile/program_cache.h"
 #include "dflow/engine/engine.h"
 #include "dflow/exec/local_executor.h"
 #include "dflow/sched/scheduler.h"
@@ -205,6 +206,46 @@ TEST_F(EngineTest, UnknownTableFails) {
   spec.table = "nope";
   spec.count_only = true;
   EXPECT_TRUE(engine_.Execute(spec).status().IsNotFound());
+}
+
+// Every entry point that takes a compute node refuses one outside the
+// fabric with InvalidArgument instead of indexing past its node table.
+void ExpectNodeRefused(Engine& engine, const QuerySpec& spec, int node) {
+  SCOPED_TRACE("node " + std::to_string(node));
+  auto expect_invalid = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  };
+  ExecOptions options;
+  options.node = node;
+  expect_invalid(engine.Execute(spec, options).status());
+  expect_invalid(engine.Verify(spec, options).status());
+  const Placement cpu_only =
+      engine.ChoosePlacement(spec, PlacementChoice::kCpuOnly).ValueOrDie();
+  expect_invalid(engine.ExecuteWithPlacement(spec, cpu_only, options).status());
+  expect_invalid(engine.Verify(spec, cpu_only, options).status());
+  for (PlacementChoice choice :
+       {PlacementChoice::kAuto, PlacementChoice::kCpuOnly,
+        PlacementChoice::kFullOffload}) {
+    expect_invalid(engine.ChoosePlacement(spec, choice, node).status());
+    expect_invalid(
+        engine.Compile(spec, choice, verify::VerifyMode::kStrict, node)
+            .status());
+  }
+  auto plan = engine.CompilePlan(spec).ValueOrDie();
+  expect_invalid(engine
+                     .CompileVariant(plan.get(), plan->cpu_only,
+                                     verify::VerifyMode::kStrict, node)
+                     .status());
+}
+
+TEST_F(EngineTest, NodePastTheFabricIsInvalidArgument) {
+  ASSERT_EQ(engine_.fabric().num_nodes(), 2);
+  ExpectNodeRefused(engine_, Q6Like(), 7);
+  ExpectNodeRefused(engine_, Q6Like(), 2);
+}
+
+TEST_F(EngineTest, NegativeNodeIsInvalidArgument) {
+  ExpectNodeRefused(engine_, Q6Like(), -1);
 }
 
 TEST_F(EngineTest, VolcanoAgreesWithDataflow) {

@@ -390,5 +390,32 @@ TEST_F(ServeLoopTest, TightQueuesShedWithCountedCodes) {
   EXPECT_EQ(r.completed_total, r.admitted_total);
 }
 
+// Bad configuration is an InvalidArgument from Run naming the field, never
+// an abort while the loop is being built.
+TEST_F(ServeLoopTest, ZeroProgramCacheCapacityIsInvalidArgument) {
+  ServiceConfig config = SmallConfig();
+  config.program_cache_capacity = 0;
+  ServiceLoop loop(&engine_, ServiceTenants(), config);
+  auto result = loop.Run();
+  ASSERT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("program_cache_capacity"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+TEST_F(ServeLoopTest, TenantWithoutTemplatesIsInvalidArgument) {
+  auto tenants = ServiceTenants();
+  tenants[1].templates.clear();
+  ServiceLoop loop(&engine_, tenants, SmallConfig());
+  auto result = loop.Run();
+  ASSERT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("templates"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("closed"), std::string::npos)
+      << result.status().ToString();
+}
+
 }  // namespace
 }  // namespace dflow::serve
