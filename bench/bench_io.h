@@ -8,7 +8,7 @@
 //                                 ui.perfetto.dev) of the last reported run
 //   --dflow_report_json=PATH      write every reported ExecutionReport as
 //                                 one "dflow.bench_report.v1" JSON document
-//   --dflow_trace_capacity=N      tracer ring capacity in events
+//   --dflow_trace_capacity=N      tracer ring capacity in events (N > 0)
 //   --dflow_verify=MODE           static plan verification: strict (default;
 //                                 refuse to run plans with verifier errors),
 //                                 warn (report but run), off
@@ -75,7 +75,16 @@ inline void InitBenchIo(int* argc, char** argv) {
     } else if (const char* v = value_of("--dflow_report_json=")) {
       io.report_json = v;
     } else if (const char* v = value_of("--dflow_trace_capacity=")) {
-      io.trace_capacity = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      char* end = nullptr;
+      const unsigned long long capacity = std::strtoull(v, &end, 10);
+      if (end == v || *end != '\0' || *v == '-' || capacity == 0) {
+        std::fprintf(stderr,
+                     "bad --dflow_trace_capacity=%s (want a positive event "
+                     "count)\n",
+                     v);
+        std::exit(2);
+      }
+      io.trace_capacity = static_cast<size_t>(capacity);
     } else if (const char* v = value_of("--dflow_seed=")) {
       io.seed = std::strtoull(v, nullptr, 10);
       io.seed_set = true;

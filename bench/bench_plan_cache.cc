@@ -1,15 +1,16 @@
 // Compile-once, serve-millions: the program cache under a repeat-heavy
 // tenant mix (DESIGN.md §10). A small template set arrives over and over;
-// the first admission of each plan pays planning + lowering + verification
-// in modeled virtual time, repeats pay only a cache lookup. The sweep
-// compares a warm cache (default capacity) against a deliberately thrashing
-// one-slot cache on the same arrival stream, so the cold-vs-warm admission
-// cost gap is a single report diff.
+// the first admission of each plan pays planning + lowering + verification,
+// repeats are served the cached program. The sweep compares a warm cache
+// (default capacity) against a deliberately thrashing one-slot cache on the
+// same arrival stream, so the gap between the two is a single report diff.
+// Planning charges no simulated time; what a compile costs on the host is
+// measured by bench/e2e (compile.cold_warm_ratio).
 //
-// The bench is its own gate: in the warm cell the hit rate must be >= 90%
-// and the per-admission warm planning cost must sit >= 10x below the cold
-// per-compile cost, or the binary exits non-zero. CI (bench-gates, cache
-// row) also reruns it and requires a byte-identical report, then pins the
+// The bench is its own gate: in the warm cell the hit rate must be >= 90%,
+// and the cold cell must compile (misses + recompiles) >= 10x as often as
+// the warm cell, or the binary exits non-zero. CI (bench-gates, cache row)
+// also reruns it and requires a byte-identical report, then pins the
 // counters against bench/expectations/plan_cache.json.
 
 #include <cstdio>
@@ -17,7 +18,6 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "dflow/compile/compiler.h"
 #include "dflow/serve/service_loop.h"
 #include "dflow/trace/report_json.h"
 
@@ -80,6 +80,9 @@ void Gate(bool ok, const char* what, double value) {
   std::exit(1);
 }
 
+// Compiles (misses + recompiles) of the warm arm, which runs first.
+uint64_t warm_compiles = 0;
+
 void BM_PlanCache(benchmark::State& state) {
   const bool warm = state.range(0) != 0;
   Engine& engine = CacheEngine();
@@ -107,36 +110,32 @@ void BM_PlanCache(benchmark::State& state) {
       outcomes == 0 ? 0.0
                     : static_cast<double>(r.cache_hits) /
                           static_cast<double>(outcomes);
-  const double cold_per_compile =
-      compiles == 0 ? 0.0
-                    : static_cast<double>(r.cache_planning_ns_cold) /
-                          static_cast<double>(compiles);
-  const double warm_per_hit =
-      r.cache_hits == 0 ? 0.0
-                        : static_cast<double>(r.cache_planning_ns_warm) /
-                              static_cast<double>(r.cache_hits);
 
   state.counters["admitted"] = static_cast<double>(r.admitted_total);
   state.counters["completed"] = static_cast<double>(r.completed_total);
   state.counters["hits"] = static_cast<double>(r.cache_hits);
   state.counters["misses"] = static_cast<double>(r.cache_misses);
   state.counters["evictions"] = static_cast<double>(r.cache_evictions);
+  state.counters["compiles"] = static_cast<double>(compiles);
   state.counters["hit_rate"] = hit_rate;
-  state.counters["cold_ns_per_compile"] = cold_per_compile;
-  state.counters["warm_ns_per_hit"] = warm_per_hit;
 
   if (warm) {
     // The subsystem's acceptance gates, enforced in-binary so a plain
     // local run catches a regression before CI does.
     Gate(hit_rate >= 0.9, "warm hit rate >= 0.9", hit_rate);
-    Gate(warm_per_hit > 0 && cold_per_compile >= 10.0 * warm_per_hit,
-         "cold per-compile planning >= 10x warm per-hit",
-         warm_per_hit == 0 ? 0.0 : cold_per_compile / warm_per_hit);
     Gate(r.cache_misses <= 3, "one cold miss per distinct template",
          static_cast<double>(r.cache_misses));
+    warm_compiles = compiles;
   } else {
     Gate(r.cache_evictions > 0, "one-slot cache must thrash",
          static_cast<double>(r.cache_evictions));
+    // Only when the warm arm ran (a --benchmark_filter may skip it).
+    if (warm_compiles > 0) {
+      Gate(compiles >= 10 * warm_compiles,
+           "cold-cache compiles >= 10x warm-cache compiles",
+           static_cast<double>(compiles) /
+               static_cast<double>(warm_compiles));
+    }
   }
   Gate(r.failed_total == 0, "no failed queries",
        static_cast<double>(r.failed_total));

@@ -44,6 +44,54 @@ void CollectLiterals(const Expr& e, std::vector<Value>* pool,
   for (const ExprPtr& c : e.children()) CollectLiterals(*c, pool, slots);
 }
 
+/// The one opcode -> operator table of query programs: the live operator
+/// for `code`, built from the plan's spec, its resolved filter and
+/// projections, and the schema entering the op. The operator's
+/// output_schema() is the op's entry in the program's schema table, so the
+/// lowering types its ops through this table and the graph builder and the
+/// real-parallel executor instantiate them through it.
+Result<OperatorPtr> NewQueryOperator(const QuerySpec& spec,
+                                     const ExprPtr& filter,
+                                     const std::vector<ExprPtr>& projections,
+                                     OpCode code, const Schema& input) {
+  switch (code) {
+    case OpCode::kDecode:
+    case OpCode::kReDecode:
+      return OperatorPtr(new DecodeOperator(input));
+    case OpCode::kFilter:
+      return FilterOperator::Make(filter, input);
+    case OpCode::kProject:
+      return ProjectOperator::Make(projections, spec.projection_names, input);
+    case OpCode::kCount:
+      return OperatorPtr(new CountOperator());
+    case OpCode::kPartialAgg:
+      return HashAggregateOperator::Make(input, spec.group_by, spec.aggregates,
+                                         AggMode::kPartial,
+                                         spec.preagg_budget);
+    case OpCode::kFinalAgg:
+      return HashAggregateOperator::Make(input, spec.group_by,
+                                         MakeMergeSpecs(spec.aggregates),
+                                         AggMode::kFinal);
+    case OpCode::kCompleteAgg:
+      return HashAggregateOperator::Make(input, spec.group_by, spec.aggregates,
+                                         AggMode::kComplete);
+    case OpCode::kSort:
+      return SortOperator::Make(input, spec.order_by->column,
+                                spec.order_by->descending,
+                                spec.order_by->limit);
+    case OpCode::kLimit:
+      return OperatorPtr(new LimitOperator(input, spec.limit));
+    case OpCode::kEncode:
+      return OperatorPtr(new EncodeOperator(input));
+    case OpCode::kPartition:
+    case OpCode::kBuild:
+    case OpCode::kProbe:
+      break;  // join phases only: InstantiateJoinOp
+  }
+  return Status::Internal("opcode " + std::string(OpCodeToString(code)) +
+                          " is not a query operator");
+}
+
 struct LoweredOps {
   std::vector<ProgramOp> ops;
   std::vector<Value> literals;
@@ -52,19 +100,17 @@ struct LoweredOps {
 /// Lowers (prepared, placement) to the final instruction list, normalizing
 /// the plan on the way: a CPU-placed partial aggregate collapses into a
 /// single complete aggregate, and compress_uplink inserts the encode/decode
-/// pair around the network hop. Prototype operators are constructed once
-/// to type the schema table.
+/// pair around the network hop. The schema table is then typed through the
+/// opcode table, op by op.
 Result<LoweredOps> LowerStages(const QuerySpec& spec,
                                const Engine::PreparedQuery& prepared,
                                const Placement& placement) {
   using SK = Engine::PreparedQuery::StageKind;
   LoweredOps out;
-  Schema current = prepared.scan_schema;
   bool partial_dropped = false;
   auto add = [&](OpCode code, const char* label, Site site,
                  std::vector<uint32_t> slots = {}) {
-    out.ops.push_back(
-        ProgramOp{code, label, site, std::move(slots), current});
+    out.ops.push_back(ProgramOp{code, label, site, std::move(slots), {}});
   };
   for (size_t i = 0; i < prepared.kinds.size(); ++i) {
     const Site site = placement.sites[i];
@@ -85,68 +131,29 @@ Result<LoweredOps> LowerStages(const QuerySpec& spec,
         for (const ExprPtr& p : prepared.projections) {
           CollectLiterals(*p, &out.literals, &slots);
         }
-        std::vector<ExprPtr> exprs = prepared.projections;
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr proto,
-            ProjectOperator::Make(std::move(exprs), spec.projection_names,
-                                  current));
-        current = proto->output_schema();
         add(OpCode::kProject, "project", site, std::move(slots));
         break;
       }
-      case SK::kCount: {
-        OperatorPtr proto(new CountOperator());
-        current = proto->output_schema();
+      case SK::kCount:
         add(OpCode::kCount, "count", site);
         break;
-      }
-      case SK::kPartialAgg: {
+      case SK::kPartialAgg:
         if (site == Site::kCpu) {
           partial_dropped = true;
-          break;
-        }
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr proto,
-            HashAggregateOperator::Make(current, spec.group_by,
-                                        spec.aggregates, AggMode::kPartial,
-                                        spec.preagg_budget));
-        current = proto->output_schema();
-        add(OpCode::kPartialAgg, "agg_partial", site);
-        break;
-      }
-      case SK::kFinalAgg: {
-        OperatorPtr proto;
-        if (partial_dropped) {
-          DFLOW_ASSIGN_OR_RETURN(
-              proto, HashAggregateOperator::Make(current, spec.group_by,
-                                                 spec.aggregates,
-                                                 AggMode::kComplete));
-          current = proto->output_schema();
-          add(OpCode::kCompleteAgg, "agg_final", site);
         } else {
-          DFLOW_ASSIGN_OR_RETURN(
-              proto,
-              HashAggregateOperator::Make(current, spec.group_by,
-                                          MakeMergeSpecs(spec.aggregates),
-                                          AggMode::kFinal));
-          current = proto->output_schema();
-          add(OpCode::kFinalAgg, "agg_final", site);
+          add(OpCode::kPartialAgg, "agg_partial", site);
         }
         break;
-      }
-      case SK::kSort: {
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr proto,
-            SortOperator::Make(current, spec.order_by->column,
-                               spec.order_by->descending,
-                               spec.order_by->limit));
+      case SK::kFinalAgg:
+        add(partial_dropped ? OpCode::kCompleteAgg : OpCode::kFinalAgg,
+            "agg_final", site);
+        break;
+      case SK::kSort:
         add(OpCode::kSort, "sort", site);
         break;
-      }
-      case SK::kLimit: {
+      case SK::kLimit:
         add(OpCode::kLimit, "limit", site);
         break;
-      }
     }
   }
 
@@ -156,7 +163,6 @@ Result<LoweredOps> LowerStages(const QuerySpec& spec,
       if (out.ops[i].site <= Site::kStorageNic) last_storage = i;
     }
     if (last_storage != out.ops.size()) {
-      const Schema enc_schema = out.ops[last_storage].output_schema;
       Site dec_site = Site::kCpu;
       for (size_t i = last_storage + 1; i < out.ops.size(); ++i) {
         if (out.ops[i].site > Site::kStorageNic) {
@@ -166,11 +172,20 @@ Result<LoweredOps> LowerStages(const QuerySpec& spec,
       }
       out.ops.insert(out.ops.begin() + last_storage + 1,
                      ProgramOp{OpCode::kEncode, "encode",
-                               out.ops[last_storage].site, {}, enc_schema});
+                               out.ops[last_storage].site, {}, {}});
       out.ops.insert(out.ops.begin() + last_storage + 2,
-                     ProgramOp{OpCode::kReDecode, "decode2", dec_site, {},
-                               enc_schema});
+                     ProgramOp{OpCode::kReDecode, "decode2", dec_site, {}, {}});
     }
+  }
+
+  Schema current = prepared.scan_schema;
+  for (ProgramOp& op : out.ops) {
+    DFLOW_ASSIGN_OR_RETURN(
+        OperatorPtr typed,
+        NewQueryOperator(spec, prepared.filter, prepared.projections, op.code,
+                         current));
+    current = typed->output_schema();
+    op.output_schema = current;
   }
   return out;
 }
@@ -181,68 +196,12 @@ namespace compile {
 
 Result<OperatorPtr> InstantiateOp(const DflowProgram& program,
                                   const ProgramOp& pop, Schema* current) {
-  const QuerySpec& spec = program.spec();
-  switch (pop.code) {
-    case OpCode::kDecode:
-      return OperatorPtr(new DecodeOperator(*current));
-    case OpCode::kFilter:
-      return FilterOperator::Make(program.filter(), *current);
-    case OpCode::kProject: {
-      std::vector<ExprPtr> exprs = program.projections();
-      DFLOW_ASSIGN_OR_RETURN(
-          OperatorPtr op,
-          ProjectOperator::Make(std::move(exprs), spec.projection_names,
-                                *current));
-      *current = op->output_schema();
-      return op;
-    }
-    case OpCode::kCount: {
-      OperatorPtr op(new CountOperator());
-      *current = op->output_schema();
-      return op;
-    }
-    case OpCode::kPartialAgg: {
-      DFLOW_ASSIGN_OR_RETURN(
-          OperatorPtr op,
-          HashAggregateOperator::Make(*current, spec.group_by, spec.aggregates,
-                                      AggMode::kPartial, spec.preagg_budget));
-      *current = op->output_schema();
-      return op;
-    }
-    case OpCode::kFinalAgg: {
-      DFLOW_ASSIGN_OR_RETURN(
-          OperatorPtr op,
-          HashAggregateOperator::Make(*current, spec.group_by,
-                                      MakeMergeSpecs(spec.aggregates),
-                                      AggMode::kFinal));
-      *current = op->output_schema();
-      return op;
-    }
-    case OpCode::kCompleteAgg: {
-      DFLOW_ASSIGN_OR_RETURN(
-          OperatorPtr op,
-          HashAggregateOperator::Make(*current, spec.group_by, spec.aggregates,
-                                      AggMode::kComplete));
-      *current = op->output_schema();
-      return op;
-    }
-    case OpCode::kSort:
-      return SortOperator::Make(*current, spec.order_by->column,
-                                spec.order_by->descending,
-                                spec.order_by->limit);
-    case OpCode::kLimit:
-      return OperatorPtr(new LimitOperator(*current, spec.limit));
-    case OpCode::kEncode:
-      return OperatorPtr(new EncodeOperator(pop.output_schema));
-    case OpCode::kReDecode:
-      return OperatorPtr(new DecodeOperator(pop.output_schema));
-    case OpCode::kPartition:
-    case OpCode::kBuild:
-    case OpCode::kProbe:
-      break;  // join phases only: InstantiateJoinOp
-  }
-  return Status::Internal("opcode " + std::string(OpCodeToString(pop.code)) +
-                          " is not a query operator");
+  DFLOW_ASSIGN_OR_RETURN(
+      OperatorPtr op,
+      NewQueryOperator(program.spec(), program.filter(), program.projections(),
+                       pop.code, *current));
+  *current = op->output_schema();
+  return op;
 }
 
 namespace {
@@ -312,7 +271,6 @@ Result<compile::ProgramPtr> Engine::LowerProgram(
   b.plan_fingerprint = FingerprintQuerySpec(spec);
   b.fabric_epoch = fabric_epoch_;
   b.verifier_version = verify::kVerifierVersion;
-  b.compile_cost_ns = compile::kLowerPerOpCostNs * b.ops.size();
   if (options.verify == verify::VerifyMode::kOff) return std::move(b).Build();
 
   // The one verifier entry. The program's graph is built without scan rows:
@@ -324,9 +282,6 @@ Result<compile::ProgramPtr> Engine::LowerProgram(
   DFLOW_RETURN_NOT_OK(
       BuildProgramGraph(&scratch, *unstamped, {}, label, 0.0).status());
   b.verify_stamp = VerifyGraphSpec(scratch.Describe());
-  const uint64_t num_stages = b.ops.size() + 2;  // + source + sink
-  b.compile_cost_ns += compile::kVerifyPerStageCostNs * num_stages +
-                       compile::kVerifyPerEdgeCostNs * (num_stages - 1);
   for (const verify::VerifyIssue& issue : b.verify_stamp.issues) {
     DFLOW_LOG(Warning) << "verify: " << issue.ToString();
   }
@@ -493,7 +448,7 @@ Result<JoinRunResult> Engine::ExecutePartitionedJoin(
   if (options.mode == ExecMode::kParallel) {
     return ExecuteParallelJoin(*program, options);
   }
-  BeginRun(options);
+  DFLOW_RETURN_NOT_OK(BeginRun(options));
 
   // The build phase fills one hash table per node; the probe phase counts
   // each node's matches into its client sink.
@@ -650,9 +605,6 @@ Result<std::shared_ptr<compile::CompiledQuery>> Engine::CompilePlan(
   plan->spec = spec;
   plan->plan_fingerprint = FingerprintQuerySpec(spec);
   plan->fabric_epoch = fabric_epoch_;
-  plan->plan_cost_ns = compile::kPlanPrepareCostNs +
-                       compile::kPlanScanSizingCostNs +
-                       compile::kPlanPerVariantCostNs * plan->variants.size();
   DFLOW_TRACE(tracer_.get(),
               Instant("compile", "compiler", "plan",
                       fabric_.simulator().now(),
@@ -727,7 +679,11 @@ Result<QueryResult> Engine::ExecuteProgram(const compile::DflowProgram& program,
   return RunProgram(program, options, /*allow_fallback=*/true);
 }
 
-void Engine::BeginRun(const ExecOptions& options) {
+Status Engine::BeginRun(const ExecOptions& options) {
+  if (options.trace.enabled && options.trace.ring_capacity == 0) {
+    return Status::InvalidArgument(
+        "ExecOptions.trace.ring_capacity must be > 0 when tracing is enabled");
+  }
   if (options.trace.enabled && tracer_ == nullptr) {
     EnableTracing(options.trace);
   }
@@ -740,6 +696,7 @@ void Engine::BeginRun(const ExecOptions& options) {
     // counters so this run's report counts only its own traffic.
     fabric_.ResetMetrics();
   }
+  return Status::OK();
 }
 
 Result<QueryResult> Engine::RunProgram(const compile::DflowProgram& program,
@@ -748,7 +705,7 @@ Result<QueryResult> Engine::RunProgram(const compile::DflowProgram& program,
   TableScanSource::ScanStats stats;
   DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches,
                          DecodeScan(program, &stats));
-  BeginRun(options);
+  DFLOW_RETURN_NOT_OK(BeginRun(options));
   DataflowGraph graph(&fabric_.simulator());
   ArmGraph(&graph);
   DFLOW_TRACE(tracer_.get(),

@@ -1,8 +1,6 @@
 #ifndef DFLOW_COMPILE_COMPILER_H_
 #define DFLOW_COMPILE_COMPILER_H_
 
-#include <cstdint>
-
 #include "dflow/common/result.h"
 #include "dflow/compile/program.h"
 #include "dflow/exec/operator.h"
@@ -14,9 +12,10 @@
 // Engine::LowerProgram, every partitioned join through Engine::LowerJoin.
 // Their implementation lives in this subsystem (compiler.cc) because
 // lowering needs the engine's private query preparation. This header
-// carries the one opcode -> operator table (its join case sits beside it
-// in compiler.cc) and the compiler's modeled cost constants, shared by the
-// serving loop's cache accounting and the bench gates.
+// carries the entry to the one opcode -> operator table, which also types
+// the program's schema table at lowering (its join case sits beside it in
+// compiler.cc). Planning charges no simulated time: what it costs is host
+// time, measured by bench/e2e.
 
 namespace dflow::compile {
 
@@ -26,24 +25,6 @@ namespace dflow::compile {
 /// opcodes through this one table.
 Result<OperatorPtr> InstantiateOp(const DflowProgram& program,
                                   const ProgramOp& op, Schema* current);
-
-/// Modeled virtual-time cost of planning and compilation, in nanoseconds.
-/// These are *accounting* constants, not simulation events: admission
-/// timing on the fabric is unchanged, but every admission adds the costs it
-/// actually incurred to the service report's cache counters, which is what
-/// makes "warm-path planning cost ~ 0" a gateable, deterministic number.
-/// Magnitudes are loosely calibrated to a query-optimizer profile: parsing
-/// + resolution tens of microseconds, per-variant costing microseconds,
-/// verification per graph element, cache lookup sub-microsecond.
-inline constexpr uint64_t kPlanPrepareCostNs = 20'000;
-/// Scan sizing: the optimizer reads encoded/decoded byte counts from
-/// row-group metadata.
-inline constexpr uint64_t kPlanScanSizingCostNs = 50'000;
-inline constexpr uint64_t kPlanPerVariantCostNs = 5'000;
-inline constexpr uint64_t kLowerPerOpCostNs = 1'000;
-inline constexpr uint64_t kVerifyPerStageCostNs = 2'000;
-inline constexpr uint64_t kVerifyPerEdgeCostNs = 1'000;
-inline constexpr uint64_t kCacheLookupCostNs = 500;
 
 }  // namespace dflow::compile
 

@@ -120,7 +120,6 @@ std::shared_ptr<const DflowProgram> DflowProgram::Builder::Build() && {
   program->plan_fingerprint_ = plan_fingerprint;
   program->fabric_epoch_ = fabric_epoch;
   program->verifier_version_ = verifier_version;
-  program->compile_cost_ns_ = compile_cost_ns;
   program->fingerprint_ = HashString(program->SerializeToString());
   return program;
 }

@@ -94,7 +94,6 @@ class DflowProgram {
     uint64_t plan_fingerprint = 0;
     uint64_t fabric_epoch = 0;
     int verifier_version = 0;
-    uint64_t compile_cost_ns = 0;
 
     std::shared_ptr<const DflowProgram> Build() &&;
   };
@@ -126,9 +125,6 @@ class DflowProgram {
   /// refuses to produce a program whose stamp has errors, so a cached
   /// program needs no re-verification while its epoch key is current.
   const verify::VerifyReport& verify_stamp() const { return verify_stamp_; }
-  /// Modeled virtual-time cost of lowering + verifying this program (see
-  /// compiler.h's cost constants); what a cache hit saves per admission.
-  uint64_t compile_cost_ns() const { return compile_cost_ns_; }
 
   // ------------------------------------------------------------ execution --
   const QuerySpec& spec() const { return spec_; }
@@ -166,7 +162,6 @@ class DflowProgram {
   uint64_t plan_fingerprint_ = 0;
   uint64_t fabric_epoch_ = 0;
   int verifier_version_ = 0;
-  uint64_t compile_cost_ns_ = 0;
   uint64_t fingerprint_ = 0;
 };
 

@@ -56,9 +56,6 @@ struct CompiledQuery {
   /// brownout FORCE_CHEAP) needs no re-preparation to resolve them.
   Placement cpu_only;
   Placement full_offload;
-  /// Modeled virtual-time cost of planning (prepare + scan sizing +
-  /// per-variant cost-model evaluation); what a cache hit saves.
-  uint64_t plan_cost_ns = 0;
   /// Programs by placement (variant) name; deterministic iteration order.
   std::map<std::string, ProgramPtr> programs;
 

@@ -378,8 +378,9 @@ class Engine {
       const std::vector<std::shared_ptr<JoinHashTable>>& tables,
       std::vector<ScanBatch> batches);
   /// Opens a simulated run's window per options.trace and
-  /// options.reset_fabric.
-  void BeginRun(const ExecOptions& options);
+  /// options.reset_fabric. InvalidArgument on an enabled trace with a
+  /// zero-event ring.
+  Status BeginRun(const ExecOptions& options);
   /// Runs a program on the fabric and collects its report. Never verifies:
   /// the program's stamp is the report's verdict. On a permanent device
   /// death (with `allow_fallback`) quarantines the device and re-runs the

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "dflow/common/logging.h"
-#include "dflow/compile/compiler.h"
 #include "dflow/exec/invariants.h"
 #include "dflow/plan/fingerprint.h"
 
@@ -39,6 +38,10 @@ Result<ServiceResult> ServiceLoop::Run() {
   if (config_.program_cache_capacity == 0) {
     return Status::InvalidArgument(
         "ServiceConfig.program_cache_capacity must be > 0");
+  }
+  if (config_.admission.global_max_in_flight == 0) {
+    return Status::InvalidArgument(
+        "ServiceConfig.admission.global_max_in_flight must be > 0");
   }
   engine_->fabric().Reset();
   if (engine_->tracer() != nullptr) engine_->tracer()->Clear();
@@ -77,6 +80,11 @@ Result<ServiceResult> ServiceLoop::Run() {
     return Status::Internal("service drained with " +
                             std::to_string(active_.size()) +
                             " queries still marked active");
+  }
+  if (admission_.queued_total() != 0) {
+    return Status::Internal("service drained with " +
+                            std::to_string(admission_.queued_total()) +
+                            " tickets still queued");
   }
   // Conservation at drain: every launch charged the ledger exactly once
   // and every terminal attempt released it exactly once — a crash retry
@@ -139,8 +147,6 @@ Result<ServiceResult> ServiceLoop::Run() {
   report.cache_evictions = cache.evictions;
   report.cache_recompiles = cache.recompiles;
   report.cache_invalidations = cache.invalidations;
-  report.cache_planning_ns_cold = cache_planning_ns_cold_;
-  report.cache_planning_ns_warm = cache_planning_ns_warm_;
   report.breaker_transitions = breakers_.transitions_total();
   report.breaker_probes = breakers_.probes_total();
   report.brownout_escalations = brownout_.escalations();
@@ -397,24 +403,19 @@ Status ServiceLoop::StartQuery(
   // Warm path: a cache lookup. A new variant of a cached plan — or the
   // CPU-only fallback after a crash — relowers only (a recompile).
   compile::ProgramPtr program = plan->ProgramFor(decision.placement.name);
-  uint64_t planning_ns = compile::kCacheLookupCostNs;
   const char* cache_event = "cache_hit";
   if (program == nullptr) {
     DFLOW_ASSIGN_OR_RETURN(
         program, engine_->CompileVariant(plan.get(), decision.placement));
-    planning_ns += program->compile_cost_ns();
     if (fresh_plan) {
-      planning_ns += plan->plan_cost_ns;
       program_cache_.CountMiss();
       cache_event = "cache_miss";
     } else {
       program_cache_.CountRecompile();
       cache_event = "recompile";
     }
-    cache_planning_ns_cold_ += planning_ns;
   } else {
     program_cache_.CountHit();
-    cache_planning_ns_warm_ += planning_ns;
   }
   DFLOW_TRACE(engine_->tracer(),
               Instant("compile", "cache", cache_event, now, ticket.query_id,

@@ -189,10 +189,6 @@ class ServiceLoop {
   /// Compiled-program admission cache: repeat queries skip planning,
   /// placement enumeration and re-verification (DESIGN.md §10).
   compile::ProgramCache program_cache_;
-  /// Modeled planning virtual time, split cold (miss/recompile) vs. warm
-  /// (hit); reported as service.cache.planning_ns_{cold,warm}.
-  uint64_t cache_planning_ns_cold_ = 0;
-  uint64_t cache_planning_ns_warm_ = 0;
 
   std::vector<std::unique_ptr<DataflowGraph>> graphs_;
   std::map<uint64_t, QueryState> active_;

@@ -46,9 +46,7 @@ std::string ServiceReport::ToString() const {
     os << "\n  cache: hits=" << cache_hits << " misses=" << cache_misses
        << " evictions=" << cache_evictions
        << " recompiles=" << cache_recompiles
-       << " invalidations=" << cache_invalidations
-       << " planning_cold=" << cache_planning_ns_cold << "ns"
-       << " planning_warm=" << cache_planning_ns_warm << "ns";
+       << " invalidations=" << cache_invalidations;
   }
   for (const TenantStats& t : tenants) {
     os << "\n  tenant " << t.name << ": arrivals=" << t.arrivals

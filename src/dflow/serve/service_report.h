@@ -64,11 +64,6 @@ struct ServiceReport {
   uint64_t cache_evictions = 0;   // LRU evictions under capacity pressure
   uint64_t cache_recompiles = 0;  // new variant / post-crash relower only
   uint64_t cache_invalidations = 0;  // entries stranded by an epoch bump
-  /// Modeled planning + compilation + verification virtual time summed
-  /// over cold admissions (misses and recompiles) vs. warm ones (hits).
-  /// Warm ~ admissions * cache-lookup cost; the bench gates the ratio.
-  uint64_t cache_planning_ns_cold = 0;
-  uint64_t cache_planning_ns_warm = 0;
   std::vector<TenantStats> tenants;
 
   std::string ToString() const;

@@ -106,9 +106,7 @@ std::string ServiceReportToJson(const serve::ServiceReport& report) {
   os << ",\"misses\":" << report.cache_misses;
   os << ",\"evictions\":" << report.cache_evictions;
   os << ",\"recompiles\":" << report.cache_recompiles;
-  os << ",\"invalidations\":" << report.cache_invalidations;
-  os << ",\"planning_ns_cold\":" << report.cache_planning_ns_cold;
-  os << ",\"planning_ns_warm\":" << report.cache_planning_ns_warm << "}";
+  os << ",\"invalidations\":" << report.cache_invalidations << "}";
   os << ",\"tenants\":[";
   for (size_t t = 0; t < report.tenants.size(); ++t) {
     const serve::TenantStats& ts = report.tenants[t];

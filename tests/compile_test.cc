@@ -166,6 +166,40 @@ TEST_F(CompileTest, CataloguePlansHaveDistinctFingerprints) {
   EXPECT_EQ(plan_fps.size(), 6u);
 }
 
+// The schema table is the opcode table's: instantiating every op of every
+// variant's program in order, each operator's output schema equals the
+// schema its op records — the uplink ENCODE/REDECODE pair included.
+TEST_F(CompileTest, SchemaTableMatchesInstantiatedOperators) {
+  size_t programs = 0;
+  size_t uplink_pairs = 0;
+  for (const CataloguedPlan& plan : BuildCatalogue()) {
+    auto compiled = engine_->CompilePlan(plan.spec);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    CompiledQuery* cq = compiled.ValueOrDie().get();
+    for (const RankedPlacement& variant : cq->variants) {
+      SCOPED_TRACE(plan.name + " [" + variant.placement.name + "]");
+      auto program = engine_->CompileVariant(cq, variant.placement,
+                                             verify::VerifyMode::kStrict);
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      const DflowProgram& p = *program.ValueOrDie();
+      ++programs;
+      Schema current = p.scan_schema();
+      for (const compile::ProgramOp& op : p.ops()) {
+        SCOPED_TRACE(std::string(compile::OpCodeToString(op.code)));
+        auto live = compile::InstantiateOp(p, op, &current);
+        ASSERT_TRUE(live.ok()) << live.status().ToString();
+        const Schema& out = live.ValueOrDie()->output_schema();
+        EXPECT_TRUE(out == op.output_schema)
+            << out.ToString() << " vs " << op.output_schema.ToString();
+        EXPECT_TRUE(current == op.output_schema);
+        if (op.code == compile::OpCode::kReDecode) ++uplink_pairs;
+      }
+    }
+  }
+  EXPECT_GT(programs, BuildCatalogue().size());
+  EXPECT_GT(uplink_pairs, 0u);
+}
+
 // Fusion is part of the artifact: the CPU-only q6 pipeline has an adjacent
 // same-site filter -> project run, so lowering collapses it into a group of
 // same-site fusible ops, and the serialization records that group.
@@ -279,7 +313,6 @@ TEST_F(CompileTest, StrictCompileEmbedsCleanVerifyStamp) {
     SCOPED_TRACE(plan.name);
     ProgramPtr p = MustCompile(plan.spec);
     EXPECT_TRUE(p->verify_stamp().ok()) << p->verify_stamp().ToString();
-    EXPECT_GT(p->compile_cost_ns(), 0u);
     EXPECT_EQ(p->verifier_version(), verify::kVerifierVersion);
   }
 }
@@ -412,7 +445,6 @@ TEST_F(CompileTest, CompileVariantIsLazyAndMemoized) {
   const QuerySpec q6 = BuildCatalogue()[0].spec;
   auto plan = engine_->CompilePlan(q6).ValueOrDie();
   EXPECT_GE(plan->variants.size(), 2u);
-  EXPECT_GT(plan->plan_cost_ns, 0u);
   EXPECT_TRUE(plan->programs.empty());
 
   auto first = engine_->CompileVariant(plan.get(), plan->cpu_only,
@@ -504,9 +536,9 @@ class CompileServeTest : public ::testing::Test {
 };
 
 // Repeat admissions of the same template: one cold miss pays planning +
-// lowering, every subsequent admission is a cache hit, and the warm-path
-// planning cost per admission is a small constant (the lookup) — the
-// compile-once, serve-millions property the subsystem exists for.
+// lowering, every subsequent admission is a cache hit, so admissions that
+// compile are a small minority — the compile-once, serve-millions property
+// the subsystem exists for.
 TEST_F(CompileServeTest, RepeatAdmissionsHitTheProgramCache) {
   serve::ServiceConfig config;
   config.seed = 42;
@@ -522,14 +554,7 @@ TEST_F(CompileServeTest, RepeatAdmissionsHitTheProgramCache) {
   EXPECT_EQ(r.cache_misses, 1u);  // one template, one cold compile
   EXPECT_GE(r.cache_hits, r.completed_total - 1 - r.cache_recompiles);
   EXPECT_EQ(r.cache_invalidations, 0u);
-  EXPECT_GT(r.cache_planning_ns_cold, 0u);
-
-  // Warm admissions pay only the lookup constant; cold pays planning +
-  // lowering + verification. The per-admission gap is the whole point.
-  ASSERT_GT(r.cache_hits, 0u);
-  const uint64_t warm_per_admission = r.cache_planning_ns_warm / r.cache_hits;
-  EXPECT_EQ(warm_per_admission, compile::kCacheLookupCostNs);
-  EXPECT_GE(r.cache_planning_ns_cold, 10 * warm_per_admission);
+  EXPECT_GT(r.cache_hits, r.cache_misses + r.cache_recompiles);
 }
 
 // Same seed, same config: the cache counters (like everything else in the
@@ -549,10 +574,7 @@ TEST_F(CompileServeTest, CacheCountersAreDeterministic) {
   EXPECT_EQ(ra.service.cache_hits, rb.service.cache_hits);
   EXPECT_EQ(ra.service.cache_misses, rb.service.cache_misses);
   EXPECT_EQ(ra.service.cache_recompiles, rb.service.cache_recompiles);
-  EXPECT_EQ(ra.service.cache_planning_ns_cold,
-            rb.service.cache_planning_ns_cold);
-  EXPECT_EQ(ra.service.cache_planning_ns_warm,
-            rb.service.cache_planning_ns_warm);
+  EXPECT_EQ(ra.service.cache_evictions, rb.service.cache_evictions);
 }
 
 // A mid-run device crash forces retries onto the CPU-only fallback. The

@@ -248,6 +248,32 @@ TEST_F(EngineTest, NegativeNodeIsInvalidArgument) {
   ExpectNodeRefused(engine_, Q6Like(), -1);
 }
 
+// An enabled trace with a zero-event ring is refused with InvalidArgument
+// by every simulated entry point, before a tracer is built.
+TEST_F(EngineTest, ZeroTraceRingIsInvalidArgument) {
+  ExecOptions options;
+  options.trace.enabled = true;
+  options.trace.ring_capacity = 0;
+  auto expect_invalid = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+    EXPECT_NE(status.message().find("ring_capacity"), std::string::npos)
+        << status.ToString();
+  };
+  expect_invalid(engine_.Execute(Q6Like(), options).status());
+  auto program = engine_.Compile(Q6Like(), PlacementChoice::kCpuOnly);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  expect_invalid(
+      engine_.ExecuteProgram(*program.ValueOrDie(), options).status());
+  JoinSpec join;
+  join.build_table = "orders";
+  join.probe_table = "lineitem";
+  join.build_key = "o_orderkey";
+  join.probe_key = "l_orderkey";
+  join.num_nodes = 2;
+  expect_invalid(engine_.ExecutePartitionedJoin(join, options).status());
+  EXPECT_EQ(engine_.tracer(), nullptr);
+}
+
 TEST_F(EngineTest, VolcanoAgreesWithDataflow) {
   const QuerySpec spec = Q6Like();
   auto flow = engine_.Execute(spec).ValueOrDie();

@@ -404,6 +404,20 @@ TEST_F(ServeLoopTest, ZeroProgramCacheCapacityIsInvalidArgument) {
       << result.status().ToString();
 }
 
+// A zero global in-flight budget could never start a ticket: queued
+// arrivals would never reach a terminal outcome.
+TEST_F(ServeLoopTest, ZeroGlobalMaxInFlightIsInvalidArgument) {
+  ServiceConfig config = SmallConfig();
+  config.admission.global_max_in_flight = 0;
+  ServiceLoop loop(&engine_, ServiceTenants(), config);
+  auto result = loop.Run();
+  ASSERT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("global_max_in_flight"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
 TEST_F(ServeLoopTest, TenantWithoutTemplatesIsInvalidArgument) {
   auto tenants = ServiceTenants();
   tenants[1].templates.clear();

@@ -79,8 +79,6 @@ SERVICE_COUNTERS = [
     "service.cache.evictions",
     "service.cache.recompiles",
     "service.cache.invalidations",
-    "service.cache.planning_ns_cold",
-    "service.cache.planning_ns_warm",
 ]
 
 # Additional counters captured when the entry carries a "cluster" section

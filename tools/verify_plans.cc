@@ -8,19 +8,28 @@
 // tool proves the shipped plans are statically clean without spending any
 // simulated (or much real) time.
 //
-// Usage: verify_plans [--verbose]
+// Usage: verify_plans [--verbose | --fingerprints]
 //   exit 0  every variant of every plan verifies without errors
 //   exit 1  at least one verifier error (all issues are printed)
-//   exit 2  setup failure (catalog, parser, planner)
+//   exit 2  setup failure (catalog, parser, planner, compiler)
+//
+// --fingerprints verifies nothing: it compiles every variant through
+// Engine::CompilePlan / Engine::CompileVariant and prints one
+// `plan variant fingerprint` line per variant (the program's fingerprint,
+// a hash of its serialized artifact). CI diffs that list against
+// bench/expectations/program_fingerprints.txt, so any change to a
+// lowering shows up as a reviewed diff of that file.
 //
 // CI runs this in the analysis job; run it locally after touching the
 // pipeline builder, the operators' schema declarations, or the verifier.
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "dflow/compile/program_cache.h"
 #include "dflow/engine/engine.h"
 #include "dflow/plan/parser.h"
 #include "dflow/workload/tpch_like.h"
@@ -100,7 +109,35 @@ Result<std::vector<CataloguedPlan>> BuildCatalogue() {
   return plans;
 }
 
-int Run(bool verbose) {
+// Prints `plan variant fingerprint` for every variant of every plan.
+int PrintFingerprints(Engine& engine,
+                      const std::vector<CataloguedPlan>& catalogue) {
+  for (const CataloguedPlan& plan : catalogue) {
+    auto compiled = engine.CompilePlan(plan.spec);
+    if (!compiled.ok()) {
+      std::fprintf(stderr, "verify_plans: %s: planner failed: %s\n",
+                   plan.name.c_str(), compiled.status().ToString().c_str());
+      return 2;
+    }
+    compile::CompiledQuery* cq = compiled.ValueOrDie().get();
+    for (const RankedPlacement& variant : cq->variants) {
+      auto program = engine.CompileVariant(cq, variant.placement,
+                                           verify::VerifyMode::kWarn);
+      if (!program.ok()) {
+        std::fprintf(stderr, "verify_plans: %s [%s]: compile failed: %s\n",
+                     plan.name.c_str(), variant.placement.name.c_str(),
+                     program.status().ToString().c_str());
+        return 2;
+      }
+      std::printf("%s %s %016" PRIx64 "\n", plan.name.c_str(),
+                  variant.placement.name.c_str(),
+                  program.ValueOrDie()->fingerprint());
+    }
+  }
+  return 0;
+}
+
+int Run(bool verbose, bool fingerprints) {
   Engine engine;
   LineitemSpec lineitem;
   lineitem.rows = 20'000;  // enough for multi-batch plans; cheap to build
@@ -122,6 +159,7 @@ int Run(bool verbose) {
                  catalogue.status().ToString().c_str());
     return 2;
   }
+  if (fingerprints) return PrintFingerprints(engine, catalogue.ValueOrDie());
 
   size_t variants_checked = 0;
   size_t errors = 0;
@@ -164,13 +202,17 @@ int Run(bool verbose) {
 
 int main(int argc, char** argv) {
   bool verbose = false;
+  bool fingerprints = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--verbose") == 0) {
       verbose = true;
+    } else if (std::strcmp(argv[i], "--fingerprints") == 0) {
+      fingerprints = true;
     } else {
-      std::fprintf(stderr, "usage: verify_plans [--verbose]\n");
+      std::fprintf(stderr,
+                   "usage: verify_plans [--verbose | --fingerprints]\n");
       return 2;
     }
   }
-  return dflow::Run(verbose);
+  return dflow::Run(verbose, fingerprints);
 }
