@@ -118,7 +118,11 @@ inline void MaybeEnableBenchTracing(Engine& engine) {
   trace::TraceOptions options;
   options.enabled = true;
   options.ring_capacity = io.trace_capacity;
-  engine.EnableTracing(options);
+  const Status status = engine.EnableTracing(options);
+  if (!status.ok()) {
+    std::fprintf(stderr, "--dflow_trace_out: %s\n", status.ToString().c_str());
+    std::exit(2);
+  }
 }
 
 /// Records one named report for the JSON artifact and, when the engine is

@@ -680,12 +680,8 @@ Result<QueryResult> Engine::ExecuteProgram(const compile::DflowProgram& program,
 }
 
 Status Engine::BeginRun(const ExecOptions& options) {
-  if (options.trace.enabled && options.trace.ring_capacity == 0) {
-    return Status::InvalidArgument(
-        "ExecOptions.trace.ring_capacity must be > 0 when tracing is enabled");
-  }
   if (options.trace.enabled && tracer_ == nullptr) {
-    EnableTracing(options.trace);
+    DFLOW_RETURN_NOT_OK(EnableTracing(options.trace));
   }
   if (options.reset_fabric) {
     fabric_.Reset();

@@ -66,46 +66,70 @@ Result<OperatorPtr> FusedOperator::Make(std::vector<OperatorPtr> inner) {
   if (inner.empty()) {
     return Status::InvalidArgument("fused kernel needs at least one operator");
   }
+  FilterOperator* filter = nullptr;
+  ProjectOperator* project = nullptr;
+  HashAggregateOperator* aggregate = nullptr;
+  int last_role = -1;  // filter 0, project 1, aggregate 2
   for (const OperatorPtr& op : inner) {
-    if (op == nullptr) {
-      return Status::InvalidArgument("fused kernel member is null");
+    int role = -1;
+    if (auto* f = dynamic_cast<FilterOperator*>(op.get())) {
+      filter = f;
+      role = 0;
+    } else if (auto* p = dynamic_cast<ProjectOperator*>(op.get())) {
+      project = p;
+      role = 1;
+    } else if (auto* a = dynamic_cast<HashAggregateOperator*>(op.get())) {
+      aggregate = a;
+      role = 2;
     }
+    if (role <= last_role) {
+      return Status::InvalidArgument(
+          "fused kernel runs filter, project, aggregate in that order; got " +
+          (op == nullptr ? std::string("null") : op->name()));
+    }
+    last_role = role;
   }
-  return OperatorPtr(new FusedOperator(std::move(inner)));
-}
-
-Status FusedOperator::RunFrom(size_t from, const DataChunk& chunk,
-                              std::vector<DataChunk>* out) {
-  if (from == inner_.size()) {
-    RecordOut(chunk);
-    out->push_back(chunk);
-    return Status::OK();
-  }
-  std::vector<DataChunk> produced;
-  DFLOW_RETURN_NOT_OK(inner_[from]->Push(chunk, &produced));
-  for (const DataChunk& c : produced) {
-    DFLOW_RETURN_NOT_OK(RunFrom(from + 1, c, out));
-  }
-  return Status::OK();
+  auto* fused = new FusedOperator(std::move(inner));
+  fused->filter_ = filter;
+  fused->project_ = project;
+  fused->aggregate_ = aggregate;
+  return OperatorPtr(fused);
 }
 
 Status FusedOperator::Push(const DataChunk& input,
                            std::vector<DataChunk>* out) {
   RecordIn(input);
-  return RunFrom(0, input, out);
+  SelectionVector sel;
+  const SelectionVector* selected = nullptr;  // null: every row
+  if (filter_ != nullptr) {
+    DFLOW_RETURN_NOT_OK(filter_->Select(input, &sel));
+    if (sel.empty()) return Status::OK();
+    if (sel.size() < input.num_rows()) selected = &sel;
+  }
+  std::vector<ColumnVector> computed;
+  ChunkView view;
+  if (project_ != nullptr) {
+    DFLOW_RETURN_NOT_OK(
+        project_->ProjectView(input, selected, &computed, &view));
+  } else {
+    view = ChunkView::Of(input, selected);
+  }
+  const size_t first_out = out->size();
+  if (aggregate_ != nullptr) {
+    DFLOW_RETURN_NOT_OK(aggregate_->Consume(view, out));
+  } else {
+    out->push_back(view.Materialize());
+  }
+  for (size_t i = first_out; i < out->size(); ++i) RecordOut((*out)[i]);
+  return Status::OK();
 }
 
 Status FusedOperator::Finish(std::vector<DataChunk>* out) {
-  // Flush in chain order: operator i's end-of-stream output streams through
-  // the members after it *before* they flush — the same order separate
-  // stages would observe as EOS propagates down the pipeline.
-  for (size_t i = 0; i < inner_.size(); ++i) {
-    std::vector<DataChunk> flushed;
-    DFLOW_RETURN_NOT_OK(inner_[i]->Finish(&flushed));
-    for (const DataChunk& c : flushed) {
-      DFLOW_RETURN_NOT_OK(RunFrom(i + 1, c, out));
-    }
-  }
+  // Only an aggregate holds state, and it is the last member: its flush is
+  // the kernel's.
+  const size_t first_out = out->size();
+  if (aggregate_ != nullptr) DFLOW_RETURN_NOT_OK(aggregate_->Finish(out));
+  for (size_t i = first_out; i < out->size(); ++i) RecordOut((*out)[i]);
   return Status::OK();
 }
 

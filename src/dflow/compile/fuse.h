@@ -5,7 +5,10 @@
 #include <vector>
 
 #include "dflow/compile/program.h"
+#include "dflow/exec/aggregate.h"
+#include "dflow/exec/filter.h"
 #include "dflow/exec/operator.h"
+#include "dflow/exec/project.h"
 
 namespace dflow::compile {
 
@@ -18,14 +21,21 @@ namespace dflow::compile {
 /// untouched. Legality rules are catalogued in DESIGN.md §10.
 std::vector<FusedGroup> PlanFusion(const std::vector<ProgramOp>& ops);
 
-/// A fused kernel: the inner operators execute back-to-back inside one
-/// graph stage — one scheduling quantum, one credit hop, one device charge
-/// per chunk — with chunk-for-chunk identical output to the unfused chain
-/// (each inner operator sees exactly the Push/Finish sequence it would have
-/// seen across separate stages, in the same order).
+/// A fused kernel: a filter, a projection and an aggregate — each optional,
+/// in that order — run as one graph stage (one scheduling quantum, one
+/// credit hop, one device charge per chunk) and in one pass over each
+/// chunk. The filter's predicate yields a selection vector; a projection
+/// that is a plain column reference becomes a view of the input column
+/// through it, and a computed projection is evaluated over the selected
+/// rows only; the aggregate consumes the (chunk, selection) pair. Rows are
+/// gathered only when the last member emits them, and then only the
+/// surviving rows of the output columns. The output is chunk-for-chunk the
+/// output of the member chain run back to back, which stays the reference
+/// (DESIGN.md §10).
 class FusedOperator : public Operator {
  public:
-  /// `inner` must be non-empty; ownership transfers.
+  /// `inner`: one to three of FilterOperator, ProjectOperator,
+  /// HashAggregateOperator, in that order, none twice; ownership transfers.
   static Result<OperatorPtr> Make(std::vector<OperatorPtr> inner);
 
   std::string name() const override { return name_; }
@@ -45,12 +55,11 @@ class FusedOperator : public Operator {
  private:
   explicit FusedOperator(std::vector<OperatorPtr> inner);
 
-  /// Pushes `chunk` through inner operators [from, end), appending the
-  /// survivors to `out`.
-  Status RunFrom(size_t from, const DataChunk& chunk,
-                 std::vector<DataChunk>* out);
-
   std::vector<OperatorPtr> inner_;
+  // The members by role, each null when absent; they point into inner_.
+  FilterOperator* filter_ = nullptr;
+  ProjectOperator* project_ = nullptr;
+  HashAggregateOperator* aggregate_ = nullptr;
   std::string name_;
   OperatorTraits traits_;
 };

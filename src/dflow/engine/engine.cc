@@ -67,11 +67,16 @@ void Engine::DisableFaultInjection() {
   fault_.reset();
 }
 
-void Engine::EnableTracing(const trace::TraceOptions& options) {
+Status Engine::EnableTracing(const trace::TraceOptions& options) {
+  if (options.ring_capacity == 0) {
+    return Status::InvalidArgument(
+        "trace ring_capacity must be > 0 when tracing is enabled");
+  }
   trace::TraceOptions effective = options;
   effective.enabled = true;
   tracer_ = std::make_unique<trace::Tracer>(effective);
   fabric_.AttachTracer(tracer_.get());
+  return Status::OK();
 }
 
 namespace {

@@ -122,8 +122,9 @@ class Engine {
   /// Attaches an event tracer to every fabric device/link and to graphs the
   /// engine builds. The trace covers the most recent run whose options had
   /// reset_fabric set (chained runs append). Also enabled lazily by
-  /// ExecOptions::trace.enabled.
-  void EnableTracing(const trace::TraceOptions& options);
+  /// ExecOptions::trace.enabled. InvalidArgument, with no tracer attached,
+  /// when `options.ring_capacity` is 0.
+  Status EnableTracing(const trace::TraceOptions& options);
   /// The active tracer; null when tracing is off.
   trace::Tracer* tracer() { return tracer_.get(); }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "dflow/compile/compiler.h"
+#include "dflow/compile/fuse.h"
 #include "dflow/engine/engine.h"
 #include "dflow/exec/aggregate.h"
 #include "dflow/exec/parallel/parallel_join.h"
@@ -50,13 +51,16 @@ parallel::ChainFactory MakeChain(std::vector<OpFactory> factories) {
 /// with canonical ordering enabled whenever the query lacks an ORDER BY.
 /// DECODE is skipped: it is identity on data and models a wire size the
 /// real executor doesn't have. Any other opcode (a placement that keeps
-/// work off the CPU) is Status::Internal.
+/// work off the CPU) is Status::Internal. A worker chain without a COUNT
+/// runs as one compile::FusedOperator, the kernel the simulated graphs run
+/// for their fused groups.
 Result<parallel::ParallelPipelineSpec> BuildParallelPipelineSpec(
     const compile::ProgramPtr& program) {
   const QuerySpec& spec = program->spec();
   // Factories share the immutable program; its resolved expressions are
   // const-evaluated, which is thread-safe.
   std::vector<OpFactory> worker, merge, output;
+  bool fuse_worker = true;
   Schema input = program->scan_schema();
   auto instantiate = [&program, &input](const ProgramOp& op) -> OpFactory {
     return [program, op, input]() {
@@ -76,6 +80,7 @@ Result<parallel::ParallelPipelineSpec> BuildParallelPipelineSpec(
         // Each morsel's CountOperator emits one row (possibly zero); the
         // sum of the per-morsel counts is the global COUNT(*).
         worker.push_back(instantiate(op));
+        fuse_worker = false;
         const Schema counted = op.output_schema;
         merge.push_back([counted]() {
           std::vector<AggSpec> sum_counts{{AggFunc::kSum, "count", "count"}};
@@ -117,8 +122,21 @@ Result<parallel::ParallelPipelineSpec> BuildParallelPipelineSpec(
     input = op.output_schema;
   }
 
+  fuse_worker = fuse_worker && !worker.empty();
   parallel::ParallelPipelineSpec pipeline;
   pipeline.make_worker_chain = MakeChain(std::move(worker));
+  if (fuse_worker) {
+    pipeline.make_worker_chain =
+        [chain = std::move(pipeline.make_worker_chain)]()
+        -> Result<std::vector<OperatorPtr>> {
+      DFLOW_ASSIGN_OR_RETURN(std::vector<OperatorPtr> ops, chain());
+      std::vector<OperatorPtr> kernel;
+      DFLOW_ASSIGN_OR_RETURN(OperatorPtr fused,
+                             compile::FusedOperator::Make(std::move(ops)));
+      kernel.push_back(std::move(fused));
+      return kernel;
+    };
+  }
   if (!merge.empty()) pipeline.make_merge_chain = MakeChain(std::move(merge));
   if (!output.empty()) {
     pipeline.make_output_chain = MakeChain(std::move(output));

@@ -2,7 +2,6 @@
 #define DFLOW_EXEC_AGGREGATE_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dflow/exec/operator.h"
@@ -33,12 +32,22 @@ struct AggSpec {
 ///  kFinal     partial states in -> final values out
 enum class AggMode { kComplete, kPartial, kFinal };
 
-/// Vectorized hash group-by.
+/// Vectorized hash group-by on typed state.
+///
+/// Group keys live in typed key columns, one row per group, in insertion
+/// order — the order every output follows. A flat open-addressing directory
+/// maps a row's key hash (HashColumn over the group columns) to its group
+/// id; two keys are the same group iff their hashes match and every key
+/// column compares equal under Value::Compare (NULL equals NULL; -0.0
+/// equals 0.0 only when their hashes collide, as for any two keys). Each
+/// aggregate then updates its accumulators in one typed loop over the
+/// chunk's row -> group vector, visiting rows in order, so every DOUBLE sum
+/// adds its inputs in arrival order.
 ///
 /// In kPartial mode with `max_groups > 0` the operator enforces the bounded
-/// state budget accelerators require: when the table would exceed
-/// max_groups, the current partials are emitted downstream and the table is
-/// cleared. The result is still exact once a downstream kFinal stage merges
+/// state budget accelerators require: when a new group would exceed
+/// max_groups, the oldest half of the groups is emitted downstream and
+/// dropped. The result is still exact once a downstream kFinal stage merges
 /// — only the *reduction factor* degrades, which is precisely the trade-off
 /// §3.3 describes ("pre-aggregation ... probably only to parts of the
 /// data").
@@ -59,32 +68,39 @@ class HashAggregateOperator : public Operator {
   Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
   Status Finish(std::vector<DataChunk>* out) override;
 
+  /// Consumes the view's rows in order: the same state and output as
+  /// Push(view.Materialize()), without materializing it. The fused kernel
+  /// hands its (chunk, selection) pair over through here.
+  Status Consume(const ChunkView& input, std::vector<DataChunk>* out);
+
   /// Number of early partial flushes forced by the bounded table.
   uint64_t partial_flushes() const { return partial_flushes_; }
-  size_t num_groups() const { return groups_.size(); }
+  size_t num_groups() const { return hashes_.size(); }
 
  private:
-  struct Accumulator {
-    int64_t count = 0;
-    double sum_d = 0.0;
-    int64_t sum_i = 0;
-    Value min;
-    Value max;
-    bool seen = false;
+  /// One aggregate's accumulators, indexed by group id.
+  struct AggState {
+    std::vector<int64_t> count;  // COUNT
+    std::vector<uint8_t> seen;   // SUM/MIN/MAX: a non-NULL input arrived
+    /// SUM: the running sum (INT64 or DOUBLE). MIN/MAX: the extreme so far,
+    /// of the input type. Never NULL; `seen` says whether it is set.
+    ColumnVector value;
   };
-  struct Group {
-    std::vector<Value> keys;
-    std::vector<Accumulator> accs;
-  };
+
+  static constexpr uint32_t kNoGroup = UINT32_MAX;
 
   HashAggregateOperator() = default;
 
-  Status UpdateGroups(const DataChunk& input, std::vector<DataChunk>* out);
-  size_t FindOrCreateGroup(const DataChunk& input, size_t row, uint64_t hash);
-  Status EmitAll(std::vector<DataChunk>* out);
-  Status EvictOldestHalf(std::vector<DataChunk>* out);
-  void AppendAggValue(const Accumulator& acc, size_t spec_idx,
-                      ColumnVector* col) const;
+  uint32_t FindGroup(uint64_t hash, const ChunkView& input, size_t row) const;
+  uint32_t AddGroup(uint64_t hash, const ChunkView& input, size_t row);
+  void RebuildDirectory(size_t capacity);
+  /// Gives every accumulator array one entry per group.
+  void SizeAccumulators();
+  /// Applies view rows [begin, end), whose groups are gids[begin, end).
+  void Accumulate(const ChunkView& input, const std::vector<uint32_t>& gids,
+                  size_t begin, size_t end);
+  /// Emits groups [0, count) as chunks and drops them.
+  void EmitOldest(size_t count, std::vector<DataChunk>* out);
 
   AggMode mode_ = AggMode::kComplete;
   size_t max_groups_ = 0;
@@ -95,10 +111,10 @@ class HashAggregateOperator : public Operator {
   Schema output_schema_;
   Schema input_schema_;
 
-  // determinism-ok: hash-bucket index only; groups_ keeps insertion order
-  // and is the sole source of output ordering.
-  std::unordered_map<uint64_t, std::vector<size_t>> table_;
-  std::vector<Group> groups_;
+  std::vector<ColumnVector> keys_;  // keys_[k] row g: group g's k-th key
+  std::vector<uint64_t> hashes_;    // group g's key hash
+  std::vector<AggState> aggs_;      // one per spec
+  std::vector<uint32_t> directory_;  // group id + 1 per slot; 0 = empty
   uint64_t partial_flushes_ = 0;
 };
 

@@ -36,24 +36,30 @@ OperatorTraits FilterOperator::traits() const {
   return t;
 }
 
+Status FilterOperator::Select(const DataChunk& input,
+                              SelectionVector* sel) const {
+  Mask mask;
+  DFLOW_RETURN_NOT_OK(predicate_->EvaluatePredicate(input, &mask));
+  *sel = MaskToSelection(mask);
+  if (test_hooks::g_filter_drop_first_row && !sel->empty()) {
+    std::vector<uint32_t> rest(sel->indices().begin() + 1,
+                               sel->indices().end());
+    *sel = SelectionVector(std::move(rest));
+  }
+  return Status::OK();
+}
+
 Status FilterOperator::Push(const DataChunk& input,
                             std::vector<DataChunk>* out) {
   RecordIn(input);
-  Mask mask;
-  DFLOW_RETURN_NOT_OK(predicate_->EvaluatePredicate(input, &mask));
-  SelectionVector sel = MaskToSelection(mask);
-  if (test_hooks::g_filter_drop_first_row && !sel.empty()) {
-    std::vector<uint32_t> rest(sel.indices().begin() + 1,
-                               sel.indices().end());
-    sel = SelectionVector(std::move(rest));
-  }
+  SelectionVector sel;
+  DFLOW_RETURN_NOT_OK(Select(input, &sel));
   if (sel.empty()) return Status::OK();
   if (sel.size() == input.num_rows()) {
     out->push_back(input);
-    RecordOut(out->back());
-    return Status::OK();
+  } else {
+    out->push_back(input.Gather(sel));
   }
-  out->push_back(input.Gather(sel));
   RecordOut(out->back());
   return Status::OK();
 }

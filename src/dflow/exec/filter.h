@@ -26,6 +26,10 @@ class FilterOperator : public Operator {
   OperatorTraits traits() const override;
   Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
 
+  /// The rows of `input` the predicate keeps, in order. Push and the fused
+  /// kernel both select through here.
+  Status Select(const DataChunk& input, SelectionVector* sel) const;
+
  private:
   FilterOperator(ExprPtr predicate, Schema schema, double selectivity_hint)
       : predicate_(std::move(predicate)),

@@ -1,6 +1,7 @@
 #include "dflow/exec/misc_ops.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "dflow/common/logging.h"
@@ -85,12 +86,69 @@ OperatorTraits SortOperator::traits() const {
   return t;
 }
 
+namespace {
+
+/// Calls fn(less) with a strict "row a sorts before row b" over `key`: the
+/// order of Value::Compare (NULL first), reversed when `descending`, read
+/// from the typed column.
+template <typename Fn>
+void WithRowOrder(const ColumnVector& key, bool descending, Fn fn) {
+  key.Visit([&](const auto& data) {
+    auto less = [&](uint32_t a, uint32_t b) {
+      const bool a_valid = key.IsValid(a);
+      const bool b_valid = key.IsValid(b);
+      int cmp = 0;
+      if (!a_valid || !b_valid) {
+        cmp = static_cast<int>(a_valid) - static_cast<int>(b_valid);
+      } else if (data[a] < data[b]) {
+        cmp = -1;
+      } else if (data[b] < data[a]) {
+        cmp = 1;
+      }
+      return descending ? cmp > 0 : cmp < 0;
+    };
+    fn(less);
+  });
+}
+
+}  // namespace
+
 Status SortOperator::Push(const DataChunk& input,
                           std::vector<DataChunk>* out) {
   (void)out;
   RecordIn(input);
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    buffer_.AppendRowFrom(input, r);
+  if (input.num_columns() != buffer_.num_columns()) {
+    return Status::InvalidArgument("sort input does not match " +
+                                   schema_.ToString());
+  }
+  const size_t rows = input.num_rows();
+  for (size_t c = 0; c < input.num_columns(); ++c) {
+    buffer_.column(c).AppendRange(input.column(c), 0, rows);
+  }
+  // A NaN key compares equal to every value, so "the first n" is only
+  // well defined over the whole input: such a sort keeps every row.
+  const ColumnVector& key = input.column(sort_col_);
+  if (key.type() == DataType::kDouble) {
+    for (size_t r = 0; r < rows && !key_has_nan_; ++r) {
+      key_has_nan_ = key.IsValid(r) && std::isnan(key.f64()[r]);
+    }
+  }
+  if (limit_ > 0 && !key_has_nan_ &&
+      buffer_.num_rows() >= limit_ + std::max<uint64_t>(limit_, kVectorSize)) {
+    // Keep only the top `limit_` rows so far, in arrival order: a row with
+    // `limit_` rows ahead of it (ties go to the earlier arrival) is not in
+    // the first `limit_` of the stable sort of any longer input either.
+    std::vector<uint32_t> order(buffer_.num_rows());
+    std::iota(order.begin(), order.end(), 0);
+    WithRowOrder(buffer_.column(sort_col_), descending_, [&](auto less) {
+      std::nth_element(order.begin(), order.begin() + limit_, order.end(),
+                       [&](uint32_t a, uint32_t b) {
+                         return less(a, b) || (!less(b, a) && a < b);
+                       });
+    });
+    order.resize(limit_);
+    std::sort(order.begin(), order.end());
+    buffer_ = buffer_.Gather(SelectionVector(std::move(order)));
   }
   return Status::OK();
 }
@@ -98,12 +156,9 @@ Status SortOperator::Push(const DataChunk& input,
 Status SortOperator::Finish(std::vector<DataChunk>* out) {
   std::vector<uint32_t> order(buffer_.num_rows());
   std::iota(order.begin(), order.end(), 0);
-  const ColumnVector& key = buffer_.column(sort_col_);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     const int cmp = key.GetValue(a).Compare(key.GetValue(b));
-                     return descending_ ? cmp > 0 : cmp < 0;
-                   });
+  WithRowOrder(buffer_.column(sort_col_), descending_, [&](auto less) {
+    std::stable_sort(order.begin(), order.end(), less);
+  });
   uint64_t n = order.size();
   if (limit_ > 0) n = std::min<uint64_t>(n, limit_);
   for (uint64_t start = 0; start < n; start += kVectorSize) {

@@ -45,8 +45,10 @@ class LimitOperator : public Operator {
   uint64_t seen_ = 0;
 };
 
-/// Blocking sort by one column (asc/desc). Gathers everything, emits sorted
-/// chunks at Finish. Never placeable on an accelerator (unbounded state).
+/// Blocking sort by one column (asc/desc), stable: equal keys keep their
+/// arrival order. Buffers its input — under a LIMIT only the running top
+/// rows — and emits sorted chunks at Finish. Never placeable on an
+/// accelerator (unbounded state).
 class SortOperator : public Operator {
  public:
   static Result<OperatorPtr> Make(Schema schema, const std::string& sort_col,
@@ -72,7 +74,10 @@ class SortOperator : public Operator {
   size_t sort_col_;
   bool descending_;
   uint64_t limit_;
+  /// Every row pushed so far — or, under a LIMIT, a superset of the first
+  /// `limit_` of their stable sort — in arrival order.
   DataChunk buffer_;
+  bool key_has_nan_ = false;
 };
 
 /// Marks the stream as decoded: identity on data, but downstream edges are

@@ -32,13 +32,14 @@ struct OperatorTraits {
   double reduction_hint = 1.0;
 };
 
+/// Chunk and row counts through one operator. Bytes are not counted here:
+/// the graph charges each edge the output's wire size once, and a second
+/// ByteSize per operator would walk every string of every chunk again.
 struct OperatorStats {
   uint64_t chunks_in = 0;
   uint64_t rows_in = 0;
-  uint64_t bytes_in = 0;
   uint64_t chunks_out = 0;
   uint64_t rows_out = 0;
-  uint64_t bytes_out = 0;
 };
 
 /// A push-based streaming operator: the unit of work that placement assigns
@@ -81,12 +82,10 @@ class Operator {
   void RecordIn(const DataChunk& input) {
     stats_.chunks_in += 1;
     stats_.rows_in += input.num_rows();
-    stats_.bytes_in += input.ByteSize();
   }
   void RecordOut(const DataChunk& output) {
     stats_.chunks_out += 1;
     stats_.rows_out += output.num_rows();
-    stats_.bytes_out += output.ByteSize();
   }
 
   OperatorStats stats_;

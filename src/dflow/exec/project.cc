@@ -58,4 +58,26 @@ Status ProjectOperator::Push(const DataChunk& input,
   return Status::OK();
 }
 
+Status ProjectOperator::ProjectView(const DataChunk& input,
+                                    const SelectionVector* sel,
+                                    std::vector<ColumnVector>* computed,
+                                    ChunkView* view) const {
+  computed->clear();
+  computed->reserve(exprs_.size());  // no reallocation: the view points in
+  view->columns.clear();
+  view->num_rows = sel == nullptr ? input.num_rows() : sel->size();
+  for (const ExprPtr& e : exprs_) {
+    if (e->kind() == Expr::Kind::kColumnRef &&
+        e->column_index() < input.num_columns()) {
+      view->columns.push_back(
+          ViewColumn{&input.column(e->column_index()), sel});
+      continue;
+    }
+    DFLOW_ASSIGN_OR_RETURN(ColumnVector col, e->Evaluate(input, sel));
+    computed->push_back(std::move(col));
+    view->columns.push_back(ViewColumn{&computed->back(), nullptr});
+  }
+  return Status::OK();
+}
+
 }  // namespace dflow

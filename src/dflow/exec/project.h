@@ -27,6 +27,15 @@ class ProjectOperator : public Operator {
   OperatorTraits traits() const override;
   Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
 
+  /// The fused kernel's projection of the rows `sel` selects (all rows when
+  /// null), without copying them: an output that is a plain column
+  /// reference becomes a view of that input column through `sel`; a
+  /// computed one is evaluated over the selected rows only, into
+  /// `*computed`, which must outlive `*view`.
+  Status ProjectView(const DataChunk& input, const SelectionVector* sel,
+                     std::vector<ColumnVector>* computed,
+                     ChunkView* view) const;
+
  private:
   ProjectOperator(std::vector<ExprPtr> exprs, Schema schema,
                   Schema input_schema, double reduction_hint)

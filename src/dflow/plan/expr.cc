@@ -167,35 +167,50 @@ Result<DataType> Expr::OutputType(const Schema& schema) const {
   return Status::Internal("unreachable");
 }
 
-Result<ColumnVector> Expr::Evaluate(const DataChunk& chunk) const {
+Result<const ColumnVector*> Expr::Operand(const DataChunk& chunk,
+                                          const SelectionVector* sel,
+                                          ColumnVector* scratch) const {
+  if (kind_ == Kind::kColumnRef && sel == nullptr) {
+    if (column_index_ == kUnresolved) {
+      return Status::InvalidArgument("unresolved column reference '" +
+                                     column_name_ + "'");
+    }
+    if (column_index_ >= chunk.num_columns()) {
+      return Status::OutOfRange("column index beyond chunk arity");
+    }
+    return &chunk.column(column_index_);
+  }
+  DFLOW_ASSIGN_OR_RETURN(*scratch, Evaluate(chunk, sel));
+  return scratch;
+}
+
+Result<ColumnVector> Expr::Evaluate(const DataChunk& chunk,
+                                    const SelectionVector* sel) const {
   switch (kind_) {
-    case Kind::kColumnRef:
-      if (column_index_ == kUnresolved) {
-        return Status::InvalidArgument("unresolved column reference '" +
-                                       column_name_ + "'");
-      }
-      if (column_index_ >= chunk.num_columns()) {
-        return Status::OutOfRange("column index beyond chunk arity");
-      }
-      return chunk.column(column_index_);
+    case Kind::kColumnRef: {
+      ColumnVector unused;
+      DFLOW_ASSIGN_OR_RETURN(const ColumnVector* col,
+                             Operand(chunk, nullptr, &unused));
+      return sel == nullptr ? *col : col->Gather(*sel);
+    }
     case Kind::kLiteral: {
+      const size_t rows = sel == nullptr ? chunk.num_rows() : sel->size();
       ColumnVector col(value_.type());
-      for (size_t i = 0; i < chunk.num_rows(); ++i) col.AppendValue(value_);
+      for (size_t i = 0; i < rows; ++i) col.AppendValue(value_);
       return col;
     }
     case Kind::kArith: {
       // Literal operands use the constant fast path.
       const ExprPtr& l = children_[0];
       const ExprPtr& r = children_[1];
-      ColumnVector out;
+      ColumnVector ls, rs, out;
+      DFLOW_ASSIGN_OR_RETURN(const ColumnVector* lv, l->Operand(chunk, sel, &ls));
       if (r->kind_ == Kind::kLiteral) {
-        DFLOW_ASSIGN_OR_RETURN(ColumnVector lv, l->Evaluate(chunk));
-        DFLOW_RETURN_NOT_OK(ArithmeticConst(lv, arith_op_, r->value_, &out));
+        DFLOW_RETURN_NOT_OK(ArithmeticConst(*lv, arith_op_, r->value_, &out));
         return out;
       }
-      DFLOW_ASSIGN_OR_RETURN(ColumnVector lv, l->Evaluate(chunk));
-      DFLOW_ASSIGN_OR_RETURN(ColumnVector rv, r->Evaluate(chunk));
-      DFLOW_RETURN_NOT_OK(Arithmetic(lv, arith_op_, rv, &out));
+      DFLOW_ASSIGN_OR_RETURN(const ColumnVector* rv, r->Operand(chunk, sel, &rs));
+      DFLOW_RETURN_NOT_OK(Arithmetic(*lv, arith_op_, *rv, &out));
       return out;
     }
     case Kind::kCompare:
@@ -205,7 +220,12 @@ Result<ColumnVector> Expr::Evaluate(const DataChunk& chunk) const {
     case Kind::kNot: {
       Mask mask;
       DFLOW_RETURN_NOT_OK(EvaluatePredicate(chunk, &mask));
-      std::vector<uint8_t> bools(mask.begin(), mask.end());
+      std::vector<uint8_t> bools;
+      if (sel == nullptr) {
+        bools.assign(mask.begin(), mask.end());
+      } else {
+        for (size_t i = 0; i < sel->size(); ++i) bools.push_back(mask[(*sel)[i]]);
+      }
       return ColumnVector::FromBool(std::move(bools));
     }
   }
@@ -217,17 +237,21 @@ Status Expr::EvaluatePredicate(const DataChunk& chunk, Mask* mask) const {
     case Kind::kCompare: {
       const ExprPtr& l = children_[0];
       const ExprPtr& r = children_[1];
+      ColumnVector ls, rs;
+      DFLOW_ASSIGN_OR_RETURN(const ColumnVector* lv,
+                             l->Operand(chunk, nullptr, &ls));
       if (r->kind_ == Kind::kLiteral) {
-        DFLOW_ASSIGN_OR_RETURN(ColumnVector lv, l->Evaluate(chunk));
-        return CompareToConstant(lv, compare_op_, r->value_, mask);
+        return CompareToConstant(*lv, compare_op_, r->value_, mask);
       }
-      DFLOW_ASSIGN_OR_RETURN(ColumnVector lv, l->Evaluate(chunk));
-      DFLOW_ASSIGN_OR_RETURN(ColumnVector rv, r->Evaluate(chunk));
-      return CompareColumns(lv, compare_op_, rv, mask);
+      DFLOW_ASSIGN_OR_RETURN(const ColumnVector* rv,
+                             r->Operand(chunk, nullptr, &rs));
+      return CompareColumns(*lv, compare_op_, *rv, mask);
     }
     case Kind::kLike: {
-      DFLOW_ASSIGN_OR_RETURN(ColumnVector input, children_[0]->Evaluate(chunk));
-      return ComputeLikeMask(input, pattern_, mask);
+      ColumnVector scratch;
+      DFLOW_ASSIGN_OR_RETURN(const ColumnVector* input,
+                             children_[0]->Operand(chunk, nullptr, &scratch));
+      return ComputeLikeMask(*input, pattern_, mask);
     }
     case Kind::kAnd: {
       if (children_.empty()) {
@@ -266,13 +290,15 @@ Status Expr::EvaluatePredicate(const DataChunk& chunk, Mask* mask) const {
       return Status::OK();
     }
     case Kind::kColumnRef: {
-      DFLOW_ASSIGN_OR_RETURN(ColumnVector col, Evaluate(chunk));
-      if (col.type() != DataType::kBool) {
+      ColumnVector unused;
+      DFLOW_ASSIGN_OR_RETURN(const ColumnVector* col,
+                             Operand(chunk, nullptr, &unused));
+      if (col->type() != DataType::kBool) {
         return Status::InvalidArgument("column predicate must be BOOL");
       }
-      mask->assign(col.size(), 0);
-      for (size_t i = 0; i < col.size(); ++i) {
-        (*mask)[i] = col.IsValid(i) && col.bool_data()[i] ? 1 : 0;
+      mask->assign(col->size(), 0);
+      for (size_t i = 0; i < col->size(); ++i) {
+        (*mask)[i] = col->IsValid(i) && col->bool_data()[i] ? 1 : 0;
       }
       return Status::OK();
     }

@@ -82,8 +82,11 @@ class Expr {
   Result<DataType> OutputType(const Schema& schema) const;
 
   // ------------------------------------------------------------ evaluation --
-  /// Evaluates a value expression over a chunk. Must be resolved.
-  Result<ColumnVector> Evaluate(const DataChunk& chunk) const;
+  /// Evaluates a value expression over a chunk, or over only the rows `sel`
+  /// selects (in selection order) when it is non-null: equal to evaluating
+  /// over the gathered rows. Must be resolved.
+  Result<ColumnVector> Evaluate(const DataChunk& chunk,
+                                const SelectionVector* sel = nullptr) const;
 
   /// Evaluates a predicate over a chunk into a byte mask. Must be resolved.
   Status EvaluatePredicate(const DataChunk& chunk, Mask* mask) const;
@@ -92,6 +95,13 @@ class Expr {
 
  private:
   explicit Expr(Kind kind) : kind_(kind) {}
+
+  /// The column a value expression denotes: a column reference without a
+  /// selection reads the chunk's own column in place; anything else is
+  /// evaluated into `*scratch`.
+  Result<const ColumnVector*> Operand(const DataChunk& chunk,
+                                      const SelectionVector* sel,
+                                      ColumnVector* scratch) const;
 
   Kind kind_;
   // kColumnRef

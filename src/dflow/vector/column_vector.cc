@@ -1,5 +1,6 @@
 #include "dflow/vector/column_vector.h"
 
+#include <algorithm>
 #include <iterator>
 
 #include "dflow/common/logging.h"
@@ -178,6 +179,34 @@ void ColumnVector::AppendFrom(const ColumnVector& other, size_t index) {
       break;
   }
   if (!validity_.empty()) validity_.push_back(1);
+}
+
+void ColumnVector::AppendRange(const ColumnVector& other, size_t start,
+                               size_t count) {
+  DFLOW_CHECK(type_ == other.type_);
+  DFLOW_CHECK_LE(start + count, other.size());
+  const auto first = other.validity_.begin() + (other.HasNulls() ? start : 0);
+  const bool any_null =
+      other.HasNulls() && std::find(first, first + count, 0) != first + count;
+  const bool masked = any_null || !validity_.empty();
+  if (any_null) EnsureValidity();
+  std::visit(
+      [&](auto& dst) {
+        const auto& src = std::get<std::decay_t<decltype(dst)>>(other.data_);
+        dst.insert(dst.end(), src.begin() + start, src.begin() + start + count);
+      },
+      data_);
+  if (!masked) return;
+  if (other.HasNulls()) {
+    validity_.insert(validity_.end(), first, first + count);
+  } else {
+    validity_.resize(validity_.size() + count, 1);
+  }
+}
+
+void ColumnVector::Resize(size_t n) {
+  std::visit([n](auto& v) { v.resize(n); }, data_);
+  if (!validity_.empty()) validity_.resize(n, 1);
 }
 
 void ColumnVector::Reserve(size_t n) {

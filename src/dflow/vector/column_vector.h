@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -87,6 +88,19 @@ class ColumnVector {
     return std::get<std::vector<std::string>>(data_);
   }
 
+  /// Typed storage by element type (uint8_t, int32_t, int64_t, double or
+  /// std::string); the wrong one aborts.
+  template <typename T>
+  std::vector<T>& data() {
+    return std::get<std::vector<T>>(data_);
+  }
+  /// Calls `fn` with the typed storage vector; `fn` must accept each of the
+  /// five storage types.
+  template <typename Fn>
+  decltype(auto) Visit(Fn&& fn) const {
+    return std::visit(std::forward<Fn>(fn), data_);
+  }
+
   /// Null handling. The mask is lazily allocated: HasNulls() is false until
   /// the first SetNull/AppendNull.
   bool HasNulls() const { return !validity_.empty(); }
@@ -100,6 +114,15 @@ class ColumnVector {
 
   /// Appends `other[index]` to this column. Types must match.
   void AppendFrom(const ColumnVector& other, size_t index);
+
+  /// Appends rows [start, start + count) of `other`: the same column as
+  /// `count` AppendFrom calls, so this one gains a validity mask iff one of
+  /// those rows is NULL. Types must match.
+  void AppendRange(const ColumnVector& other, size_t start, size_t count);
+
+  /// Grows or shrinks to `n` rows; new rows are valid and hold the type's
+  /// default value (0, 0.0, false, "").
+  void Resize(size_t n);
 
   void Reserve(size_t n);
   void Clear();

@@ -32,6 +32,25 @@ DataChunk DataChunk::Gather(const SelectionVector& sel) const {
   return DataChunk(std::move(cols));
 }
 
+ChunkView ChunkView::Of(const DataChunk& chunk, const SelectionVector* sel) {
+  ChunkView view;
+  view.num_rows = sel == nullptr ? chunk.num_rows() : sel->size();
+  view.columns.reserve(chunk.num_columns());
+  for (const ColumnVector& col : chunk.columns()) {
+    view.columns.push_back(ViewColumn{&col, sel});
+  }
+  return view;
+}
+
+DataChunk ChunkView::Materialize() const {
+  std::vector<ColumnVector> cols;
+  cols.reserve(columns.size());
+  for (const ViewColumn& c : columns) {
+    cols.push_back(c.sel == nullptr ? *c.column : c.column->Gather(*c.sel));
+  }
+  return DataChunk(std::move(cols));
+}
+
 DataChunk DataChunk::SelectColumns(const std::vector<size_t>& indices) const {
   std::vector<ColumnVector> cols;
   cols.reserve(indices.size());

@@ -61,6 +61,32 @@ class DataChunk {
   std::vector<ColumnVector> columns_;
 };
 
+/// One column of a ChunkView: row r of the view is row `sel[r]` of
+/// `*column`, or row r itself when `sel` is null.
+struct ViewColumn {
+  const ColumnVector* column = nullptr;
+  const SelectionVector* sel = nullptr;
+
+  size_t row(size_t r) const { return sel == nullptr ? r : (*sel)[r]; }
+};
+
+/// Rows handed from one operator to the next without copying them: each
+/// column reads a chunk's column in place through a selection, or a dense
+/// column computed over the selected rows only. The fused kernel passes its
+/// (chunk, selection) pair on in this form.
+struct ChunkView {
+  std::vector<ViewColumn> columns;
+  size_t num_rows = 0;
+
+  /// Every column of `chunk`, through `sel` (all rows when null).
+  static ChunkView Of(const DataChunk& chunk,
+                      const SelectionVector* sel = nullptr);
+
+  /// The view's rows as a chunk: selected columns gathered, dense ones
+  /// copied. Equal to gathering the selection out of the source chunk.
+  DataChunk Materialize() const;
+};
+
 /// Content checksum over every column's data and validity, independent of
 /// object identity. Computed at the sender and verified at the receiver by
 /// the unreliable-fabric recovery layer — the same hash everywhere, like the

@@ -1,6 +1,7 @@
 #include "dflow/vector/kernels.h"
 
 #include <cmath>
+#include <functional>
 
 #include "dflow/common/hash.h"
 #include "dflow/common/logging.h"
@@ -61,18 +62,41 @@ bool ApplyCompare(CompareOp op, const T& a, const T& b) {
   return false;
 }
 
+// Calls fn(cmp) with `op` as a comparison functor, so loops over a column
+// test the operator once, not per row.
+template <typename Fn>
+void WithCompare(CompareOp op, Fn fn) {
+  switch (op) {
+    case CompareOp::kEq:
+      return fn(std::equal_to<>{});
+    case CompareOp::kNe:
+      return fn(std::not_equal_to<>{});
+    case CompareOp::kLt:
+      return fn(std::less<>{});
+    case CompareOp::kLe:
+      return fn(std::less_equal<>{});
+    case CompareOp::kGt:
+      return fn(std::greater<>{});
+    case CompareOp::kGe:
+      return fn(std::greater_equal<>{});
+  }
+}
+
 // Compares a typed column against a typed constant, honoring nulls.
+// `get(i)` reads row i through a raw pointer: a store into the byte mask
+// may alias anything, so a read through the vector would be reloaded for
+// every row.
 template <typename T, typename GetFn>
 void CompareLoop(size_t n, const ColumnVector& col, GetFn get, CompareOp op,
                  const T& constant, Mask* mask) {
   mask->assign(n, 0);
+  uint8_t* out = mask->data();
+  WithCompare(op, [&](auto cmp) {
+    for (size_t i = 0; i < n; ++i) out[i] = cmp(get(i), constant) ? 1 : 0;
+  });
   if (col.HasNulls()) {
     for (size_t i = 0; i < n; ++i) {
-      (*mask)[i] = col.IsValid(i) && ApplyCompare(op, get(i), constant) ? 1 : 0;
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      (*mask)[i] = ApplyCompare(op, get(i), constant) ? 1 : 0;
+      if (!col.IsValid(i)) out[i] = 0;
     }
   }
 }
@@ -95,14 +119,14 @@ Status CompareToConstant(const ColumnVector& col, CompareOp op,
         return Status::InvalidArgument("cannot compare int column with " +
                                        std::string(DataTypeToString(constant.type())));
       }
-      const auto& d = col.i32();
+      const int32_t* d = col.i32().data();
       if (constant.type() == DataType::kDouble) {
         const double c = constant.AsDouble();
-        CompareLoop<double>(n, col, [&](size_t i) { return static_cast<double>(d[i]); },
+        CompareLoop<double>(n, col, [d](size_t i) { return static_cast<double>(d[i]); },
                             op, c, mask);
       } else {
         const int64_t c = constant.AsInt64();
-        CompareLoop<int64_t>(n, col, [&](size_t i) { return static_cast<int64_t>(d[i]); },
+        CompareLoop<int64_t>(n, col, [d](size_t i) { return static_cast<int64_t>(d[i]); },
                              op, c, mask);
       }
       return Status::OK();
@@ -113,14 +137,14 @@ Status CompareToConstant(const ColumnVector& col, CompareOp op,
         return Status::InvalidArgument("cannot compare int column with " +
                                        std::string(DataTypeToString(constant.type())));
       }
-      const auto& d = col.i64();
+      const int64_t* d = col.i64().data();
       if (constant.type() == DataType::kDouble) {
         const double c = constant.AsDouble();
-        CompareLoop<double>(n, col, [&](size_t i) { return static_cast<double>(d[i]); },
+        CompareLoop<double>(n, col, [d](size_t i) { return static_cast<double>(d[i]); },
                             op, c, mask);
       } else {
         const int64_t c = constant.AsInt64();
-        CompareLoop<int64_t>(n, col, [&](size_t i) { return d[i]; }, op, c, mask);
+        CompareLoop<int64_t>(n, col, [d](size_t i) { return d[i]; }, op, c, mask);
       }
       return Status::OK();
     }
@@ -129,9 +153,9 @@ Status CompareToConstant(const ColumnVector& col, CompareOp op,
         return Status::InvalidArgument("cannot compare double column with " +
                                        std::string(DataTypeToString(constant.type())));
       }
-      const auto& d = col.f64();
+      const double* d = col.f64().data();
       const double c = constant.AsDouble();
-      CompareLoop<double>(n, col, [&](size_t i) { return d[i]; }, op, c, mask);
+      CompareLoop<double>(n, col, [d](size_t i) { return d[i]; }, op, c, mask);
       return Status::OK();
     }
     case DataType::kString: {
@@ -139,9 +163,9 @@ Status CompareToConstant(const ColumnVector& col, CompareOp op,
         return Status::InvalidArgument("cannot compare string column with " +
                                        std::string(DataTypeToString(constant.type())));
       }
-      const auto& d = col.strs();
+      const std::string* d = col.strs().data();
       const std::string& c = constant.string_value();
-      CompareLoop<std::string>(n, col, [&](size_t i) { return d[i]; }, op, c,
+      CompareLoop<std::string>(n, col, [d](size_t i) -> const std::string& { return d[i]; }, op, c,
                                mask);
       return Status::OK();
     }
@@ -150,9 +174,9 @@ Status CompareToConstant(const ColumnVector& col, CompareOp op,
         return Status::InvalidArgument("cannot compare bool column with " +
                                        std::string(DataTypeToString(constant.type())));
       }
-      const auto& d = col.bool_data();
+      const uint8_t* d = col.bool_data().data();
       const uint8_t c = constant.bool_value() ? 1 : 0;
-      CompareLoop<uint8_t>(n, col, [&](size_t i) { return d[i]; }, op, c, mask);
+      CompareLoop<uint8_t>(n, col, [d](size_t i) { return d[i]; }, op, c, mask);
       return Status::OK();
     }
   }
@@ -285,30 +309,33 @@ Status ComputeLikeMask(const ColumnVector& col, std::string_view pattern,
 
 void AndMasks(const Mask& other, Mask* mask) {
   DFLOW_CHECK_EQ(other.size(), mask->size());
-  for (size_t i = 0; i < mask->size(); ++i) {
-    (*mask)[i] = (*mask)[i] & other[i];
-  }
+  uint8_t* m = mask->data();
+  const uint8_t* o = other.data();
+  for (size_t i = 0; i < mask->size(); ++i) m[i] &= o[i];
 }
 
 void OrMasks(const Mask& other, Mask* mask) {
   DFLOW_CHECK_EQ(other.size(), mask->size());
-  for (size_t i = 0; i < mask->size(); ++i) {
-    (*mask)[i] = (*mask)[i] | other[i];
-  }
+  uint8_t* m = mask->data();
+  const uint8_t* o = other.data();
+  for (size_t i = 0; i < mask->size(); ++i) m[i] |= o[i];
 }
 
 void NotMask(Mask* mask) {
-  for (size_t i = 0; i < mask->size(); ++i) {
-    (*mask)[i] = (*mask)[i] ? 0 : 1;
-  }
+  uint8_t* m = mask->data();
+  for (size_t i = 0; i < mask->size(); ++i) m[i] = m[i] ? 0 : 1;
 }
 
 SelectionVector MaskToSelection(const Mask& mask) {
-  SelectionVector sel;
+  // Branch-free: write every index, advance past the kept ones.
+  std::vector<uint32_t> indices(mask.size());
+  size_t kept = 0;
   for (size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i]) sel.Append(static_cast<uint32_t>(i));
+    indices[kept] = static_cast<uint32_t>(i);
+    kept += mask[i] ? 1 : 0;
   }
-  return sel;
+  indices.resize(kept);
+  return SelectionVector(std::move(indices));
 }
 
 size_t MaskPopCount(const Mask& mask) {
@@ -434,55 +461,51 @@ Status ArithmeticConst(const ColumnVector& col, ArithOp op,
   return Arithmetic(col, op, broadcast, out);
 }
 
-Status HashColumn(const ColumnVector& col, std::vector<uint64_t>* hashes) {
-  const size_t n = col.size();
+Status HashColumn(const ColumnVector& col, std::vector<uint64_t>* hashes,
+                  const SelectionVector* sel) {
+  const size_t n = sel == nullptr ? col.size() : sel->size();
   constexpr uint64_t kNullHash = 0x7ull;
   const bool combine = !hashes->empty();
   if (combine && hashes->size() != n) {
     return Status::InvalidArgument("HashColumn: hash vector length mismatch");
   }
   if (!combine) hashes->assign(n, 0);
-  auto emit = [&](size_t i, uint64_t h) {
-    (*hashes)[i] = combine ? HashCombine((*hashes)[i], h) : h;
+  // Entry i hashes `hash_row(row)` for row = sel[i] (or i); NULL rows hash
+  // to the sentinel.
+  auto fill = [&](auto hash_row) {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t row = sel == nullptr ? i : (*sel)[i];
+      const uint64_t h = col.IsValid(row) ? hash_row(row) : kNullHash;
+      (*hashes)[i] = combine ? HashCombine((*hashes)[i], h) : h;
+    }
   };
   switch (col.type()) {
     case DataType::kInt32:
     case DataType::kDate32: {
       const auto& d = col.i32();
-      for (size_t i = 0; i < n; ++i) {
-        emit(i, col.IsValid(i)
-                    ? HashInt64(static_cast<uint64_t>(static_cast<int64_t>(d[i])))
-                    : kNullHash);
-      }
+      fill([&](size_t r) {
+        return HashInt64(static_cast<uint64_t>(static_cast<int64_t>(d[r])));
+      });
       break;
     }
     case DataType::kInt64: {
       const auto& d = col.i64();
-      for (size_t i = 0; i < n; ++i) {
-        emit(i, col.IsValid(i) ? HashInt64(static_cast<uint64_t>(d[i]))
-                               : kNullHash);
-      }
+      fill([&](size_t r) { return HashInt64(static_cast<uint64_t>(d[r])); });
       break;
     }
     case DataType::kDouble: {
       const auto& d = col.f64();
-      for (size_t i = 0; i < n; ++i) {
-        emit(i, col.IsValid(i) ? HashDouble(d[i]) : kNullHash);
-      }
+      fill([&](size_t r) { return HashDouble(d[r]); });
       break;
     }
     case DataType::kString: {
       const auto& d = col.strs();
-      for (size_t i = 0; i < n; ++i) {
-        emit(i, col.IsValid(i) ? HashString(d[i]) : kNullHash);
-      }
+      fill([&](size_t r) { return HashString(d[r]); });
       break;
     }
     case DataType::kBool: {
       const auto& d = col.bool_data();
-      for (size_t i = 0; i < n; ++i) {
-        emit(i, col.IsValid(i) ? HashInt64(d[i]) : kNullHash);
-      }
+      fill([&](size_t r) { return HashInt64(d[r]); });
       break;
     }
   }

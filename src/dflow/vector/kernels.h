@@ -60,10 +60,12 @@ Status Arithmetic(const ColumnVector& a, ArithOp op, const ColumnVector& b,
 Status ArithmeticConst(const ColumnVector& col, ArithOp op,
                        const Value& constant, ColumnVector* out);
 
-/// Hashes each row of `col`. If `hashes` is empty it is filled with fresh
-/// hashes; otherwise each entry is combined with the column's hash (for
+/// Hashes each row of `col`, or with `sel` only the selected rows (entry i
+/// hashes row sel[i]). If `hashes` is empty it is filled with fresh hashes;
+/// otherwise each entry is combined with the column's hash (for
 /// multi-column keys). NULL hashes to a fixed sentinel.
-Status HashColumn(const ColumnVector& col, std::vector<uint64_t>* hashes);
+Status HashColumn(const ColumnVector& col, std::vector<uint64_t>* hashes,
+                  const SelectionVector* sel = nullptr);
 
 }  // namespace dflow
 

@@ -11,6 +11,7 @@
 #include "dflow/compile/program_cache.h"
 #include "dflow/engine/engine.h"
 #include "dflow/exec/local_executor.h"
+#include "dflow/exec/misc_ops.h"
 #include "dflow/exec/scan.h"
 #include "dflow/plan/fingerprint.h"
 #include "dflow/plan/parser.h"
@@ -224,11 +225,17 @@ TEST_F(CompileTest, FusionIsRecordedInTheArtifact) {
 // The fused kernel's contract: for every fused group of every catalogue
 // program, FusedOperator over the group's inner operators emits exactly
 // what those operators emit run back to back (RunLocalPipeline) — the same
-// chunks, rows and values, including a partial aggregate's Finish flush.
-// The group's input is the plan's scan pushed through the ops before it.
+// chunks, rows, values and wire bytes (NULL masks included), including a
+// partial aggregate's Finish flush. The group's input is the plan's scan
+// pushed through the ops before it; a group that starts with a filter also
+// gets, per input chunk, the rows its filter keeps and the rows it drops,
+// so chunks where the filter keeps all, none and some rows all occur.
 TEST_F(CompileTest, FusedKernelMatchesItsInnerChain) {
   size_t groups_checked = 0;
   size_t partial_agg_groups = 0;
+  size_t keeps_none = 0;
+  size_t keeps_all = 0;
+  size_t keeps_some = 0;
   for (const CataloguedPlan& plan : BuildCatalogue()) {
     for (PlacementChoice choice :
          {PlacementChoice::kAuto, PlacementChoice::kCpuOnly}) {
@@ -276,16 +283,49 @@ TEST_F(CompileTest, FusedKernelMatchesItsInnerChain) {
           }
         }
         const std::vector<OperatorPtr> before = instantiate(0, g.first);
-        auto input = RunLocalPipeline(scanned, raw(before));
-        ASSERT_TRUE(input.ok()) << input.status().ToString();
+        auto ran = RunLocalPipeline(scanned, raw(before));
+        ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+        std::vector<DataChunk> input = std::move(ran).ValueOrDie();
+        if (program->ops()[g.first].code == compile::OpCode::kFilter) {
+          const std::vector<OperatorPtr> filter = instantiate(g.first, 1);
+          const size_t scanned_chunks = input.size();
+          for (size_t c = 0; c < scanned_chunks; ++c) {
+            SelectionVector kept;
+            ASSERT_TRUE(static_cast<FilterOperator*>(filter[0].get())
+                            ->Select(input[c], &kept)
+                            .ok());
+            SelectionVector dropped;
+            for (uint32_t r = 0, k = 0; r < input[c].num_rows(); ++r) {
+              if (k < kept.size() && kept[k] == r) {
+                ++k;
+              } else {
+                dropped.Append(r);
+              }
+            }
+            if (!kept.empty()) input.push_back(input[c].Gather(kept));
+            if (!dropped.empty()) input.push_back(input[c].Gather(dropped));
+          }
+          for (const DataChunk& c : input) {
+            SelectionVector kept;
+            ASSERT_TRUE(static_cast<FilterOperator*>(filter[0].get())
+                            ->Select(c, &kept)
+                            .ok());
+            if (kept.empty()) {
+              ++keeps_none;
+            } else if (kept.size() == c.num_rows()) {
+              ++keeps_all;
+            } else {
+              ++keeps_some;
+            }
+          }
+        }
         const std::vector<OperatorPtr> inner = instantiate(g.first, g.count);
-        auto chain = RunLocalPipeline(input.ValueOrDie(), raw(inner));
+        auto chain = RunLocalPipeline(input, raw(inner));
         ASSERT_TRUE(chain.ok()) << chain.status().ToString();
         auto fused =
             compile::FusedOperator::Make(instantiate(g.first, g.count));
         ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-        auto kernel =
-            RunLocalPipeline(input.ValueOrDie(), {fused.ValueOrDie().get()});
+        auto kernel = RunLocalPipeline(input, {fused.ValueOrDie().get()});
         ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
 
         const std::vector<DataChunk>& want = chain.ValueOrDie();
@@ -296,14 +336,58 @@ TEST_F(CompileTest, FusedKernelMatchesItsInnerChain) {
           EXPECT_EQ(got[i].num_columns(), want[i].num_columns());
           EXPECT_EQ(ChecksumChunk(got[i]), ChecksumChunk(want[i]))
               << "chunk " << i;
+          EXPECT_EQ(got[i].ByteSize(), want[i].ByteSize()) << "chunk " << i;
         }
       }
     }
   }
   EXPECT_GT(groups_checked, 0u);
+  EXPECT_GT(keeps_none, 0u);
+  EXPECT_GT(keeps_all, 0u);
+  EXPECT_GT(keeps_some, 0u);
   // At least one group ends in a partial aggregate, so Finish's flush
   // through the kernel is part of what was compared.
   EXPECT_GT(partial_agg_groups, 0u);
+}
+
+// The kernel runs filter, project and aggregate in that order, each at
+// most once; any other member list is refused, not run differently.
+TEST_F(CompileTest, FusedKernelRefusesOtherMemberLists) {
+  const Schema schema({{"x", DataType::kInt64}});
+  auto filter = [&] {
+    return FilterOperator::Make(
+               Expr::Resolve(Expr::Cmp(CompareOp::kGt, Expr::Col("x"),
+                                       Expr::Lit(Value::Int64(0))),
+                             schema)
+                   .ValueOrDie(),
+               schema)
+        .ValueOrDie();
+  };
+  auto aggregate = [&] {
+    return HashAggregateOperator::Make(schema, {}, {{AggFunc::kCount, "", "n"}},
+                                       AggMode::kPartial)
+        .ValueOrDie();
+  };
+  auto make = [](std::vector<OperatorPtr> ops) {
+    return compile::FusedOperator::Make(std::move(ops)).status();
+  };
+  std::vector<OperatorPtr> ok;
+  ok.push_back(filter());
+  ok.push_back(aggregate());
+  EXPECT_TRUE(make(std::move(ok)).ok());
+  std::vector<OperatorPtr> reversed;
+  reversed.push_back(aggregate());
+  reversed.push_back(filter());
+  EXPECT_EQ(make(std::move(reversed)).code(), StatusCode::kInvalidArgument);
+  std::vector<OperatorPtr> twice;
+  twice.push_back(filter());
+  twice.push_back(filter());
+  EXPECT_EQ(make(std::move(twice)).code(), StatusCode::kInvalidArgument);
+  std::vector<OperatorPtr> other;
+  other.push_back(filter());
+  other.push_back(std::make_unique<CountOperator>());
+  EXPECT_EQ(make(std::move(other)).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(make({}).code(), StatusCode::kInvalidArgument);
 }
 
 // A strict-mode compile embeds a clean verifier stamp; no re-verification

@@ -274,6 +274,21 @@ TEST_F(EngineTest, ZeroTraceRingIsInvalidArgument) {
   EXPECT_EQ(engine_.tracer(), nullptr);
 }
 
+// The public EnableTracing refuses a zero-event ring the same way, and
+// leaves tracing off; a one-event ring is accepted.
+TEST_F(EngineTest, EnableTracingRefusesAZeroRing) {
+  trace::TraceOptions options;
+  options.ring_capacity = 0;
+  const Status status = engine_.EnableTracing(options);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("ring_capacity"), std::string::npos);
+  EXPECT_EQ(engine_.tracer(), nullptr);
+  options.ring_capacity = 1;
+  ASSERT_TRUE(engine_.EnableTracing(options).ok());
+  EXPECT_NE(engine_.tracer(), nullptr);
+  EXPECT_TRUE(engine_.Execute(Q6Like()).ok());
+}
+
 TEST_F(EngineTest, VolcanoAgreesWithDataflow) {
   const QuerySpec spec = Q6Like();
   auto flow = engine_.Execute(spec).ValueOrDie();

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <numeric>
+#include <tuple>
+
 #include "dflow/common/random.h"
 #include "dflow/exec/aggregate.h"
 #include "dflow/exec/filter.h"
@@ -235,6 +239,178 @@ TEST(AggregateTest, BoundedTableRequiresPartialMode) {
                    .ok());
 }
 
+TEST(AggregateTest, NullGroupKeysFormOneGroupPerColumnValue) {
+  // NULL equals NULL as a key (Value::Compare), in STRING and INT64 key
+  // columns alike; groups come out in first-arrival order.
+  Schema schema({{"s", DataType::kString}, {"i", DataType::kInt64}});
+  ColumnVector s = ColumnVector::FromString({"", "a", "", "a", "", "a"});
+  ColumnVector i = ColumnVector::FromInt64({1, 0, 1, 0, 0, 1});
+  for (size_t r : {0, 2, 4}) s.SetNull(r);
+  for (size_t r : {1, 3, 4}) i.SetNull(r);
+  DataChunk chunk({s, i});
+  auto op = HashAggregateOperator::Make(schema, {"s", "i"},
+                                        {{AggFunc::kCount, "", "n"}},
+                                        AggMode::kComplete)
+                .ValueOrDie();
+  auto out = RunLocalPipeline({chunk}, {op.get()}).ValueOrDie();
+  ASSERT_EQ(out.size(), 1u);
+  const DataChunk& got = out[0];
+  ASSERT_EQ(got.num_rows(), 4u);
+  // (NULL, 1) x2, ("a", NULL) x2, (NULL, NULL) x1, ("a", 1) x1.
+  const std::vector<bool> s_null = {true, false, true, false};
+  const std::vector<bool> i_null = {false, true, true, false};
+  const std::vector<int64_t> counts = {2, 2, 1, 1};
+  for (size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(got.GetValue(r, 0).is_null(), s_null[r]) << r;
+    EXPECT_EQ(got.GetValue(r, 1).is_null(), i_null[r]) << r;
+    EXPECT_EQ(got.GetValue(r, 2).int64_value(), counts[r]) << r;
+  }
+  EXPECT_EQ(got.GetValue(1, 0).string_value(), "a");
+  EXPECT_EQ(got.GetValue(0, 1).int64_value(), 1);
+}
+
+TEST(AggregateTest, NanAndNegativeZeroFollowValueCompare) {
+  const double nan = std::nan("");
+  auto min_max = [](std::vector<double> values) {
+    Schema schema({{"x", DataType::kDouble}});
+    auto op = HashAggregateOperator::Make(schema, {},
+                                          {{AggFunc::kMin, "x", "lo"},
+                                           {AggFunc::kMax, "x", "hi"}},
+                                          AggMode::kComplete)
+                  .ValueOrDie();
+    DataChunk chunk({ColumnVector::FromDouble(std::move(values))});
+    auto out = RunLocalPipeline({chunk}, {op.get()}).ValueOrDie();
+    return std::make_pair(out[0].column(0).f64()[0], out[0].column(1).f64()[0]);
+  };
+  // NaN compares equal to everything: a NaN seen first stays; one seen
+  // later never replaces the running extreme.
+  auto [lo, hi] = min_max({2.0, nan, 1.0, 3.0});
+  EXPECT_EQ(lo, 1.0);
+  EXPECT_EQ(hi, 3.0);
+  std::tie(lo, hi) = min_max({nan, 1.0, -1.0});
+  EXPECT_TRUE(std::isnan(lo));
+  EXPECT_TRUE(std::isnan(hi));
+  // -0.0 equals 0.0: the first of them wins, sign included.
+  std::tie(lo, hi) = min_max({0.0, -0.0});
+  EXPECT_FALSE(std::signbit(lo));
+  EXPECT_FALSE(std::signbit(hi));
+  std::tie(lo, hi) = min_max({-0.0, 0.0});
+  EXPECT_TRUE(std::signbit(lo));
+  EXPECT_TRUE(std::signbit(hi));
+
+  // As DOUBLE group keys, -0.0 and 0.0 hash apart and stay two groups; NaNs
+  // with the same bits hash together and compare equal, so they are one.
+  Schema schema({{"k", DataType::kDouble}});
+  auto op = HashAggregateOperator::Make(schema, {"k"},
+                                        {{AggFunc::kCount, "", "n"}},
+                                        AggMode::kComplete)
+                .ValueOrDie();
+  DataChunk chunk(
+      {ColumnVector::FromDouble({0.0, -0.0, nan, nan, 0.0, -0.0, nan})});
+  auto out = RunLocalPipeline({chunk}, {op.get()}).ValueOrDie();
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_EQ(out[0].num_rows(), 3u);
+  const std::vector<double>& keys = out[0].column(0).f64();
+  EXPECT_TRUE(keys[0] == 0.0 && !std::signbit(keys[0]));
+  EXPECT_TRUE(keys[1] == 0.0 && std::signbit(keys[1]));
+  EXPECT_TRUE(std::isnan(keys[2]));
+  EXPECT_EQ(out[0].column(1).i64(), (std::vector<int64_t>{2, 2, 3}));
+}
+
+TEST(AggregateTest, BoundedEvictionsAcrossChunksArePinned) {
+  // Budget 4: each eviction emits the oldest two groups, after the rows
+  // before the evicting one are accumulated — including rows of the same
+  // chunk, and groups whose rows arrived in an earlier chunk.
+  Schema schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}});
+  DataChunk first({ColumnVector::FromInt64({1, 2, 3, 1, 4, 5}),
+                   ColumnVector::FromInt64({1, 2, 3, 4, 5, 6})});
+  DataChunk second({ColumnVector::FromInt64({3, 6, 7, 4}),
+                    ColumnVector::FromInt64({7, 8, 9, 10})});
+  auto op = HashAggregateOperator::Make(
+                schema, {"k"},
+                {{AggFunc::kSum, "v", "s"}, {AggFunc::kCount, "", "n"}},
+                AggMode::kPartial, /*max_groups=*/4)
+                .ValueOrDie();
+  auto* agg = static_cast<HashAggregateOperator*>(op.get());
+  using Rows = std::vector<std::vector<int64_t>>;  // {k, s, n} per row
+  auto rows_of = [](const std::vector<DataChunk>& chunks) {
+    std::vector<Rows> got;
+    for (const DataChunk& c : chunks) {
+      Rows rows;
+      for (size_t r = 0; r < c.num_rows(); ++r) {
+        rows.push_back({c.column(0).i64()[r], c.column(1).i64()[r],
+                        c.column(2).i64()[r]});
+      }
+      got.push_back(rows);
+    }
+    return got;
+  };
+  std::vector<DataChunk> out;
+  ASSERT_TRUE(op->Push(first, &out).ok());
+  EXPECT_EQ(rows_of(out), (std::vector<Rows>{{{1, 5, 2}, {2, 2, 1}}}));
+  out.clear();
+  ASSERT_TRUE(op->Push(second, &out).ok());
+  EXPECT_EQ(rows_of(out), (std::vector<Rows>{{{3, 10, 2}, {4, 5, 1}}}));
+  out.clear();
+  ASSERT_TRUE(op->Finish(&out).ok());
+  EXPECT_EQ(rows_of(out), (std::vector<Rows>{
+                              {{5, 6, 1}, {6, 8, 1}, {7, 9, 1}, {4, 10, 1}}}));
+  EXPECT_EQ(agg->partial_flushes(), 2u);
+}
+
+TEST(AggregateTest, ConsumingASelectionEqualsGatherThenPush) {
+  // Random keys with NULLs, a bounded table so evictions happen mid-chunk,
+  // and every aggregate kind: consuming (chunk, selection) must emit the
+  // very chunks pushing the gathered rows does.
+  Schema schema({{"k", DataType::kString},
+                 {"x", DataType::kDouble},
+                 {"y", DataType::kInt32}});
+  Random rng(11);
+  std::vector<std::string> keys;
+  std::vector<double> xs;
+  std::vector<int32_t> ys;
+  for (int r = 0; r < 3000; ++r) {
+    keys.push_back(std::to_string(rng.NextInt64(0, 40)));
+    xs.push_back(static_cast<double>(rng.NextInt64(-1000, 1000)) / 7.0);
+    ys.push_back(static_cast<int32_t>(rng.NextInt64(-50, 50)));
+  }
+  DataChunk chunk({ColumnVector::FromString(keys), ColumnVector::FromDouble(xs),
+                   ColumnVector::FromInt32(ys)});
+  SelectionVector sel;
+  for (uint32_t r = 0; r < 3000; ++r) {
+    if (r % 97 == 0) chunk.column(0).SetNull(r);
+    if (r % 89 == 0) chunk.column(1).SetNull(r);
+    if (rng.NextInt64(0, 1) == 1) sel.Append(r);
+  }
+  const std::vector<AggSpec> specs = {{AggFunc::kSum, "x", "sx"},
+                                      {AggFunc::kSum, "y", "sy"},
+                                      {AggFunc::kMin, "x", "lo"},
+                                      {AggFunc::kMax, "k", "hi"},
+                                      {AggFunc::kCount, "x", "nx"},
+                                      {AggFunc::kCount, "", "n"}};
+  auto make = [&] {
+    return HashAggregateOperator::Make(schema, {"k"}, specs,
+                                       AggMode::kPartial, /*max_groups=*/8)
+        .ValueOrDie();
+  };
+  auto viewed = make();
+  std::vector<DataChunk> got;
+  ASSERT_TRUE(static_cast<HashAggregateOperator*>(viewed.get())
+                  ->Consume(ChunkView::Of(chunk, &sel), &got)
+                  .ok());
+  ASSERT_TRUE(viewed->Finish(&got).ok());
+  auto gathered = make();
+  std::vector<DataChunk> want;
+  ASSERT_TRUE(gathered->Push(chunk.Gather(sel), &want).ok());
+  ASSERT_TRUE(gathered->Finish(&want).ok());
+  ASSERT_GT(want.size(), 2u);  // evictions happened
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(ChecksumChunk(got[i]), ChecksumChunk(want[i])) << "chunk " << i;
+    EXPECT_EQ(got[i].ByteSize(), want[i].ByteSize()) << "chunk " << i;
+  }
+}
+
 TEST(JoinTest, HashTableInsertAndProbe) {
   Schema build_schema({{"k", DataType::kInt64}, {"payload", DataType::kString}});
   auto table = std::make_shared<JoinHashTable>(build_schema, 0);
@@ -373,6 +549,46 @@ TEST(SortOperatorTest, TopNLimit) {
   auto out = RunLocalPipeline({SalesChunk()}, {op.get()}).ValueOrDie();
   EXPECT_EQ(TotalRows(out), 2u);
   EXPECT_FALSE(op->traits().streaming);
+}
+
+TEST(SortOperatorTest, LimitKeepsTheFirstNOfTheStableSort) {
+  // Many ties and some NULL keys over several chunks: the top-n buffer must
+  // emit exactly the first n rows of the full stable sort, validity mask
+  // included.
+  Schema schema({{"key", DataType::kInt64}, {"arrival", DataType::kInt64}});
+  Random rng(5);
+  std::vector<DataChunk> input;
+  int64_t arrival = 0;
+  for (int c = 0; c < 6; ++c) {
+    std::vector<int64_t> keys, arrivals;
+    for (size_t r = 0; r < kVectorSize; ++r) {
+      keys.push_back(rng.NextInt64(0, 30));
+      arrivals.push_back(arrival++);
+    }
+    DataChunk chunk({ColumnVector::FromInt64(keys),
+                     ColumnVector::FromInt64(arrivals)});
+    if (c == 4) chunk.column(0).SetNull(7);
+    input.push_back(std::move(chunk));
+  }
+  for (bool descending : {false, true}) {
+    for (uint64_t limit : {1u, 10u, 3000u}) {
+      SCOPED_TRACE(std::to_string(limit) + (descending ? " desc" : " asc"));
+      auto full = SortOperator::Make(schema, "key", descending).ValueOrDie();
+      auto top =
+          SortOperator::Make(schema, "key", descending, limit).ValueOrDie();
+      auto sorted = RunLocalPipeline(input, {full.get()}).ValueOrDie();
+      auto got = RunLocalPipeline(input, {top.get()}).ValueOrDie();
+      // Both emit kVectorSize-row chunks from the front of the order.
+      ASSERT_EQ(got.size(), (limit + kVectorSize - 1) / kVectorSize);
+      for (size_t i = 0; i < got.size(); ++i) {
+        std::vector<uint32_t> rows(got[i].num_rows());
+        std::iota(rows.begin(), rows.end(), 0);
+        DataChunk want = sorted[i].Gather(SelectionVector(std::move(rows)));
+        EXPECT_EQ(ChecksumChunk(got[i]), ChecksumChunk(want)) << i;
+        EXPECT_EQ(got[i].ByteSize(), want.ByteSize()) << i;  // NULL mask too
+      }
+    }
+  }
 }
 
 TEST(EncodeOperatorTest, WireBytesShrinkOnCompressibleData) {
