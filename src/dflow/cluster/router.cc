@@ -474,6 +474,8 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
                          build_schema.FieldIndex(spec.build_key));
   DFLOW_ASSIGN_OR_RETURN(size_t probe_key,
                          probe_schema.FieldIndex(spec.probe_key));
+  DFLOW_RETURN_NOT_OK(CheckJoinKeyTypes(build_schema.field(build_key).type,
+                                        probe_schema.field(probe_key).type));
 
   // ---- Phase A: scan both sides locally (filter pushed to the probe
   // scan), so exchange volume is already post-filter.
@@ -530,20 +532,25 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
   // ---- Phase C: per-node build + probe + count, then gather the counts.
   NodeChunks counts(ready.size());
   std::vector<sim::SimTime> count_ready(ready.size(), 0);
+  // Each node counts its matches straight off the probe loop: no joined
+  // row is materialized, and the one-row count chunk is what gathers.
   for (int i : alive) {
-    auto table = std::make_shared<JoinHashTable>(build_schema, build_key);
+    JoinHashTable table(build_schema, build_key);
     for (const DataChunk& chunk : bx->received[i]) {
-      DFLOW_RETURN_NOT_OK(table->Insert(chunk));
+      DFLOW_RETURN_NOT_OK(table.Insert(chunk));
     }
-    DFLOW_ASSIGN_OR_RETURN(
-        OperatorPtr probe_op,
-        HashJoinProbeOperator::Make(table, probe_schema, probe_key));
-    CountOperator count_op;
-    DFLOW_ASSIGN_OR_RETURN(
-        counts[i],
-        RunLocalPipeline(px.received[i], {probe_op.get(), &count_op}));
-    const uint64_t local_work =
-        table->num_rows() + TotalRows(px.received[i]);
+    uint64_t matches = 0;
+    for (const DataChunk& chunk : px.received[i]) {
+      if (chunk.num_columns() != probe_schema.num_fields()) {
+        return Status::InvalidArgument("join probe chunk arity mismatch");
+      }
+      DFLOW_ASSIGN_OR_RETURN(uint64_t n,
+                             table.CountMatches(chunk.column(probe_key)));
+      matches += n;
+    }
+    counts[i].emplace_back(std::vector<ColumnVector>{
+        ColumnVector::FromInt64({static_cast<int64_t>(matches)})});
+    const uint64_t local_work = table.num_rows() + TotalRows(px.received[i]);
     count_ready[i] = std::max(bx->done_ns[i], px.done_ns[i]) +
                      local_work * kClusterOpNsPerRow;
     result.tasks.push_back(TaskInfo{i, "join", TaskInfo::State::kDone});

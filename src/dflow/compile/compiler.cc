@@ -356,6 +356,9 @@ Result<compile::JoinProgramPtr> Engine::LowerJoin(const JoinSpec& spec,
                                   spec.build_key, nullptr));
   DFLOW_RETURN_NOT_OK(lower_phase(&program->probe, spec.probe_table,
                                   spec.probe_key, spec.probe_filter));
+  DFLOW_RETURN_NOT_OK(CheckJoinKeyTypes(
+      program->build.scan_schema.field(program->build.key).type,
+      program->probe.scan_schema.field(program->probe.key).type));
   // kParallel runs scans and keys, not graphs: there is nothing to verify.
   if (parallel || options.verify == verify::VerifyMode::kOff) {
     return compile::JoinProgramPtr(std::move(program));

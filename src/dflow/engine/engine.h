@@ -43,11 +43,15 @@ enum class ExecMode {
   kParallel,
 };
 
+/// The most worker threads one kParallel call may ask for.
+inline constexpr uint32_t kMaxParallelWorkers = 256;
+
 struct ExecOptions {
   PlacementChoice placement = PlacementChoice::kAuto;
   /// Simulator (default) or the real multithreaded executor.
   ExecMode mode = ExecMode::kSimulated;
-  /// Worker threads for ExecMode::kParallel (>= 1).
+  /// Worker threads for ExecMode::kParallel: 0 runs one, and more than
+  /// kMaxParallelWorkers is refused with InvalidArgument.
   uint32_t parallel_workers = 4;
   /// Credits (chunks in flight) per pipeline edge.
   uint32_t credits = 8;

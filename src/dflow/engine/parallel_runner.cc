@@ -148,10 +148,22 @@ Result<parallel::ParallelPipelineSpec> BuildParallelPipelineSpec(
   return pipeline;
 }
 
+/// ExecOptions::parallel_workers as a thread count, checked before any
+/// thread starts.
+Result<uint32_t> WorkerCount(const ExecOptions& options) {
+  if (options.parallel_workers > kMaxParallelWorkers) {
+    return Status::InvalidArgument(
+        "parallel_workers " + std::to_string(options.parallel_workers) +
+        " exceeds the cap of " + std::to_string(kMaxParallelWorkers));
+  }
+  return std::max(1u, options.parallel_workers);
+}
+
 }  // namespace
 
 Result<QueryResult> Engine::ExecuteParallel(const QuerySpec& spec,
                                             const ExecOptions& options) {
+  DFLOW_ASSIGN_OR_RETURN(const uint32_t workers, WorkerCount(options));
   // The CPU-only placement comes from Prepare alone (no sizing decode), and
   // there is no graph to verify: the executor dispatches on the opcodes.
   DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
@@ -167,7 +179,7 @@ Result<QueryResult> Engine::ExecuteParallel(const QuerySpec& spec,
   DFLOW_ASSIGN_OR_RETURN(parallel::ParallelPipelineSpec pipeline,
                          BuildParallelPipelineSpec(program));
   parallel::ParallelExecOptions popt;
-  popt.workers = std::max(1u, options.parallel_workers);
+  popt.workers = workers;
   popt.queue_capacity = options.credits;
 
   QueryResult result;
@@ -185,6 +197,7 @@ Result<QueryResult> Engine::ExecuteParallel(const QuerySpec& spec,
 
 Result<JoinRunResult> Engine::ExecuteParallelJoin(
     const compile::JoinProgram& program, const ExecOptions& options) {
+  DFLOW_ASSIGN_OR_RETURN(const uint32_t workers, WorkerCount(options));
   // The probe filter also prunes probe row groups by zone map; the
   // surviving rows get it row-wise inside the probe tasks.
   DFLOW_ASSIGN_OR_RETURN(TableScanSource build_scan, ScanOf(program.build));
@@ -195,7 +208,7 @@ Result<JoinRunResult> Engine::ExecuteParallelJoin(
       &build_scan,       &probe_scan,        program.build.key,
       program.probe.key, program.partitions, program.probe.filter};
   parallel::ParallelExecOptions popt;
-  popt.workers = std::max(1u, options.parallel_workers);
+  popt.workers = workers;
   popt.queue_capacity = options.credits;
 
   JoinRunResult result;

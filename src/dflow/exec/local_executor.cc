@@ -4,15 +4,20 @@ namespace dflow {
 
 Result<std::vector<DataChunk>> RunLocalPipeline(
     const std::vector<DataChunk>& inputs, const std::vector<Operator*>& ops) {
-  std::vector<DataChunk> current = inputs;
+  if (ops.empty()) return inputs;
+  // The first operator reads `inputs` in place; each later one reads the
+  // chunks its predecessor emitted.
+  const std::vector<DataChunk>* in = &inputs;
+  std::vector<DataChunk> current;
   for (Operator* op : ops) {
     if (op == nullptr) return Status::InvalidArgument("null operator");
     std::vector<DataChunk> next;
-    for (const DataChunk& chunk : current) {
+    for (const DataChunk& chunk : *in) {
       DFLOW_RETURN_NOT_OK(op->Push(chunk, &next));
     }
     DFLOW_RETURN_NOT_OK(op->Finish(&next));
     current = std::move(next);
+    in = &current;
   }
   return current;
 }

@@ -19,9 +19,10 @@ namespace {
 
 /// One join partition during the BUILD phase: workers route build rows to
 /// shards and insert under the shard lock — distinct partitions insert
-/// concurrently, same-partition inserts serialize. Insert order inside a
-/// partition varies with scheduling, but a hash table's *contents* — and
-/// so its probe match counts — do not. After the build barrier
+/// concurrently, same-partition inserts serialize. The keys arrive hashed
+/// (the partitioner's hashes), so the lock covers only the insert. Insert
+/// order inside a partition varies with scheduling, but a hash table's
+/// *contents* — and so its probe match counts — do not. After the build barrier
 /// (scheduler.Wait()) the tables are immutable and the PROBE phase reads
 /// them lock-free through the plain `tables` vector: the barrier, not the
 /// mutex, publishes them (phase-based hand-off, DESIGN.md §9).
@@ -29,9 +30,10 @@ struct BuildShard {
   RankedMutex mu{LockRank::kJoinPartition};
   JoinHashTable* table DFLOW_PT_GUARDED_BY(mu) = nullptr;
 
-  Status Insert(const DataChunk& rows) DFLOW_EXCLUDES(mu) {
+  Status Insert(const DataChunk& rows, const std::vector<uint64_t>& hashes)
+      DFLOW_EXCLUDES(mu) {
     RankedMutexLock lock(&mu);
-    return table->Insert(rows);
+    return table->Insert(rows, hashes);
   }
 };
 
@@ -89,12 +91,16 @@ Result<std::vector<int64_t>> RunParallelHashJoin(
   DispatchStats build_dispatched;
   DFLOW_RETURN_NOT_OK(DispatchMorsels(
       *inputs.build,
-      [&](uint32_t, Morsel morsel) -> Status {
+      [&](uint32_t worker, Morsel morsel) -> Status {
         std::vector<DataChunk> parts;
-        DFLOW_RETURN_NOT_OK(build_part.Split(morsel.chunk, &parts));
-        for (uint32_t part = 0; part < p; ++part) {
+        std::vector<std::vector<uint64_t>> hashes;
+        DFLOW_RETURN_NOT_OK(build_part.Split(morsel.chunk, &parts, &hashes));
+        // Each worker starts at its own partition, so that workers do not
+        // queue up behind one another on the same shard lock.
+        for (uint32_t i = 0; i < p; ++i) {
+          const uint32_t part = (worker + i) % p;
           if (parts[part].empty()) continue;
-          DFLOW_RETURN_NOT_OK(shards[part].Insert(parts[part]));
+          DFLOW_RETURN_NOT_OK(shards[part].Insert(parts[part], hashes[part]));
         }
         return Status::OK();
       },
@@ -104,16 +110,17 @@ Result<std::vector<int64_t>> RunParallelHashJoin(
   auto probe_chunk = [&](const DataChunk& chunk,
                          std::vector<int64_t>* counts) -> Status {
     std::vector<DataChunk> parts;
-    DFLOW_RETURN_NOT_OK(probe_part.Split(chunk, &parts));
-    std::vector<std::pair<uint32_t, uint32_t>> matches;
+    std::vector<std::vector<uint64_t>> hashes;
+    DFLOW_RETURN_NOT_OK(probe_part.Split(chunk, &parts, &hashes));
     for (uint32_t part = 0; part < p; ++part) {
       if (parts[part].empty()) continue;
-      matches.clear();
       // Lock-free read: the build barrier published the tables and nothing
       // mutates them during the probe phase.
-      DFLOW_RETURN_NOT_OK(
-          tables[part]->Probe(parts[part].column(inputs.probe_key), &matches));
-      (*counts)[part] += static_cast<int64_t>(matches.size());
+      DFLOW_ASSIGN_OR_RETURN(
+          uint64_t matches,
+          tables[part]->CountMatches(parts[part].column(inputs.probe_key),
+                                     hashes[part]));
+      (*counts)[part] += static_cast<int64_t>(matches);
     }
     return Status::OK();
   };

@@ -24,8 +24,11 @@ class HashPartitioner {
   uint32_t num_partitions() const { return num_partitions_; }
 
   /// Splits `input` into `num_partitions` chunks (some possibly empty).
-  /// `outs` is resized to num_partitions.
-  Status Split(const DataChunk& input, std::vector<DataChunk>* outs) const;
+  /// `outs` is resized to num_partitions. A non-null `hashes` gets each
+  /// partition's key hashes (HashColumn's), in its rows' order, so that a
+  /// consumer keyed on the same column need not hash them again.
+  Status Split(const DataChunk& input, std::vector<DataChunk>* outs,
+               std::vector<std::vector<uint64_t>>* hashes = nullptr) const;
 
  private:
   size_t key_col_;

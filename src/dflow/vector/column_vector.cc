@@ -204,6 +204,38 @@ void ColumnVector::AppendRange(const ColumnVector& other, size_t start,
   }
 }
 
+void ColumnVector::AppendRows(const ColumnVector& other, const uint32_t* rows,
+                              size_t count) {
+  DFLOW_CHECK(type_ == other.type_);
+  bool any_null = false;
+  for (size_t i = 0; i < count && other.HasNulls() && !any_null; ++i) {
+    any_null = other.validity_[rows[i]] == 0;
+  }
+  const bool masked = any_null || !validity_.empty();
+  if (any_null) EnsureValidity();
+  std::visit(
+      [&](auto& dst) {
+        const auto& src = std::get<std::decay_t<decltype(dst)>>(other.data_);
+        if (dst.capacity() < dst.size() + count) {
+          dst.reserve(std::max(dst.size() + count, 2 * dst.capacity()));
+        }
+        for (size_t i = 0; i < count; ++i) {
+          DFLOW_CHECK_LT(rows[i], src.size());
+          // A NULL row appends the type's default value, as AppendNull does.
+          if (any_null && other.validity_[rows[i]] == 0) {
+            dst.emplace_back();
+          } else {
+            dst.push_back(src[rows[i]]);
+          }
+        }
+      },
+      data_);
+  if (!masked) return;
+  for (size_t i = 0; i < count; ++i) {
+    validity_.push_back(other.HasNulls() ? other.validity_[rows[i]] : 1);
+  }
+}
+
 void ColumnVector::Resize(size_t n) {
   std::visit([n](auto& v) { v.resize(n); }, data_);
   if (!validity_.empty()) validity_.resize(n, 1);

@@ -120,6 +120,14 @@ class ColumnVector {
   /// those rows is NULL. Types must match.
   void AppendRange(const ColumnVector& other, size_t start, size_t count);
 
+  /// Appends rows rows[0], ..., rows[count - 1] of `other`, in that order:
+  /// the same column as `count` AppendFrom calls, so a NULL row appends the
+  /// type's default value and this one gains a validity mask iff one of
+  /// those rows is NULL (Gather, by contrast, copies the source's mask and
+  /// slots whole). Types must match.
+  void AppendRows(const ColumnVector& other, const uint32_t* rows,
+                  size_t count);
+
   /// Grows or shrinks to `n` rows; new rows are valid and hold the type's
   /// default value (0, 0.0, false, "").
   void Resize(size_t n);

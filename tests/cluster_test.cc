@@ -204,6 +204,21 @@ TEST(XchgVerify, StrictRouterRefusesPlanWithLostCoordinatorEndpoint) {
 
 // ----------------------------------------- hash-partitioner properties
 
+// A join whose key types can never compare equal is refused before any
+// frame moves.
+TEST(ClusterJoin, RouterRefusesJoinKeyTypesThatCanNeverMatch) {
+  auto cl = MakeTestCluster(2);
+  QueryRouter router(cl.get(), {});
+  for (const char* probe_key : {"l_comment", "l_discount"}) {
+    JoinSpec join = PartKeyJoin();
+    join.probe_key = probe_key;
+    EXPECT_EQ(router.ExecuteJoin(join).status().code(),
+              StatusCode::kInvalidArgument)
+        << probe_key;
+  }
+  EXPECT_TRUE(router.ExecuteJoin(PartKeyJoin()).ok());
+}
+
 std::vector<uint64_t> KvKeyHashes() {
   auto table = MakeKvTable(SmallKv()).ValueOrDie();
   std::vector<DataChunk> chunks = table->ToChunks().ValueOrDie();

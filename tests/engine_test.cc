@@ -309,6 +309,31 @@ TEST_F(EngineTest, VolcanoNeedsBufferPoolMemoryDataflowDoesNot) {
   EXPECT_LT(flow.report.peak_queue_bytes * 5, legacy.peak_resident_bytes);
 }
 
+// Join keys that can never compare equal are refused by the lowering, in
+// every mode; INT64 against DATE32 is accepted.
+TEST_F(EngineTest, JoinKeyTypesThatCanNeverMatchAreInvalidArgument) {
+  JoinSpec join;
+  join.build_table = "orders";
+  join.probe_table = "lineitem";
+  join.build_key = "o_orderkey";  // INT64
+  join.num_nodes = 2;
+  ExecOptions parallel;
+  parallel.mode = ExecMode::kParallel;
+  for (const ExecOptions& options : {ExecOptions{}, parallel}) {
+    for (const char* probe_key : {"l_comment", "l_discount"}) {
+      join.probe_key = probe_key;
+      EXPECT_EQ(engine_.LowerJoin(join, options).status().code(),
+                StatusCode::kInvalidArgument)
+          << probe_key;
+      EXPECT_EQ(engine_.ExecutePartitionedJoin(join, options).status().code(),
+                StatusCode::kInvalidArgument)
+          << probe_key;
+    }
+    join.probe_key = "l_shipdate";  // DATE32
+    EXPECT_TRUE(engine_.LowerJoin(join, options).ok());
+  }
+}
+
 TEST_F(EngineTest, PartitionedJoinCountsMatchExchangeModes) {
   JoinSpec join;
   join.build_table = "orders";

@@ -13,6 +13,7 @@
 #include "dflow/exec/partition.h"
 #include "dflow/exec/project.h"
 #include "dflow/plan/expr.h"
+#include "dflow/vector/kernels.h"
 
 namespace dflow {
 namespace {
@@ -420,11 +421,14 @@ TEST(JoinTest, HashTableInsertAndProbe) {
   ASSERT_TRUE(table->Insert(build).ok());
   EXPECT_EQ(table->num_rows(), 3u);
 
-  std::vector<std::pair<uint32_t, uint32_t>> matches;
-  ASSERT_TRUE(
-      table->Probe(ColumnVector::FromInt64({2, 9, 1}), &matches).ok());
+  std::vector<uint32_t> probe_rows;
+  std::vector<uint32_t> build_rows;
+  const ColumnVector probe = ColumnVector::FromInt64({2, 9, 1});
+  ASSERT_TRUE(table->Probe(probe, &probe_rows, &build_rows).ok());
   // key 2 matches two build rows, key 9 none, key 1 one.
-  EXPECT_EQ(matches.size(), 3u);
+  EXPECT_EQ(probe_rows, (std::vector<uint32_t>{0, 0, 2}));
+  EXPECT_EQ(build_rows, (std::vector<uint32_t>{1, 2, 0}));
+  EXPECT_EQ(table->CountMatches(probe).ValueOrDie(), 3u);
 }
 
 TEST(JoinTest, NullKeysNeverJoin) {
@@ -437,9 +441,12 @@ TEST(JoinTest, NullKeysNeverJoin) {
   ASSERT_TRUE(table->Insert(build).ok());
   ColumnVector probe = ColumnVector::FromInt64({1, 2});
   probe.SetNull(1);
-  std::vector<std::pair<uint32_t, uint32_t>> matches;
-  ASSERT_TRUE(table->Probe(probe, &matches).ok());
-  EXPECT_TRUE(matches.empty());
+  std::vector<uint32_t> probe_rows;
+  std::vector<uint32_t> build_rows;
+  ASSERT_TRUE(table->Probe(probe, &probe_rows, &build_rows).ok());
+  EXPECT_TRUE(probe_rows.empty());
+  EXPECT_TRUE(build_rows.empty());
+  EXPECT_EQ(table->CountMatches(probe).ValueOrDie(), 0u);
 }
 
 TEST(JoinTest, ProbeOperatorEmitsJoinedRows) {
@@ -471,6 +478,226 @@ TEST(JoinTest, BuildOperatorFillsSharedTable) {
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(table->num_rows(), 2u);
   EXPECT_FALSE(op->traits().streaming);
+}
+
+using MatchList = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/// The join rule by brute force: every (probe row, build row) pair whose
+/// keys are non-NULL, hash alike and compare equal under Value::Compare, in
+/// probe-row order, then build-row order.
+MatchList NestedLoopMatches(const ColumnVector& build_keys,
+                            const ColumnVector& probe_keys) {
+  std::vector<uint64_t> build_hashes;
+  std::vector<uint64_t> probe_hashes;
+  EXPECT_TRUE(HashColumn(build_keys, &build_hashes).ok());
+  EXPECT_TRUE(HashColumn(probe_keys, &probe_hashes).ok());
+  MatchList matches;
+  for (uint32_t p = 0; p < probe_keys.size(); ++p) {
+    if (!probe_keys.IsValid(p)) continue;
+    for (uint32_t b = 0; b < build_keys.size(); ++b) {
+      if (build_keys.IsValid(b) && build_hashes[b] == probe_hashes[p] &&
+          build_keys.GetValue(b).Compare(probe_keys.GetValue(p)) == 0) {
+        matches.emplace_back(p, b);
+      }
+    }
+  }
+  return matches;
+}
+
+/// The table's match list, checked against its own count.
+MatchList TableMatches(const JoinHashTable& table,
+                       const ColumnVector& probe_keys) {
+  std::vector<uint32_t> probe_rows;
+  std::vector<uint32_t> build_rows;
+  EXPECT_TRUE(table.Probe(probe_keys, &probe_rows, &build_rows).ok());
+  EXPECT_EQ(probe_rows.size(), build_rows.size());
+  EXPECT_EQ(table.CountMatches(probe_keys).ValueOrDie(), probe_rows.size());
+  MatchList matches;
+  for (size_t i = 0; i < probe_rows.size(); ++i) {
+    matches.emplace_back(probe_rows[i], build_rows[i]);
+  }
+  return matches;
+}
+
+/// A one-column key table holding `keys`, inserted as one chunk.
+std::shared_ptr<JoinHashTable> KeyTable(ColumnVector keys) {
+  Schema schema({{"k", keys.type()}});
+  auto table = std::make_shared<JoinHashTable>(schema, 0);
+  EXPECT_TRUE(table->Insert(DataChunk({std::move(keys)})).ok());
+  return table;
+}
+
+TEST(JoinTest, MatchesEqualANestedLoopReferenceInOrder) {
+  // 3500 build rows over ~300 distinct keys, in five inserts: every key
+  // repeats across inserts, and the directory grows from 16 slots to 1024.
+  Schema schema({{"k", DataType::kInt64}, {"row", DataType::kInt64}});
+  JoinHashTable table(schema, 0);
+  Random rng(21);
+  for (int insert = 0; insert < 5; ++insert) {
+    std::vector<int64_t> keys;
+    std::vector<int64_t> ids;
+    for (int r = 0; r < 700; ++r) {
+      keys.push_back(rng.NextInt64(0, 299));
+      ids.push_back(insert * 700 + r);
+    }
+    DataChunk chunk({ColumnVector::FromInt64(std::move(keys))});
+    chunk.AddColumn(ColumnVector::FromInt64(std::move(ids)));
+    for (size_t r = insert; r < 700; r += 13) chunk.column(0).SetNull(r);
+    ASSERT_TRUE(table.Insert(chunk).ok());
+  }
+  ASSERT_EQ(table.num_rows(), 3500u);
+  std::vector<int64_t> probe_keys;
+  for (int r = 0; r < 1000; ++r) probe_keys.push_back(rng.NextInt64(0, 349));
+  ColumnVector probe = ColumnVector::FromInt64(std::move(probe_keys));
+  for (size_t r = 0; r < probe.size(); r += 11) probe.SetNull(r);
+
+  const MatchList want = NestedLoopMatches(table.rows().column(0), probe);
+  ASSERT_GT(want.size(), 5000u);  // duplicates on both sides
+  EXPECT_EQ(TableMatches(table, probe), want);
+}
+
+TEST(JoinTest, StringKeysMatch) {
+  auto table = KeyTable(ColumnVector::FromString({"a", "b", "a", "", "ab"}));
+  const ColumnVector probe = ColumnVector::FromString({"a", "zz", "", "ab"});
+  const MatchList got = TableMatches(*table, probe);
+  EXPECT_EQ(got, (MatchList{{0, 0}, {0, 2}, {2, 3}, {3, 4}}));
+  EXPECT_EQ(got, NestedLoopMatches(table->rows().column(0), probe));
+}
+
+TEST(JoinTest, Int32AndDate32ProbeKeysMatchAnInt64BuildKey) {
+  const int64_t big = int64_t{1} << 40;
+  auto table = KeyTable(ColumnVector::FromInt64({1, -5, 7, big, 7}));
+  for (const ColumnVector& probe :
+       {ColumnVector::FromInt32({7, 0, -5, 1}),
+        ColumnVector::FromDate32({7, 0, -5, 1})}) {
+    const MatchList got = TableMatches(*table, probe);
+    EXPECT_EQ(got, (MatchList{{0, 2}, {0, 4}, {2, 1}, {3, 0}}))
+        << DataTypeToString(probe.type());
+    EXPECT_EQ(got, NestedLoopMatches(table->rows().column(0), probe));
+  }
+  Schema int32_probe({{"k", DataType::kInt32}});
+  EXPECT_TRUE(HashJoinProbeOperator::Make(table, int32_probe, 0).ok());
+}
+
+TEST(JoinTest, NanAndNegativeZeroFollowHashThenValueCompare) {
+  const double nan = std::nan("");
+  // -0.0 and 0.0 compare equal but hash apart, so they never match; NaN
+  // compares equal to everything, so it matches exactly the NaNs that hash
+  // like it.
+  auto table = KeyTable(ColumnVector::FromDouble({0.0, -0.0, nan, 1.0, nan}));
+  const ColumnVector probe =
+      ColumnVector::FromDouble({-0.0, 0.0, nan, 1.0, 2.0});
+  const MatchList got = TableMatches(*table, probe);
+  EXPECT_EQ(got, (MatchList{{0, 1}, {1, 0}, {2, 2}, {2, 4}, {3, 3}}));
+  EXPECT_EQ(got, NestedLoopMatches(table->rows().column(0), probe));
+}
+
+TEST(JoinTest, KeyTypesThatCanNeverMatchAreRejected) {
+  EXPECT_TRUE(CheckJoinKeyTypes(DataType::kInt64, DataType::kInt64).ok());
+  EXPECT_TRUE(CheckJoinKeyTypes(DataType::kInt64, DataType::kInt32).ok());
+  EXPECT_TRUE(CheckJoinKeyTypes(DataType::kDate32, DataType::kInt32).ok());
+  EXPECT_TRUE(CheckJoinKeyTypes(DataType::kString, DataType::kString).ok());
+  EXPECT_TRUE(CheckJoinKeyTypes(DataType::kDouble, DataType::kDouble).ok());
+  auto table = KeyTable(ColumnVector::FromInt64({1, 2}));
+  for (DataType probe_type :
+       {DataType::kString, DataType::kDouble, DataType::kBool}) {
+    EXPECT_EQ(CheckJoinKeyTypes(DataType::kInt64, probe_type).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(CheckJoinKeyTypes(probe_type, DataType::kInt64).code(),
+              StatusCode::kInvalidArgument);
+    Schema probe_schema({{"k", probe_type}});
+    auto op = HashJoinProbeOperator::Make(table, probe_schema, 0);
+    EXPECT_EQ(op.status().code(), StatusCode::kInvalidArgument)
+        << DataTypeToString(probe_type);
+  }
+  auto count = table->CountMatches(ColumnVector::FromString({"1"}));
+  EXPECT_EQ(count.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(JoinTest, ProbeOutputEqualsAPerValueAppendFromReference) {
+  // Build rows: key, a STRING payload, and an INT32 column whose NULLs sit
+  // only on rows no probe key reaches.
+  Schema build_schema({{"id", DataType::kInt64},
+                       {"cust", DataType::kString},
+                       {"w", DataType::kInt32}});
+  auto table = std::make_shared<JoinHashTable>(build_schema, 0);
+  for (int insert = 0; insert < 2; ++insert) {
+    std::vector<int64_t> ids;
+    std::vector<std::string> names;
+    std::vector<int32_t> ws;
+    for (int r = 0; r < 40; ++r) {
+      ids.push_back(r % 25);  // keys 20..24 are never probed
+      names.push_back("c" + std::to_string(insert * 40 + r));
+      ws.push_back(r);
+    }
+    DataChunk chunk({ColumnVector::FromInt64(std::move(ids))});
+    chunk.AddColumn(ColumnVector::FromString(std::move(names)));
+    chunk.AddColumn(ColumnVector::FromInt32(std::move(ws)));
+    chunk.column(1).SetNull(3);  // keeps its text in the storage slot
+    for (int r = 20; r < 25; ++r) chunk.column(2).SetNull(r);
+    ASSERT_TRUE(table->Insert(chunk).ok());
+  }
+  // 1500 probe rows over keys 0..19, some NULL: > 2048 matches, so the
+  // output spans several chunks.
+  DataChunk probe;
+  std::vector<int64_t> keys;
+  std::vector<double> amounts;
+  for (int r = 0; r < 1500; ++r) {
+    keys.push_back(r % 20);
+    amounts.push_back(r * 0.5);
+  }
+  probe.AddColumn(ColumnVector::FromInt64(std::move(keys)));
+  probe.AddColumn(ColumnVector::FromDouble(std::move(amounts)));
+  probe.column(0).SetNull(7);
+  probe.column(1).SetNull(9);
+  Schema probe_schema(
+      {{"id", DataType::kInt64}, {"amount", DataType::kDouble}});
+
+  auto op = HashJoinProbeOperator::Make(table, probe_schema, 0).ValueOrDie();
+  std::vector<DataChunk> got;
+  ASSERT_TRUE(op->Push(probe, &got).ok());
+
+  std::vector<uint32_t> probe_rows;
+  std::vector<uint32_t> build_rows;
+  ASSERT_TRUE(table->Probe(probe.column(0), &probe_rows, &build_rows).ok());
+  ASSERT_GT(probe_rows.size(), kVectorSize);
+  std::vector<DataChunk> want;
+  for (size_t start = 0; start < probe_rows.size(); start += kVectorSize) {
+    const size_t count = std::min(kVectorSize, probe_rows.size() - start);
+    DataChunk chunk = DataChunk::EmptyFromSchema(op->output_schema());
+    for (size_t i = start; i < start + count; ++i) {
+      for (size_t c = 0; c < probe.num_columns(); ++c) {
+        chunk.column(c).AppendFrom(probe.column(c), probe_rows[i]);
+      }
+      for (size_t c = 0; c < build_schema.num_fields(); ++c) {
+        chunk.column(probe.num_columns() + c)
+            .AppendFrom(table->rows().column(c), build_rows[i]);
+      }
+    }
+    want.push_back(std::move(chunk));
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(ChecksumChunk(got[i]), ChecksumChunk(want[i])) << "chunk " << i;
+    EXPECT_EQ(got[i].ByteSize(), want[i].ByteSize()) << "chunk " << i;
+    // `w` has NULLs in the table but none among the gathered rows.
+    EXPECT_FALSE(got[i].column(4).HasNulls()) << "chunk " << i;
+  }
+}
+
+TEST(PartitionTest, HashesFollowEachPartitionsRows) {
+  HashPartitioner part(0, 3);
+  DataChunk chunk = SalesChunk();
+  chunk.column(0).SetNull(2);
+  std::vector<DataChunk> outs;
+  std::vector<std::vector<uint64_t>> hashes;
+  ASSERT_TRUE(part.Split(chunk, &outs, &hashes).ok());
+  ASSERT_EQ(hashes.size(), 3u);
+  for (size_t p = 0; p < outs.size(); ++p) {
+    std::vector<uint64_t> want;
+    ASSERT_TRUE(HashColumn(outs[p].column(0), &want).ok());
+    EXPECT_EQ(hashes[p], want) << "partition " << p;
+  }
 }
 
 TEST(PartitionTest, SplitsAllRowsDisjointly) {

@@ -674,6 +674,64 @@ TEST(ParallelJoinTest, PartitionCountsMatchTheSimulatedJoin) {
   }
 }
 
+TEST(ParallelJoinTest, CountsMatchTheSimulatedJoinOnDuplicateBuildKeys) {
+  sim::FabricConfig config;
+  config.num_compute_nodes = 4;
+  Engine engine(config);
+  OrdersSpec orders;
+  orders.rows = 2'000;
+  LineitemSpec lineitem;
+  lineitem.rows = 8'000;
+  lineitem.num_orders = 3'000;  // a third of the lineitems match no order
+  lineitem.row_group_size = 2048;
+  ASSERT_TRUE(
+      engine.catalog().Register(MakeOrdersTable(orders).ValueOrDie()).ok());
+  ASSERT_TRUE(
+      engine.catalog().Register(MakeLineitemTable(lineitem).ValueOrDie()).ok());
+  // Build on lineitem: each order key repeats about three times.
+  JoinSpec join;
+  join.build_table = "lineitem";
+  join.probe_table = "orders";
+  join.build_key = "l_orderkey";
+  join.probe_key = "o_orderkey";
+  join.num_nodes = 4;
+  auto simulated = engine.ExecutePartitionedJoin(join);
+  ASSERT_TRUE(simulated.ok()) << simulated.status().message();
+  const JoinRunResult& sim = simulated.ValueOrDie();
+  ASSERT_GT(sim.total_rows, static_cast<int64_t>(orders.rows));
+  ASSERT_LT(sim.total_rows, static_cast<int64_t>(lineitem.rows));
+  for (uint32_t workers : {1u, 3u}) {
+    auto r = engine.ExecutePartitionedJoin(join, ParallelOptions(workers));
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    EXPECT_EQ(r.ValueOrDie().node_counts, sim.node_counts) << "w=" << workers;
+  }
+}
+
+// The cap is checked before any thread starts, so these calls start none.
+TEST(ParallelExecutorTest, WorkerCountsAboveTheCapAreRefused) {
+  sim::FabricConfig config;
+  Engine engine(config);
+  ASSERT_TRUE(engine.catalog().Register(MakeIdTable(1'000, 500)).ok());
+  QuerySpec count;
+  count.table = "ids";
+  count.count_only = true;
+  JoinSpec join;
+  join.build_table = "ids";
+  join.probe_table = "ids";
+  join.build_key = "id";
+  join.probe_key = "id";
+  join.num_nodes = 1;
+  for (uint32_t workers : {kMaxParallelWorkers + 1, UINT32_MAX}) {
+    const ExecOptions options = ParallelOptions(workers);
+    auto q = engine.Execute(count, options);
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << workers;
+    auto j = engine.ExecutePartitionedJoin(join, options);
+    EXPECT_EQ(j.status().code(), StatusCode::kInvalidArgument) << workers;
+    EXPECT_NE(j.status().message().find("parallel_workers"),
+              std::string::npos);
+  }
+}
+
 TEST(ParallelScanTest, ReportScanEqualsTheSimulatedScan) {
   sim::FabricConfig config;
   Engine engine(config);
