@@ -127,12 +127,13 @@ Status RowStore::AppendRow(const std::vector<Value>& values) {
 }
 
 Result<DataChunk> RowStore::ToColumnar() const {
-  DataChunk chunk = DataChunk::EmptyFromSchema(schema_);
+  std::vector<ColumnVector> cols;
+  cols.reserve(schema_.num_fields());
   for (size_t c = 0; c < schema_.num_fields(); ++c) {
     DFLOW_ASSIGN_OR_RETURN(ColumnVector col, ReadColumn(c));
-    chunk.column(c) = std::move(col);
+    cols.push_back(std::move(col));
   }
-  return chunk;
+  return DataChunk(std::move(cols));
 }
 
 Result<ColumnVector> RowStore::ReadColumn(size_t column) const {

@@ -24,7 +24,7 @@ std::string_view ExchangeOutcomeToString(ExchangeOutcome outcome) {
 Result<ExchangeResult> RunExchange(Cluster* cluster,
                                    const verify::ExchangeSpec& spec,
                                    sim::SimTime cancel_at_ns,
-                                   const NodeChunks& inputs,
+                                   NodeChunks inputs,
                                    const std::vector<sim::SimTime>& ready_ns) {
   const int n = cluster->num_nodes();
   if (static_cast<int>(inputs.size()) != n ||
@@ -85,7 +85,7 @@ Result<ExchangeResult> RunExchange(Cluster* cluster,
   // chunks in order, destinations ascending, frames of a chunk in row
   // order. Same inputs => same schedule => byte-identical counters.
   for (int src : spec.from_nodes) {
-    for (const DataChunk& chunk : inputs[src]) {
+    for (DataChunk& chunk : inputs[src]) {
       if (chunk.num_rows() == 0) continue;
 
       // Route this chunk: per destination node, the piece it receives.
@@ -104,16 +104,22 @@ Result<ExchangeResult> RunExchange(Cluster* cluster,
           }
           for (uint32_t p = 0; p < fanout; ++p) {
             if (sel[p].empty()) continue;
-            routed.emplace_back(spec.to_nodes[p], chunk.Gather(sel[p]));
+            routed.emplace_back(spec.to_nodes[p],
+                                sel[p].size() == chunk.num_rows()
+                                    ? std::move(chunk)
+                                    : chunk.Gather(sel[p]));
           }
           break;
         }
         case verify::ExchangeKind::kBroadcast: {
-          for (int dst : spec.to_nodes) routed.emplace_back(dst, chunk);
+          for (size_t i = 0; i + 1 < spec.to_nodes.size(); ++i) {
+            routed.emplace_back(spec.to_nodes[i], chunk);
+          }
+          routed.emplace_back(spec.to_nodes.back(), std::move(chunk));
           break;
         }
         case verify::ExchangeKind::kGather: {
-          routed.emplace_back(spec.to_nodes[0], chunk);
+          routed.emplace_back(spec.to_nodes[0], std::move(chunk));
           break;
         }
       }
@@ -134,11 +140,8 @@ Result<ExchangeResult> RunExchange(Cluster* cluster,
             (piece_rows + num_frames - 1) / num_frames;
         for (size_t start = 0; start < piece_rows; start += rows_per_frame) {
           const size_t count = std::min(rows_per_frame, piece_rows - start);
-          SelectionVector rows;
-          for (size_t r = start; r < start + count; ++r) {
-            rows.Append(static_cast<uint32_t>(r));
-          }
-          DataChunk frame = piece.Gather(rows);
+          DataChunk frame = count == piece_rows ? std::move(piece)
+                                                : piece.Slice(start, count);
           const sim::SimTime ready = ready_ns[src];
           if (cancel_at_ns > 0 && ready >= cancel_at_ns) {
             return finish(ExchangeOutcome::kCancelled);

@@ -54,10 +54,15 @@ struct ExchangeResult {
 /// same inputs, same seed, same schedule, byte-identical counters. Frames
 /// not yet departed at `cancel_at_ns` (0 = never) are never sent, and every
 /// in-flight credit is returned whatever the outcome.
+///
+/// The exchange takes its inputs over: a chunk that goes whole to one node
+/// (a gather, the last broadcast copy, a shuffle whose rows all hash to one
+/// node) moves there, a piece that fits in one frame is sent as that frame,
+/// and a larger piece is cut into contiguous row ranges.
 Result<ExchangeResult> RunExchange(Cluster* cluster,
                                    const verify::ExchangeSpec& spec,
                                    sim::SimTime cancel_at_ns,
-                                   const NodeChunks& inputs,
+                                   NodeChunks inputs,
                                    const std::vector<sim::SimTime>& ready_ns);
 
 }  // namespace dflow::cluster

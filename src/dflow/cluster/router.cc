@@ -169,14 +169,15 @@ class PlanRunner {
     return Status::OK();
   }
 
-  /// Runs the plan's next exchange; nullopt when it did not finish.
+  /// Runs the plan's next exchange over `inputs`, which it takes over;
+  /// nullopt when it did not finish.
   Result<std::optional<ExchangeResult>> Next(
-      const NodeChunks& inputs, const std::vector<sim::SimTime>& ready) {
+      NodeChunks inputs, const std::vector<sim::SimTime>& ready) {
     DFLOW_CHECK(next_ < plan_.exchanges.size());
     DFLOW_ASSIGN_OR_RETURN(
         ExchangeResult xr,
         RunExchange(cluster_, plan_.exchanges[next_++], options_.cancel_at_ns,
-                    inputs, ready));
+                    std::move(inputs), ready));
     result_->exchange.Accumulate(xr.stats);
     if (xr.outcome == ExchangeOutcome::kDone) {
       return std::optional<ExchangeResult>(std::move(xr));
@@ -368,31 +369,33 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
             HashAggregateOperator::Make(*in_schema, spec.group_by,
                                         spec.aggregates, AggMode::kPartial));
         partial_schema = agg->output_schema();
-        DFLOW_ASSIGN_OR_RETURN(partial[i],
-                               RunLocalPipeline(sent[i], {agg.get()}));
         ready[i] += TotalRows(sent[i]) * kClusterOpNsPerRow;
+        DFLOW_ASSIGN_OR_RETURN(
+            partial[i], RunLocalPipeline(std::move(sent[i]), {agg.get()}));
       }
       sent = std::move(partial);
       merge_specs = MakeMergeSpecs(spec.aggregates);
     }
     if (grouped) {
-      DFLOW_ASSIGN_OR_RETURN(std::optional<ExchangeResult> xr,
-                             plan.Next(sent, ready));
+      DFLOW_ASSIGN_OR_RETURN(
+          std::optional<ExchangeResult> xr,
+          plan.Next(std::exchange(sent, NodeChunks(sent.size())), ready));
       if (!xr.has_value()) return result;
       for (int i : alive) {
         DFLOW_ASSIGN_OR_RETURN(
             OperatorPtr fin,
             HashAggregateOperator::Make(partial_schema, spec.group_by,
                                         merge_specs, AggMode::kFinal));
-        DFLOW_ASSIGN_OR_RETURN(
-            sent[i], RunLocalPipeline(xr->received[i], {fin.get()}));
         ready[i] = xr->done_ns[i] +
                    TotalRows(xr->received[i]) * kClusterOpNsPerRow;
+        DFLOW_ASSIGN_OR_RETURN(
+            sent[i],
+            RunLocalPipeline(std::move(xr->received[i]), {fin.get()}));
         result.tasks.push_back(TaskInfo{i, "merge", TaskInfo::State::kDone});
       }
     }
     DFLOW_ASSIGN_OR_RETURN(std::optional<ExchangeResult> gx,
-                           plan.Next(sent, ready));
+                           plan.Next(std::move(sent), ready));
     if (!gx.has_value()) return result;
     std::vector<DataChunk>& gathered = gx->received[coord];
     if (spec.count_only) {
@@ -410,7 +413,8 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
             HashAggregateOperator::Make(partial_schema, spec.group_by,
                                         merge_specs, AggMode::kFinal));
         DFLOW_ASSIGN_OR_RETURN(result.chunks,
-                               RunLocalPipeline(gathered, {fin.get()}));
+                               RunLocalPipeline(std::move(gathered),
+                                                {fin.get()}));
       } else {
         result.chunks = std::move(gathered);
       }
@@ -444,7 +448,7 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
       }
       const uint64_t sorted_rows = TotalRows(result.chunks);
       DFLOW_ASSIGN_OR_RETURN(result.chunks,
-                             RunLocalPipeline(result.chunks, ops));
+                             RunLocalPipeline(std::move(result.chunks), ops));
       result.makespan_ns += sorted_rows * kClusterOpNsPerRow;
     }
   }
@@ -516,7 +520,7 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
 
   // ---- Phase B: move the build side, then the probe side.
   DFLOW_ASSIGN_OR_RETURN(std::optional<ExchangeResult> bx,
-                         plan.Next(rows[0], ready));
+                         plan.Next(std::move(rows[0]), ready));
   if (!bx.has_value()) return result;
   ExchangeResult px;
   if (broadcast) {
@@ -524,7 +528,7 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
     px.done_ns = ready;
   } else {
     DFLOW_ASSIGN_OR_RETURN(std::optional<ExchangeResult> moved,
-                           plan.Next(rows[1], ready));
+                           plan.Next(std::move(rows[1]), ready));
     if (!moved.has_value()) return result;
     px = std::move(*moved);
   }
@@ -556,7 +560,7 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
     result.tasks.push_back(TaskInfo{i, "join", TaskInfo::State::kDone});
   }
   DFLOW_ASSIGN_OR_RETURN(std::optional<ExchangeResult> gx,
-                         plan.Next(counts, count_ready));
+                         plan.Next(std::move(counts), count_ready));
   if (!gx.has_value()) return result;
   result.total_rows = SumCounts(gx->received[coord]);
   result.makespan_ns = gx->done_ns[coord] + kClusterOpNsPerRow;

@@ -96,7 +96,7 @@ Result<OperatorPtr> FusedOperator::Make(std::vector<OperatorPtr> inner) {
   return OperatorPtr(fused);
 }
 
-Status FusedOperator::Push(const DataChunk& input,
+Status FusedOperator::Push(DataChunk input,
                            std::vector<DataChunk>* out) {
   RecordIn(input);
   SelectionVector sel;

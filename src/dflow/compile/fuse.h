@@ -46,7 +46,7 @@ class FusedOperator : public Operator {
     return inner_.front()->input_schema();
   }
   OperatorTraits traits() const override { return traits_; }
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
   Status Finish(std::vector<DataChunk>* out) override;
   uint64_t OutputWireBytes(const DataChunk& output) const override {
     return inner_.back()->OutputWireBytes(output);

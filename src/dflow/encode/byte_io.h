@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dflow/common/status.h"
@@ -38,7 +39,7 @@ class ByteWriter {
     std::memcpy(out_->data() + offset, data, len);
   }
 
-  void PutString(const std::string& s) {
+  void PutString(std::string_view s) {
     PutU32(static_cast<uint32_t>(s.size()));
     PutBytes(s.data(), s.size());
   }
@@ -98,12 +99,21 @@ class ByteReader {
   const uint8_t* cursor() const { return data_ + pos_; }
 
   Status GetString(std::string* out) {
+    std::string_view view;
+    DFLOW_RETURN_NOT_OK(GetStringView(&view));
+    out->assign(view);
+    return Status::OK();
+  }
+
+  /// A length-prefixed string as a view into the input bytes: valid while
+  /// they are.
+  Status GetStringView(std::string_view* out) {
     uint32_t len = 0;
     DFLOW_RETURN_NOT_OK(GetU32(&len));
     if (remaining() < len) {
       return Status::OutOfRange("ByteReader: truncated string");
     }
-    out->assign(reinterpret_cast<const char*>(data_ + pos_), len);
+    *out = std::string_view(reinterpret_cast<const char*>(data_ + pos_), len);
     pos_ += len;
     return Status::OK();
   }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "dflow/common/result.h"
+#include "dflow/encode/byte_io.h"
 #include "dflow/vector/column_vector.h"
 
 namespace dflow {
@@ -43,7 +44,52 @@ struct EncodedColumn {
 /// the encoding does not support the column type (e.g. RLE on doubles).
 Result<EncodedColumn> EncodeColumn(const ColumnVector& col, Encoding encoding);
 
-/// Decodes back to a full column. Exact roundtrip for all encodings.
+/// Decodes an encoded column span by span, straight from its bytes (which
+/// must outlive the decoder): each Next call returns the following rows as
+/// a column of their own, with no full-column intermediate. Every loop is
+/// a bulk one — a memcpy for fixed-width PLAIN, one bounds check per span
+/// for FOR, dictionary entries read once as views of the encoded bytes,
+/// an RLE run carried across span boundaries. A span carries a validity
+/// mask iff the whole column has a NULL, exactly as if the column were
+/// decoded whole and split. Corrupt or truncated bytes are OutOfRange.
+class ColumnDecoder {
+ public:
+  /// Checks the header and reads what all spans share: the validity mask's
+  /// place, a dictionary's entries, a FOR frame.
+  static Result<ColumnDecoder> Open(const EncodedColumn& encoded);
+
+  size_t rows_left() const { return num_rows_ - produced_; }
+
+  /// The next `rows` rows; `rows` must not exceed rows_left().
+  Result<ColumnVector> Next(size_t rows);
+
+ private:
+  explicit ColumnDecoder(const EncodedColumn& encoded);
+
+  Status NextPlain(size_t rows, ColumnVector* col);
+  Status NextRle(size_t rows, ColumnVector* col);
+  Status NextDictionary(size_t rows, ColumnVector* col);
+  Status NextForBitPack(size_t rows, ColumnVector* col);
+
+  DataType type_;
+  Encoding encoding_;
+  size_t num_rows_;
+  size_t produced_ = 0;
+  ByteReader reader_;
+  const uint8_t* validity_ = nullptr;  // num_rows_ bytes iff a NULL exists
+  std::vector<std::string_view> entries_;  // dictionary, viewing the bytes
+  // FOR frame, and the bits read but not yet unpacked.
+  int64_t for_min_ = 0;
+  uint8_t for_bits_ = 0;
+  uint64_t acc_ = 0;
+  uint32_t acc_bits_ = 0;
+  // RLE: what is left of the run the last span stopped in.
+  uint64_t run_left_ = 0;
+  int64_t run_value_ = 0;
+};
+
+/// Decodes back to a full column: one ColumnDecoder span of num_rows.
+/// Exact roundtrip for all encodings.
 Result<ColumnVector> DecodeColumn(const EncodedColumn& encoded);
 
 /// `DecodeColumn(encoded)->ByteSize()` without decoding: a walk over the

@@ -93,7 +93,7 @@ Result<OperatorPtr> HashAggregateOperator::Make(
     }
     op->agg_cols_.push_back(input_idx);
     op->agg_output_types_.push_back(out_type);
-    op->aggs_.push_back(AggState{{}, {}, ColumnVector(out_type)});
+    op->aggs_.push_back(AggState{{}, {}, ColumnVector(out_type), {}});
     out_fields.push_back(Field{s.output_name, out_type});
   }
   op->output_schema_ = Schema(std::move(out_fields));
@@ -170,7 +170,7 @@ void ForEachValid(const ViewColumn& col, const std::vector<uint32_t>& gids,
 
 }  // namespace
 
-Status HashAggregateOperator::Push(const DataChunk& input,
+Status HashAggregateOperator::Push(DataChunk input,
                                    std::vector<DataChunk>* out) {
   RecordIn(input);
   return Consume(ChunkView::Of(input), out);
@@ -284,7 +284,11 @@ void HashAggregateOperator::SizeAccumulators() {
   for (AggState& acc : aggs_) {
     acc.count.resize(groups, 0);
     acc.seen.resize(groups, 0);
-    acc.value.Resize(groups);
+    if (acc.value.type() == DataType::kString) {
+      acc.strings.resize(groups);
+    } else {
+      acc.value.Resize(groups);
+    }
   }
 }
 
@@ -333,10 +337,16 @@ void HashAggregateOperator::Accumulate(const ChunkView& input,
       } else {
         // MIN/MAX: the first non-NULL value, then each strictly smaller
         // (larger) one, as Value::Compare orders them.
-        std::vector<T>& best = acc.value.data<T>();
+        auto& best = [&]() -> auto& {
+          if constexpr (std::is_same_v<T, std::string_view>) {
+            return acc.strings;
+          } else {
+            return acc.value.data<T>();
+          }
+        }();
         const bool min = func == AggFunc::kMin;
         ForEachValid(in, gids, begin, end, [&](uint32_t g, size_t row) {
-          const T& v = data[row];
+          const T v = data[row];
           if (!acc.seen[g] || (min ? v < best[g] : best[g] < v)) best[g] = v;
           acc.seen[g] = 1;
         });
@@ -364,7 +374,13 @@ void HashAggregateOperator::EmitOldest(size_t count,
         continue;
       }
       ColumnVector col(agg_output_types_[s]);
-      col.AppendRange(acc.value, start, rows);
+      if (col.type() == DataType::kString) {
+        col.strs().AppendViews(rows, [&](size_t i) -> std::string_view {
+          return acc.strings[start + i];
+        });
+      } else {
+        col.AppendRange(acc.value, start, rows);
+      }
       for (size_t i = 0; i < rows; ++i) {
         if (!acc.seen[start + i]) col.SetNull(i);  // no non-NULL input
       }
@@ -380,7 +396,11 @@ void HashAggregateOperator::EmitOldest(size_t count,
   for (AggState& acc : aggs_) {
     acc.count.erase(acc.count.begin(), acc.count.begin() + count);
     acc.seen.erase(acc.seen.begin(), acc.seen.begin() + count);
-    acc.value = acc.value.TakeRange(count, groups - count);
+    if (acc.value.type() == DataType::kString) {
+      acc.strings.erase(acc.strings.begin(), acc.strings.begin() + count);
+    } else {
+      acc.value = acc.value.TakeRange(count, groups - count);
+    }
   }
   RebuildDirectory(directory_.size());
 }

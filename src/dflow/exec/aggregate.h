@@ -65,7 +65,7 @@ class HashAggregateOperator : public Operator {
   const Schema& output_schema() const override { return output_schema_; }
   const Schema* input_schema() const override { return &input_schema_; }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
   Status Finish(std::vector<DataChunk>* out) override;
 
   /// Consumes the view's rows in order: the same state and output as
@@ -85,6 +85,9 @@ class HashAggregateOperator : public Operator {
     /// SUM: the running sum (INT64 or DOUBLE). MIN/MAX: the extreme so far,
     /// of the input type. Never NULL; `seen` says whether it is set.
     ColumnVector value;
+    /// STRING MIN/MAX instead of `value`: the only values overwritten in
+    /// place, so they live one std::string per group until emitted.
+    std::vector<std::string> strings;
   };
 
   static constexpr uint32_t kNoGroup = UINT32_MAX;

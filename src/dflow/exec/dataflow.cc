@@ -427,7 +427,7 @@ void DataflowGraph::StartWork(Node* n) {
   double work_scale = 1.0;
   if (n->type == Node::Type::kStage) {
     cc = n->op->traits().cost_class;
-    Status st = n->op->Push(chunk, &outputs);
+    Status st = n->op->Push(std::move(chunk), &outputs);
     if (!st.ok()) {
       Fail(std::move(st));
       return;

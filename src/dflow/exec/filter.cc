@@ -49,14 +49,14 @@ Status FilterOperator::Select(const DataChunk& input,
   return Status::OK();
 }
 
-Status FilterOperator::Push(const DataChunk& input,
+Status FilterOperator::Push(DataChunk input,
                             std::vector<DataChunk>* out) {
   RecordIn(input);
   SelectionVector sel;
   DFLOW_RETURN_NOT_OK(Select(input, &sel));
   if (sel.empty()) return Status::OK();
   if (sel.size() == input.num_rows()) {
-    out->push_back(input);
+    out->push_back(std::move(input));
   } else {
     out->push_back(input.Gather(sel));
   }

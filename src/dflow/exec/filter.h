@@ -24,7 +24,7 @@ class FilterOperator : public Operator {
   /// Selection is schema-preserving: input layout == output layout.
   const Schema* input_schema() const override { return &schema_; }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
 
   /// The rows of `input` the predicate keeps, in order. Push and the fused
   /// kernel both select through here.

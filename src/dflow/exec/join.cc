@@ -1,6 +1,7 @@
 #include "dflow/exec/join.h"
 
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "dflow/common/logging.h"
@@ -21,7 +22,7 @@ template <typename B, typename P>
 bool KeyEquals(const B& b, const P& p) {
   if constexpr (std::is_same_v<B, double>) {
     return !(b < p) && !(b > p);  // NaN compares equal to everything
-  } else if constexpr (std::is_same_v<B, std::string>) {
+  } else if constexpr (std::is_same_v<B, std::string_view>) {
     return b == p;
   } else {
     return static_cast<int64_t>(b) == static_cast<int64_t>(p);
@@ -128,6 +129,7 @@ void JoinHashTable::Grow() {
 template <typename Emit>
 Status JoinHashTable::ForEachMatch(const ColumnVector& probe_keys,
                                    const std::vector<uint64_t>& hashes,
+                                   const SelectionVector* sel,
                                    Emit emit) const {
   const ColumnVector& build_keys = rows_.column(key_col_);
   DFLOW_RETURN_NOT_OK(CheckJoinKeyTypes(build_keys.type(), probe_keys.type()));
@@ -140,7 +142,9 @@ Status JoinHashTable::ForEachMatch(const ColumnVector& probe_keys,
       using B = typename std::decay_t<decltype(build)>::value_type;
       using P = typename std::decay_t<decltype(probe)>::value_type;
       if constexpr (kComparableKeys<B, P>) {
-        for (size_t r = 0; r < probe.size(); ++r) {
+        const size_t rows = sel == nullptr ? probe.size() : sel->size();
+        for (size_t i = 0; i < rows; ++i) {
+          const size_t r = sel == nullptr ? i : (*sel)[i];
           if (!probe_keys.IsValid(r)) continue;
           const Slot& slot = directory_[FindSlot(hashes[r])];
           // Every chained row has this hash and a non-NULL key.
@@ -161,7 +165,7 @@ Status JoinHashTable::Probe(const ColumnVector& probe_keys,
                             std::vector<uint32_t>* build_rows) const {
   std::vector<uint64_t> hashes;
   DFLOW_RETURN_NOT_OK(HashColumn(probe_keys, &hashes));
-  return ForEachMatch(probe_keys, hashes,
+  return ForEachMatch(probe_keys, hashes, nullptr,
                       [&](uint32_t probe_row, uint32_t build_row) {
                         probe_rows->push_back(probe_row);
                         build_rows->push_back(build_row);
@@ -176,10 +180,11 @@ Result<uint64_t> JoinHashTable::CountMatches(
 }
 
 Result<uint64_t> JoinHashTable::CountMatches(
-    const ColumnVector& probe_keys, const std::vector<uint64_t>& hashes) const {
+    const ColumnVector& probe_keys, const std::vector<uint64_t>& hashes,
+    const SelectionVector* sel) const {
   uint64_t count = 0;
-  DFLOW_RETURN_NOT_OK(
-      ForEachMatch(probe_keys, hashes, [&](uint32_t, uint32_t) { ++count; }));
+  DFLOW_RETURN_NOT_OK(ForEachMatch(probe_keys, hashes, sel,
+                                   [&](uint32_t, uint32_t) { ++count; }));
   return count;
 }
 
@@ -201,7 +206,7 @@ OperatorTraits JoinBuildOperator::traits() const {
   return t;
 }
 
-Status JoinBuildOperator::Push(const DataChunk& input,
+Status JoinBuildOperator::Push(DataChunk input,
                                std::vector<DataChunk>* out) {
   (void)out;
   RecordIn(input);
@@ -241,7 +246,7 @@ OperatorTraits HashJoinProbeOperator::traits() const {
   return t;
 }
 
-Status HashJoinProbeOperator::Push(const DataChunk& input,
+Status HashJoinProbeOperator::Push(DataChunk input,
                                    std::vector<DataChunk>* out) {
   RecordIn(input);
   if (input.num_columns() != probe_schema_.num_fields()) {

@@ -56,9 +56,12 @@ class JoinHashTable {
 
   /// The number of pairs Probe would list, without listing them.
   Result<uint64_t> CountMatches(const ColumnVector& probe_keys) const;
-  /// The same, given the probe keys' hashes (HashColumn's).
+  /// The same, given the probe keys' hashes (HashColumn's), over only the
+  /// rows `sel` selects when it is non-null (`hashes` still has one entry
+  /// per probe row).
   Result<uint64_t> CountMatches(const ColumnVector& probe_keys,
-                                const std::vector<uint64_t>& hashes) const;
+                                const std::vector<uint64_t>& hashes,
+                                const SelectionVector* sel = nullptr) const;
 
   /// All build rows, columnar (for probe-side payload materialization).
   const DataChunk& rows() const { return rows_; }
@@ -76,10 +79,12 @@ class JoinHashTable {
   /// The slot holding `hash`, or the empty slot where it would go.
   size_t FindSlot(uint64_t hash) const;
   void Grow();
-  /// Calls emit(probe_row, build_row) for every match, in match order.
+  /// Calls emit(probe_row, build_row) for every match, in match order,
+  /// over the probe rows `sel` selects (all when null).
   template <typename Emit>
   Status ForEachMatch(const ColumnVector& probe_keys,
-                      const std::vector<uint64_t>& hashes, Emit emit) const;
+                      const std::vector<uint64_t>& hashes,
+                      const SelectionVector* sel, Emit emit) const;
 
   Schema build_schema_;
   size_t key_col_;
@@ -104,7 +109,7 @@ class JoinBuildOperator : public Operator {
     return &table_->build_schema();
   }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
 
  private:
   explicit JoinBuildOperator(std::shared_ptr<JoinHashTable> table)
@@ -126,7 +131,7 @@ class HashJoinProbeOperator : public Operator {
   const Schema& output_schema() const override { return output_schema_; }
   const Schema* input_schema() const override { return &probe_schema_; }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
 
  private:
   HashJoinProbeOperator(std::shared_ptr<const JoinHashTable> table,

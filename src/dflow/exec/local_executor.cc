@@ -3,21 +3,17 @@
 namespace dflow {
 
 Result<std::vector<DataChunk>> RunLocalPipeline(
-    const std::vector<DataChunk>& inputs, const std::vector<Operator*>& ops) {
-  if (ops.empty()) return inputs;
-  // The first operator reads `inputs` in place; each later one reads the
-  // chunks its predecessor emitted.
-  const std::vector<DataChunk>* in = &inputs;
-  std::vector<DataChunk> current;
+    std::vector<DataChunk> inputs, const std::vector<Operator*>& ops) {
+  // Each operator takes the chunks its predecessor emitted.
+  std::vector<DataChunk> current = std::move(inputs);
   for (Operator* op : ops) {
     if (op == nullptr) return Status::InvalidArgument("null operator");
     std::vector<DataChunk> next;
-    for (const DataChunk& chunk : *in) {
-      DFLOW_RETURN_NOT_OK(op->Push(chunk, &next));
+    for (DataChunk& chunk : current) {
+      DFLOW_RETURN_NOT_OK(op->Push(std::move(chunk), &next));
     }
     DFLOW_RETURN_NOT_OK(op->Finish(&next));
     current = std::move(next);
-    in = &current;
   }
   return current;
 }

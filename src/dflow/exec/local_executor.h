@@ -11,9 +11,10 @@ namespace dflow {
 /// Runs a linear operator chain over a set of chunks directly on the host,
 /// with no fabric, no timing, no placement — the reference executor used by
 /// unit tests and by correctness cross-checks (the simulated plans must
-/// produce exactly the same rows this produces).
+/// produce exactly the same rows this produces). The chunks move through
+/// the chain: a caller that still needs `inputs` passes a copy.
 Result<std::vector<DataChunk>> RunLocalPipeline(
-    const std::vector<DataChunk>& inputs, const std::vector<Operator*>& ops);
+    std::vector<DataChunk> inputs, const std::vector<Operator*>& ops);
 
 /// Convenience: total row count across chunks.
 uint64_t TotalRows(const std::vector<DataChunk>& chunks);

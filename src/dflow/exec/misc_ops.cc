@@ -21,7 +21,7 @@ OperatorTraits CountOperator::traits() const {
   return t;
 }
 
-Status CountOperator::Push(const DataChunk& input,
+Status CountOperator::Push(DataChunk input,
                            std::vector<DataChunk>* out) {
   (void)out;
   RecordIn(input);
@@ -50,7 +50,7 @@ OperatorTraits LimitOperator::traits() const {
   return t;
 }
 
-Status LimitOperator::Push(const DataChunk& input,
+Status LimitOperator::Push(DataChunk input,
                            std::vector<DataChunk>* out) {
   RecordIn(input);
   if (seen_ >= limit_) return Status::OK();
@@ -58,7 +58,7 @@ Status LimitOperator::Push(const DataChunk& input,
       std::min<uint64_t>(input.num_rows(), limit_ - seen_);
   seen_ += take;
   if (take == input.num_rows()) {
-    out->push_back(input);
+    out->push_back(std::move(input));
   } else {
     SelectionVector sel;
     for (uint64_t i = 0; i < take; ++i) sel.Append(static_cast<uint32_t>(i));
@@ -113,7 +113,7 @@ void WithRowOrder(const ColumnVector& key, bool descending, Fn fn) {
 
 }  // namespace
 
-Status SortOperator::Push(const DataChunk& input,
+Status SortOperator::Push(DataChunk input,
                           std::vector<DataChunk>* out) {
   (void)out;
   RecordIn(input);
@@ -180,10 +180,10 @@ OperatorTraits DecodeOperator::traits() const {
   return t;
 }
 
-Status DecodeOperator::Push(const DataChunk& input,
+Status DecodeOperator::Push(DataChunk input,
                             std::vector<DataChunk>* out) {
   RecordIn(input);
-  out->push_back(input);
+  out->push_back(std::move(input));
   RecordOut(out->back());
   return Status::OK();
 }
@@ -197,10 +197,10 @@ OperatorTraits EncodeOperator::traits() const {
   return t;
 }
 
-Status EncodeOperator::Push(const DataChunk& input,
+Status EncodeOperator::Push(DataChunk input,
                             std::vector<DataChunk>* out) {
   RecordIn(input);
-  out->push_back(input);
+  out->push_back(std::move(input));
   RecordOut(out->back());
   return Status::OK();
 }

@@ -20,7 +20,7 @@ class CountOperator : public Operator {
   std::string name() const override { return "count"; }
   const Schema& output_schema() const override { return schema_; }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
   Status Finish(std::vector<DataChunk>* out) override;
 
  private:
@@ -37,7 +37,7 @@ class LimitOperator : public Operator {
   const Schema& output_schema() const override { return schema_; }
   const Schema* input_schema() const override { return &schema_; }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
 
  private:
   Schema schema_;
@@ -59,7 +59,7 @@ class SortOperator : public Operator {
   const Schema& output_schema() const override { return schema_; }
   const Schema* input_schema() const override { return &schema_; }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
   Status Finish(std::vector<DataChunk>* out) override;
 
  private:
@@ -91,7 +91,7 @@ class DecodeOperator : public Operator {
   const Schema& output_schema() const override { return schema_; }
   const Schema* input_schema() const override { return &schema_; }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
 
  private:
   Schema schema_;
@@ -109,7 +109,7 @@ class EncodeOperator : public Operator {
   const Schema& output_schema() const override { return schema_; }
   const Schema* input_schema() const override { return &schema_; }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
   uint64_t OutputWireBytes(const DataChunk& output) const override;
 
  private:

@@ -59,8 +59,12 @@ class Operator {
   /// type-check each edge; execution never consults it.
   virtual const Schema* input_schema() const { return nullptr; }
 
-  /// Consumes one input chunk; appends zero or more output chunks.
-  virtual Status Push(const DataChunk& input, std::vector<DataChunk>* out) = 0;
+  /// Consumes one input chunk; appends zero or more output chunks. The
+  /// chunk is handed over by value: a caller that owns it std::moves it
+  /// in, and an operator that passes rows on unchanged (decode, encode, a
+  /// filter or LIMIT that keeps the whole chunk) moves it on, so no stage
+  /// copies a chunk it could forward.
+  virtual Status Push(DataChunk input, std::vector<DataChunk>* out) = 0;
 
   /// Called once after the last Push; flushes any remaining state.
   virtual Status Finish(std::vector<DataChunk>* out) {

@@ -31,11 +31,11 @@ Status PushThroughChain(std::vector<OperatorPtr>* ops, size_t from,
     return Status::OK();
   }
   std::vector<DataChunk> current;
-  DFLOW_RETURN_NOT_OK((*ops)[from]->Push(chunk, &current));
+  DFLOW_RETURN_NOT_OK((*ops)[from]->Push(std::move(chunk), &current));
   for (size_t i = from + 1; i < ops->size(); ++i) {
     std::vector<DataChunk> next;
-    for (const DataChunk& c : current) {
-      DFLOW_RETURN_NOT_OK((*ops)[i]->Push(c, &next));
+    for (DataChunk& c : current) {
+      DFLOW_RETURN_NOT_OK((*ops)[i]->Push(std::move(c), &next));
     }
     current = std::move(next);
   }

@@ -12,6 +12,7 @@
 #include "dflow/exec/parallel/morsel.h"
 #include "dflow/exec/parallel/task_scheduler.h"
 #include "dflow/exec/partition.h"
+#include "dflow/vector/kernels.h"
 
 namespace dflow::parallel {
 
@@ -64,23 +65,20 @@ Result<std::vector<int64_t>> RunParallelHashJoin(
   std::deque<BuildShard> shards(p);
   for (uint32_t i = 0; i < p; ++i) shards[i].table = tables[i].get();
 
-  // Worker-local probe state: the filter is built once per worker, and
-  // each worker counts matches in its own slot (read after the barrier).
-  std::vector<OperatorPtr> filters;
+  // Probe state: the filter only selects (Select is const, so workers
+  // share it), and each worker counts matches in its own slot (read after
+  // the barrier).
+  OperatorPtr filter;
   if (inputs.probe_filter != nullptr) {
-    for (uint32_t w = 0; w < options.workers; ++w) {
-      DFLOW_ASSIGN_OR_RETURN(
-          OperatorPtr filter,
-          FilterOperator::Make(inputs.probe_filter,
-                               inputs.probe->output_schema()));
-      filters.push_back(std::move(filter));
-    }
+    DFLOW_ASSIGN_OR_RETURN(filter,
+                           FilterOperator::Make(inputs.probe_filter,
+                                                inputs.probe->output_schema()));
   }
+  const auto* probe_filter = static_cast<const FilterOperator*>(filter.get());
   std::vector<std::vector<int64_t>> worker_counts(
       options.workers, std::vector<int64_t>(p, 0));
 
   const HashPartitioner build_part(inputs.build_key, p);
-  const HashPartitioner probe_part(inputs.probe_key, p);
 
   WorkStealingScheduler::Options sched_options;
   sched_options.workers = options.workers;
@@ -107,19 +105,31 @@ Result<std::vector<int64_t>> RunParallelHashJoin(
       &scheduler, &build_dispatched));
 
   // ------------------------------------------------------- probe phase
-  auto probe_chunk = [&](const DataChunk& chunk,
+  // Each partition counts its rows in place, through a selection over the
+  // morsel's key column and hashes: no probe row is copied, and a filtered
+  // row is only skipped.
+  auto probe_chunk = [&](const DataChunk& chunk, const SelectionVector* kept,
                          std::vector<int64_t>* counts) -> Status {
-    std::vector<DataChunk> parts;
-    std::vector<std::vector<uint64_t>> hashes;
-    DFLOW_RETURN_NOT_OK(probe_part.Split(chunk, &parts, &hashes));
+    if (inputs.probe_key >= chunk.num_columns()) {
+      return Status::InvalidArgument("partition key column out of range");
+    }
+    const ColumnVector& keys = chunk.column(inputs.probe_key);
+    std::vector<uint64_t> hashes;
+    DFLOW_RETURN_NOT_OK(HashColumn(keys, &hashes));
+    std::vector<SelectionVector> sels(p);
+    const size_t rows = kept == nullptr ? hashes.size() : kept->size();
+    for (size_t i = 0; i < rows; ++i) {
+      const uint32_t r =
+          kept == nullptr ? static_cast<uint32_t>(i) : (*kept)[i];
+      sels[hashes[r] % p].Append(r);
+    }
     for (uint32_t part = 0; part < p; ++part) {
-      if (parts[part].empty()) continue;
+      if (sels[part].empty()) continue;
       // Lock-free read: the build barrier published the tables and nothing
       // mutates them during the probe phase.
       DFLOW_ASSIGN_OR_RETURN(
           uint64_t matches,
-          tables[part]->CountMatches(parts[part].column(inputs.probe_key),
-                                     hashes[part]));
+          tables[part]->CountMatches(keys, hashes, &sels[part]));
       (*counts)[part] += static_cast<int64_t>(matches);
     }
     return Status::OK();
@@ -129,13 +139,13 @@ Result<std::vector<int64_t>> RunParallelHashJoin(
       *inputs.probe,
       [&](uint32_t worker, Morsel morsel) -> Status {
         std::vector<int64_t>* counts = &worker_counts[worker];
-        if (filters.empty()) return probe_chunk(morsel.chunk, counts);
-        std::vector<DataChunk> kept;
-        DFLOW_RETURN_NOT_OK(filters[worker]->Push(morsel.chunk, &kept));
-        for (const DataChunk& chunk : kept) {
-          if (!chunk.empty()) DFLOW_RETURN_NOT_OK(probe_chunk(chunk, counts));
+        if (probe_filter == nullptr) {
+          return probe_chunk(morsel.chunk, nullptr, counts);
         }
-        return Status::OK();
+        SelectionVector kept;
+        DFLOW_RETURN_NOT_OK(probe_filter->Select(morsel.chunk, &kept));
+        if (kept.empty()) return Status::OK();
+        return probe_chunk(morsel.chunk, &kept, counts);
       },
       &scheduler, &probe_dispatched));
 

@@ -44,7 +44,7 @@ OperatorTraits ProjectOperator::traits() const {
   return t;
 }
 
-Status ProjectOperator::Push(const DataChunk& input,
+Status ProjectOperator::Push(DataChunk input,
                              std::vector<DataChunk>* out) {
   RecordIn(input);
   std::vector<ColumnVector> cols;

@@ -25,7 +25,7 @@ class ProjectOperator : public Operator {
   const Schema& output_schema() const override { return schema_; }
   const Schema* input_schema() const override { return &input_schema_; }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
 
   /// The fused kernel's projection of the rows `sel` selects (all rows when
   /// null), without copying them: an output that is a plain column

@@ -1,10 +1,44 @@
 #include "dflow/plan/expr.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "dflow/common/logging.h"
 
 namespace dflow {
+
+namespace {
+
+/// Relative cost of evaluating a predicate per row, for ordering an AND's
+/// conjuncts cheapest first: literals, then a column against a constant,
+/// then other compares and arithmetic, then LIKE. A combinator costs what
+/// its dearest child does.
+int PredicateCost(const Expr& e) {
+  switch (e.kind()) {
+    case Expr::Kind::kLiteral:
+      return 0;
+    case Expr::Kind::kColumnRef:
+      return 1;
+    case Expr::Kind::kCompare:
+      return e.IsColumnConstantCompare() ? 1 : 2;
+    case Expr::Kind::kArith:
+      return 2;
+    case Expr::Kind::kLike:
+      return 3;
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kOr:
+    case Expr::Kind::kNot: {
+      int cost = 0;
+      for (const ExprPtr& c : e.children()) {
+        cost = std::max(cost, PredicateCost(*c));
+      }
+      return cost;
+    }
+  }
+  return 3;
+}
+
+}  // namespace
 
 ExprPtr Expr::Col(std::string name) {
   auto e = std::shared_ptr<Expr>(new Expr(Kind::kColumnRef));
@@ -219,66 +253,106 @@ Result<ColumnVector> Expr::Evaluate(const DataChunk& chunk,
     case Kind::kOr:
     case Kind::kNot: {
       Mask mask;
-      DFLOW_RETURN_NOT_OK(EvaluatePredicate(chunk, &mask));
-      std::vector<uint8_t> bools;
-      if (sel == nullptr) {
-        bools.assign(mask.begin(), mask.end());
-      } else {
-        for (size_t i = 0; i < sel->size(); ++i) bools.push_back(mask[(*sel)[i]]);
-      }
-      return ColumnVector::FromBool(std::move(bools));
+      DFLOW_RETURN_NOT_OK(EvaluatePredicate(chunk, sel, &mask));
+      return ColumnVector::FromBool(std::move(mask));
     }
   }
   return Status::Internal("unreachable");
 }
 
 Status Expr::EvaluatePredicate(const DataChunk& chunk, Mask* mask) const {
+  return EvaluatePredicate(chunk, nullptr, mask);
+}
+
+Status Expr::EvaluatePredicate(const DataChunk& chunk,
+                               const SelectionVector* sel, Mask* mask) const {
+  const size_t rows = sel == nullptr ? chunk.num_rows() : sel->size();
   switch (kind_) {
     case Kind::kCompare: {
       const ExprPtr& l = children_[0];
       const ExprPtr& r = children_[1];
       ColumnVector ls, rs;
-      DFLOW_ASSIGN_OR_RETURN(const ColumnVector* lv,
-                             l->Operand(chunk, nullptr, &ls));
       if (r->kind_ == Kind::kLiteral) {
-        return CompareToConstant(*lv, compare_op_, r->value_, mask);
+        // A column is compared in place, through the selection.
+        const SelectionVector* in_place =
+            l->kind_ == Kind::kColumnRef ? sel : nullptr;
+        DFLOW_ASSIGN_OR_RETURN(
+            const ColumnVector* lv,
+            l->Operand(chunk, in_place == nullptr ? sel : nullptr, &ls));
+        return CompareToConstant(*lv, compare_op_, r->value_, mask, in_place);
       }
+      DFLOW_ASSIGN_OR_RETURN(const ColumnVector* lv,
+                             l->Operand(chunk, sel, &ls));
       DFLOW_ASSIGN_OR_RETURN(const ColumnVector* rv,
-                             r->Operand(chunk, nullptr, &rs));
+                             r->Operand(chunk, sel, &rs));
       return CompareColumns(*lv, compare_op_, *rv, mask);
     }
     case Kind::kLike: {
+      const ExprPtr& input = children_[0];
+      const SelectionVector* in_place =
+          input->kind_ == Kind::kColumnRef ? sel : nullptr;
       ColumnVector scratch;
-      DFLOW_ASSIGN_OR_RETURN(const ColumnVector* input,
-                             children_[0]->Operand(chunk, nullptr, &scratch));
-      return ComputeLikeMask(*input, pattern_, mask);
+      DFLOW_ASSIGN_OR_RETURN(
+          const ColumnVector* col,
+          input->Operand(chunk, in_place == nullptr ? sel : nullptr,
+                         &scratch));
+      return ComputeLikeMask(*col, pattern_, mask, in_place);
     }
     case Kind::kAnd: {
       if (children_.empty()) {
         return Status::InvalidArgument("AND requires children");
       }
-      DFLOW_RETURN_NOT_OK(children_[0]->EvaluatePredicate(chunk, mask));
-      for (size_t i = 1; i < children_.size(); ++i) {
-        Mask other;
-        DFLOW_RETURN_NOT_OK(children_[i]->EvaluatePredicate(chunk, &other));
-        AndMasks(other, mask);
+      // Cheapest conjunct first; each later one runs only on the rows the
+      // earlier ones kept. Stable, so equal costs keep their written order.
+      std::vector<const Expr*> order;
+      for (const ExprPtr& c : children_) order.push_back(c.get());
+      std::stable_sort(order.begin(), order.end(),
+                       [](const Expr* a, const Expr* b) {
+                         return PredicateCost(*a) < PredicateCost(*b);
+                       });
+      Status st = order[0]->EvaluatePredicate(chunk, sel, mask);
+      SelectionVector kept;
+      Mask part;
+      for (size_t k = 1; k < order.size() && st.ok(); ++k) {
+        kept.Clear();
+        for (size_t i = 0; i < rows; ++i) {
+          if ((*mask)[i]) kept.Append(sel == nullptr ? i : (*sel)[i]);
+        }
+        if (kept.size() == rows) {
+          st = order[k]->EvaluatePredicate(chunk, sel, &part);
+          if (st.ok()) AndMasks(part, mask);
+          continue;
+        }
+        // Even over no rows the conjunct runs, so it still type-checks.
+        st = order[k]->EvaluatePredicate(chunk, &kept, &part);
+        if (!st.ok()) break;
+        for (size_t i = 0, j = 0; i < rows; ++i) {
+          if ((*mask)[i]) (*mask)[i] = part[j++];
+        }
       }
-      return Status::OK();
+      if (st.ok()) return st;
+      // Errors depend on types, never on rows: report the one the first
+      // failing conjunct in written order gives.
+      for (const ExprPtr& c : children_) {
+        DFLOW_RETURN_NOT_OK(c->EvaluatePredicate(chunk, sel, &part));
+      }
+      return st;
     }
     case Kind::kOr: {
       if (children_.empty()) {
         return Status::InvalidArgument("OR requires children");
       }
-      DFLOW_RETURN_NOT_OK(children_[0]->EvaluatePredicate(chunk, mask));
+      DFLOW_RETURN_NOT_OK(children_[0]->EvaluatePredicate(chunk, sel, mask));
       for (size_t i = 1; i < children_.size(); ++i) {
         Mask other;
-        DFLOW_RETURN_NOT_OK(children_[i]->EvaluatePredicate(chunk, &other));
+        DFLOW_RETURN_NOT_OK(
+            children_[i]->EvaluatePredicate(chunk, sel, &other));
         OrMasks(other, mask);
       }
       return Status::OK();
     }
     case Kind::kNot: {
-      DFLOW_RETURN_NOT_OK(children_[0]->EvaluatePredicate(chunk, mask));
+      DFLOW_RETURN_NOT_OK(children_[0]->EvaluatePredicate(chunk, sel, mask));
       NotMask(mask);
       return Status::OK();
     }
@@ -286,7 +360,7 @@ Status Expr::EvaluatePredicate(const DataChunk& chunk, Mask* mask) const {
       if (value_.type() != DataType::kBool || value_.is_null()) {
         return Status::InvalidArgument("literal predicate must be BOOL");
       }
-      mask->assign(chunk.num_rows(), value_.bool_value() ? 1 : 0);
+      mask->assign(rows, value_.bool_value() ? 1 : 0);
       return Status::OK();
     }
     case Kind::kColumnRef: {
@@ -296,9 +370,10 @@ Status Expr::EvaluatePredicate(const DataChunk& chunk, Mask* mask) const {
       if (col->type() != DataType::kBool) {
         return Status::InvalidArgument("column predicate must be BOOL");
       }
-      mask->assign(col->size(), 0);
-      for (size_t i = 0; i < col->size(); ++i) {
-        (*mask)[i] = col->IsValid(i) && col->bool_data()[i] ? 1 : 0;
+      mask->assign(rows, 0);
+      for (size_t i = 0; i < rows; ++i) {
+        const size_t row = sel == nullptr ? i : (*sel)[i];
+        (*mask)[i] = col->IsValid(row) && col->bool_data()[row] ? 1 : 0;
       }
       return Status::OK();
     }

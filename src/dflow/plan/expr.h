@@ -89,12 +89,20 @@ class Expr {
                                 const SelectionVector* sel = nullptr) const;
 
   /// Evaluates a predicate over a chunk into a byte mask. Must be resolved.
+  /// An AND runs its conjuncts cheapest first, each over only the rows the
+  /// earlier ones kept; the mask equals evaluating every conjunct over the
+  /// whole chunk, and so does the Status.
   Status EvaluatePredicate(const DataChunk& chunk, Mask* mask) const;
 
   std::string ToString() const;
 
  private:
   explicit Expr(Kind kind) : kind_(kind) {}
+
+  /// EvaluatePredicate over only the rows `sel` selects (every row when
+  /// null): mask entry i is row sel[i].
+  Status EvaluatePredicate(const DataChunk& chunk, const SelectionVector* sel,
+                           Mask* mask) const;
 
   /// The column a value expression denotes: a column reference without a
   /// selection reads the chunk's own column in place; anything else is

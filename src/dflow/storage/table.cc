@@ -26,29 +26,31 @@ Result<RowGroup> RowGroup::Make(uint32_t num_rows,
                   std::move(decoded_bytes));
 }
 
-Result<ColumnVector> RowGroup::DecodeColumnAt(size_t i) const {
-  if (i >= columns_.size()) {
-    return Status::OutOfRange("column index out of range");
-  }
-  return DecodeColumn(columns_[i]);
-}
-
 Result<std::vector<DataChunk>> RowGroup::DecodeChunks(
     const std::vector<size_t>& indices) const {
-  std::vector<ColumnVector> full_columns;
-  full_columns.reserve(indices.size());
+  std::vector<ColumnDecoder> decoders;
+  decoders.reserve(indices.size());
   for (size_t idx : indices) {
-    DFLOW_ASSIGN_OR_RETURN(ColumnVector col, DecodeColumnAt(idx));
-    full_columns.push_back(std::move(col));
-  }
-  return ChunkRows(num_rows_, [&](size_t start, size_t count) {
-    std::vector<ColumnVector> cols;
-    cols.reserve(full_columns.size());
-    for (ColumnVector& col : full_columns) {
-      cols.push_back(col.TakeRange(start, count));
+    if (idx >= columns_.size()) {
+      return Status::OutOfRange("column index out of range");
     }
-    return DataChunk(std::move(cols));
-  });
+    DFLOW_ASSIGN_OR_RETURN(ColumnDecoder decoder,
+                           ColumnDecoder::Open(columns_[idx]));
+    decoders.push_back(std::move(decoder));
+  }
+  std::vector<DataChunk> chunks;
+  chunks.reserve((num_rows_ + kVectorSize - 1) / kVectorSize);
+  for (size_t start = 0; start < num_rows_; start += kVectorSize) {
+    const size_t count = std::min<size_t>(kVectorSize, num_rows_ - start);
+    std::vector<ColumnVector> cols;
+    cols.reserve(decoders.size());
+    for (ColumnDecoder& decoder : decoders) {
+      DFLOW_ASSIGN_OR_RETURN(ColumnVector col, decoder.Next(count));
+      cols.push_back(std::move(col));
+    }
+    chunks.emplace_back(std::move(cols));
+  }
+  return chunks;
 }
 
 uint64_t RowGroup::EncodedBytes(const std::vector<size_t>& indices) const {

@@ -35,12 +35,10 @@ class RowGroup {
   const EncodedColumn& encoded_column(size_t i) const { return columns_[i]; }
   const ZoneMap& zone_map(size_t i) const { return zones_[i]; }
 
-  /// Decodes one column to a full vector.
-  Result<ColumnVector> DecodeColumnAt(size_t i) const;
-
   /// Decodes the given columns into a chunk-sized batch sequence. `indices`
-  /// selects and orders the output columns. Each column decodes once; its
-  /// kVectorSize-row ranges are then moved, not copied, into the chunks.
+  /// selects and orders the output columns. One ColumnDecoder per column
+  /// walks its bytes once, writing each kVectorSize-row span straight into
+  /// that chunk's column: no full-column intermediate, no split.
   Result<std::vector<DataChunk>> DecodeChunks(
       const std::vector<size_t>& indices) const;
 

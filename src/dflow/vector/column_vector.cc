@@ -1,7 +1,8 @@
 #include "dflow/vector/column_vector.h"
 
 #include <algorithm>
-#include <iterator>
+#include <cstring>
+#include <functional>
 
 #include "dflow/common/logging.h"
 
@@ -29,6 +30,61 @@ Phys PhysOf(DataType type) {
 }
 }  // namespace
 
+void StringColumn::push_back(std::string_view s) {
+  EnsureLeadingOffset();
+  const size_t at = bytes_.size();
+  // `s` may view this arena (a column appending its own row), which the
+  // resize below can move: copy from the offset, not the old pointer.
+  const bool own = !s.empty() &&
+                   !std::less<const char*>()(s.data(), bytes_.data()) &&
+                   std::less<const char*>()(s.data(), bytes_.data() + at);
+  const size_t from = own ? static_cast<size_t>(s.data() - bytes_.data()) : 0;
+  bytes_.resize(at + s.size());
+  if (!s.empty()) {
+    std::memcpy(bytes_.data() + at, own ? bytes_.data() + from : s.data(),
+                s.size());
+  }
+  offsets_.push_back(bytes_.size());
+}
+
+void StringColumn::AppendRange(const StringColumn& other, size_t start,
+                               size_t count) {
+  if (count == 0) return;
+  DFLOW_CHECK(&other != this);
+  EnsureLeadingOffset();
+  const uint64_t first = other.offsets_[start];
+  const uint64_t last = other.offsets_[start + count];
+  const uint64_t base = bytes_.size();
+  bytes_.insert(bytes_.end(), other.bytes_.begin() + first,
+                other.bytes_.begin() + last);
+  const size_t at = offsets_.size();
+  offsets_.resize(at + count);
+  for (size_t i = 0; i < count; ++i) {
+    offsets_[at + i] = base + (other.offsets_[start + i + 1] - first);
+  }
+}
+
+void StringColumn::reserve(size_t rows) {
+  if (rows > 0) offsets_.reserve(rows + 1);
+}
+
+void StringColumn::resize(size_t n) {
+  const size_t rows = size();
+  if (n == rows) return;
+  if (n < rows) {
+    bytes_.resize(offsets_[n]);
+    offsets_.resize(n == 0 ? 0 : n + 1);
+    return;
+  }
+  EnsureLeadingOffset();
+  offsets_.resize(n + 1, bytes_.size());
+}
+
+void StringColumn::clear() {
+  bytes_.clear();
+  offsets_.clear();
+}
+
 void ColumnVector::InitStorage() {
   switch (PhysOf(type_)) {
     case Phys::kU8:
@@ -44,7 +100,7 @@ void ColumnVector::InitStorage() {
       data_ = std::vector<double>();
       break;
     case Phys::kStr:
-      data_ = std::vector<std::string>();
+      data_ = StringColumn();
       break;
   }
 }
@@ -69,7 +125,9 @@ ColumnVector ColumnVector::FromDouble(std::vector<double> values) {
 
 ColumnVector ColumnVector::FromString(std::vector<std::string> values) {
   ColumnVector col(DataType::kString);
-  col.data_ = std::move(values);
+  col.strs().AppendViews(values.size(), [&](size_t i) -> std::string_view {
+    return values[i];
+  });
   return col;
 }
 
@@ -99,6 +157,11 @@ void ColumnVector::SetNull(size_t i) {
   validity_[i] = 0;
 }
 
+void ColumnVector::SetValidity(const uint8_t* valid) {
+  validity_.resize(size());
+  for (size_t i = 0; i < validity_.size(); ++i) validity_[i] = valid[i] != 0;
+}
+
 Value ColumnVector::GetValue(size_t i) const {
   DFLOW_CHECK_LT(i, size());
   if (!IsValid(i)) return Value::Null(type_);
@@ -114,7 +177,7 @@ Value ColumnVector::GetValue(size_t i) const {
     case DataType::kDouble:
       return Value::Double(f64()[i]);
     case DataType::kString:
-      return Value::String(strs()[i]);
+      return Value::String(std::string(strs()[i]));
   }
   return Value();
 }
@@ -188,12 +251,35 @@ void ColumnVector::AppendRange(const ColumnVector& other, size_t start,
   const auto first = other.validity_.begin() + (other.HasNulls() ? start : 0);
   const bool any_null =
       other.HasNulls() && std::find(first, first + count, 0) != first + count;
-  const bool masked = any_null || !validity_.empty();
-  if (any_null) EnsureValidity();
+  if (any_null) {
+    // A NULL row appends the type's default value, as AppendFrom does:
+    // copy the valid runs whole and write defaults between them.
+    EnsureValidity();
+    size_t r = start;
+    while (r < start + count) {
+      size_t end = r;
+      const bool valid = other.validity_[r] != 0;
+      while (end < start + count && (other.validity_[end] != 0) == valid) ++end;
+      if (valid) {
+        AppendRange(other, r, end - r);  // NULL-free: the byte copy below
+      } else {
+        for (size_t i = r; i < end; ++i) AppendNull();
+      }
+      r = end;
+    }
+    return;
+  }
+  const bool masked = !validity_.empty();
   std::visit(
       [&](auto& dst) {
         const auto& src = std::get<std::decay_t<decltype(dst)>>(other.data_);
-        dst.insert(dst.end(), src.begin() + start, src.begin() + start + count);
+        if constexpr (std::is_same_v<std::decay_t<decltype(dst)>,
+                                     StringColumn>) {
+          dst.AppendRange(src, start, count);
+        } else {
+          dst.insert(dst.end(), src.begin() + start,
+                     src.begin() + start + count);
+        }
       },
       data_);
   if (!masked) return;
@@ -213,19 +299,27 @@ void ColumnVector::AppendRows(const ColumnVector& other, const uint32_t* rows,
   }
   const bool masked = any_null || !validity_.empty();
   if (any_null) EnsureValidity();
+  // A NULL row appends the type's default value, as AppendNull does.
+  auto is_null = [&](size_t i) {
+    return any_null && other.validity_[rows[i]] == 0;
+  };
   std::visit(
       [&](auto& dst) {
-        const auto& src = std::get<std::decay_t<decltype(dst)>>(other.data_);
-        if (dst.capacity() < dst.size() + count) {
-          dst.reserve(std::max(dst.size() + count, 2 * dst.capacity()));
-        }
-        for (size_t i = 0; i < count; ++i) {
-          DFLOW_CHECK_LT(rows[i], src.size());
-          // A NULL row appends the type's default value, as AppendNull does.
-          if (any_null && other.validity_[rows[i]] == 0) {
-            dst.emplace_back();
-          } else {
-            dst.push_back(src[rows[i]]);
+        using Storage = std::decay_t<decltype(dst)>;
+        const auto& src = std::get<Storage>(other.data_);
+        for (size_t i = 0; i < count; ++i) DFLOW_CHECK_LT(rows[i], src.size());
+        if constexpr (std::is_same_v<Storage, StringColumn>) {
+          DFLOW_CHECK(&src != &dst);
+          dst.AppendViews(count, [&](size_t i) {
+            return is_null(i) ? std::string_view() : src[rows[i]];
+          });
+        } else {
+          if (dst.capacity() < dst.size() + count) {
+            dst.reserve(std::max(dst.size() + count, 2 * dst.capacity()));
+          }
+          for (size_t i = 0; i < count; ++i) {
+            dst.push_back(is_null(i) ? typename Storage::value_type{}
+                                     : src[rows[i]]);
           }
         }
       },
@@ -252,13 +346,16 @@ void ColumnVector::Clear() {
 
 ColumnVector ColumnVector::Gather(const SelectionVector& sel) const {
   ColumnVector out(type_);
-  out.Reserve(sel.size());
   const bool has_nulls = HasNulls();
   std::visit(
       [&](const auto& src) {
-        auto& dst = std::get<std::decay_t<decltype(src)>>(out.data_);
-        for (size_t i = 0; i < sel.size(); ++i) {
-          dst.push_back(src[sel[i]]);
+        using Storage = std::decay_t<decltype(src)>;
+        auto& dst = std::get<Storage>(out.data_);
+        if constexpr (std::is_same_v<Storage, StringColumn>) {
+          dst.AppendViews(sel.size(), [&](size_t i) { return src[sel[i]]; });
+        } else {
+          dst.resize(sel.size());
+          for (size_t i = 0; i < sel.size(); ++i) dst[i] = src[sel[i]];
         }
       },
       data_);
@@ -274,9 +371,8 @@ ColumnVector ColumnVector::Gather(const SelectionVector& sel) const {
 uint64_t ColumnVector::ByteSize() const {
   uint64_t bytes = 0;
   if (type_ == DataType::kString) {
-    for (const std::string& s : strs()) {
-      bytes += s.size() + 4;  // 4-byte length prefix on the wire
-    }
+    // 4-byte length prefix per row on the wire.
+    bytes = strs().bytes().size() + 4 * static_cast<uint64_t>(size());
   } else {
     bytes = static_cast<uint64_t>(size()) * FixedWidthBytes(type_);
   }
@@ -284,14 +380,18 @@ uint64_t ColumnVector::ByteSize() const {
   return bytes;
 }
 
-ColumnVector ColumnVector::TakeRange(size_t start, size_t count) {
+ColumnVector ColumnVector::TakeRange(size_t start, size_t count) const {
   DFLOW_CHECK_LE(start + count, size());
   ColumnVector out(type_);
   std::visit(
-      [&](auto& src) {
-        auto& dst = std::get<std::decay_t<decltype(src)>>(out.data_);
-        dst.assign(std::make_move_iterator(src.begin() + start),
-                   std::make_move_iterator(src.begin() + start + count));
+      [&](const auto& src) {
+        using Storage = std::decay_t<decltype(src)>;
+        auto& dst = std::get<Storage>(out.data_);
+        if constexpr (std::is_same_v<Storage, StringColumn>) {
+          dst.AppendRange(src, start, count);
+        } else {
+          dst.assign(src.begin() + start, src.begin() + start + count);
+        }
       },
       data_);
   if (HasNulls()) {

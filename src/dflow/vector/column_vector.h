@@ -2,7 +2,9 @@
 #define DFLOW_VECTOR_COLUMN_VECTOR_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -31,18 +33,71 @@ class SelectionVector {
   std::vector<uint32_t> indices_;
 };
 
-/// A typed column of values with optional null tracking.
-///
-/// Storage is one std::vector chosen by physical type:
-///   kBool            -> uint8_t
-///   kInt32, kDate32  -> int32_t
-///   kInt64           -> int64_t
-///   kDouble          -> double
-///   kString          -> std::string
-///
-/// Validity is a byte-per-row mask, allocated lazily on the first null
-/// (columns with no nulls pay nothing). ByteSize() reports the wire size of
-/// the column — the quantity every data-movement experiment accounts in.
+/// The storage of a STRING column: every row's bytes back to back in one
+/// arena, and 64-bit offsets that never wrap (a sort buffer or an aggregate
+/// key column has no row bound). Row i is bytes [offsets[i], offsets[i+1]).
+/// Reading a row yields a std::string_view into the arena, valid until the
+/// column next grows. An empty column allocates nothing: the leading 0
+/// offset is written with the first row.
+class StringColumn {
+ public:
+  using value_type = std::string_view;
+
+  size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
+  std::string_view operator[](size_t i) const {
+    return std::string_view(bytes_.data() + offsets_[i],
+                            static_cast<size_t>(offsets_[i + 1] - offsets_[i]));
+  }
+  /// The arena: every row's bytes, in row order.
+  const std::vector<char>& bytes() const { return bytes_; }
+  /// Row i's bytes start at offsets()[i] and end at offsets()[i + 1]; the
+  /// first is 0, and an empty column has none.
+  const std::vector<uint64_t>& offsets() const { return offsets_; }
+
+  void push_back(std::string_view s);
+  /// Appends `count` rows, row i holding view(i), sizing the arena once.
+  /// The views must not point into this column.
+  template <typename ViewFn>
+  void AppendViews(size_t count, ViewFn view);
+  /// Appends the empty string (the type's default value).
+  void emplace_back() { push_back(std::string_view()); }
+  /// Appends rows [start, start + count) of `other` with one byte copy.
+  void AppendRange(const StringColumn& other, size_t start, size_t count);
+  /// Reserves offsets for `rows` rows in all.
+  void reserve(size_t rows);
+  /// Grows with empty strings or drops trailing rows.
+  void resize(size_t n);
+  void clear();
+
+ private:
+  void EnsureLeadingOffset() {
+    if (offsets_.empty()) offsets_.push_back(0);
+  }
+
+  std::vector<char> bytes_;
+  std::vector<uint64_t> offsets_;  // size() + 1 entries, or none
+};
+
+template <typename ViewFn>
+void StringColumn::AppendViews(size_t count, ViewFn view) {
+  if (count == 0) return;
+  EnsureLeadingOffset();
+  size_t bytes = 0;
+  for (size_t i = 0; i < count; ++i) bytes += view(i).size();
+  size_t end = bytes_.size();
+  bytes_.resize(end + bytes);
+  const size_t at = offsets_.size();
+  offsets_.resize(at + count);
+  char* out = bytes_.data();
+  uint64_t* offsets = offsets_.data() + at;
+  for (size_t i = 0; i < count; ++i) {
+    const std::string_view s = view(i);
+    if (!s.empty()) std::memcpy(out + end, s.data(), s.size());
+    end += s.size();
+    offsets[i] = end;
+  }
+}
+
 class ColumnVector {
  public:
   ColumnVector() : type_(DataType::kInt64) { InitStorage(); }
@@ -81,21 +136,17 @@ class ColumnVector {
   const std::vector<double>& f64() const {
     return std::get<std::vector<double>>(data_);
   }
-  std::vector<std::string>& strs() {
-    return std::get<std::vector<std::string>>(data_);
-  }
-  const std::vector<std::string>& strs() const {
-    return std::get<std::vector<std::string>>(data_);
-  }
+  StringColumn& strs() { return std::get<StringColumn>(data_); }
+  const StringColumn& strs() const { return std::get<StringColumn>(data_); }
 
-  /// Typed storage by element type (uint8_t, int32_t, int64_t, double or
-  /// std::string); the wrong one aborts.
+  /// Fixed-width storage by element type (uint8_t, int32_t, int64_t or
+  /// double); the wrong one aborts.
   template <typename T>
   std::vector<T>& data() {
     return std::get<std::vector<T>>(data_);
   }
-  /// Calls `fn` with the typed storage vector; `fn` must accept each of the
-  /// five storage types.
+  /// Calls `fn` with the typed storage; `fn` must accept each of the five
+  /// storage types (four std::vectors and StringColumn).
   template <typename Fn>
   decltype(auto) Visit(Fn&& fn) const {
     return std::visit(std::forward<Fn>(fn), data_);
@@ -106,6 +157,9 @@ class ColumnVector {
   bool HasNulls() const { return !validity_.empty(); }
   bool IsValid(size_t i) const { return validity_.empty() || validity_[i] != 0; }
   void SetNull(size_t i);
+  /// Sets the mask from size() bytes of `valid` (nonzero: valid). The
+  /// column then has a mask even when no byte is zero.
+  void SetValidity(const uint8_t* valid);
 
   /// Generic element access (slower than typed paths; used at boundaries).
   Value GetValue(size_t i) const;
@@ -138,13 +192,12 @@ class ColumnVector {
   /// New column containing the selected rows, in selection order.
   ColumnVector Gather(const SelectionVector& sel) const;
 
-  /// Moves rows [start, start + count) into a new column; those rows of
-  /// this one are left valid but unspecified. Like Gather, the new column
-  /// carries a validity mask iff this one does.
-  ColumnVector TakeRange(size_t start, size_t count);
+  /// Rows [start, start + count) as a new column. Like Gather, the new
+  /// column carries a validity mask iff this one does.
+  ColumnVector TakeRange(size_t start, size_t count) const;
 
   /// Wire size in bytes: fixed width * rows, or string byte total plus a
-  /// 4-byte length per row, plus the validity mask if present.
+  /// 4-byte length per row, plus the validity mask if present. O(1).
   uint64_t ByteSize() const;
 
  private:
@@ -153,8 +206,7 @@ class ColumnVector {
 
   DataType type_;
   std::variant<std::vector<uint8_t>, std::vector<int32_t>,
-               std::vector<int64_t>, std::vector<double>,
-               std::vector<std::string>>
+               std::vector<int64_t>, std::vector<double>, StringColumn>
       data_;
   std::vector<uint8_t> validity_;  // empty == all valid
 };

@@ -1,6 +1,8 @@
 #include "dflow/vector/data_chunk.h"
 
+#include <cstring>
 #include <sstream>
+#include <type_traits>
 
 #include "dflow/common/hash.h"
 #include "dflow/common/logging.h"
@@ -28,6 +30,15 @@ DataChunk DataChunk::Gather(const SelectionVector& sel) const {
   cols.reserve(columns_.size());
   for (const ColumnVector& col : columns_) {
     cols.push_back(col.Gather(sel));
+  }
+  return DataChunk(std::move(cols));
+}
+
+DataChunk DataChunk::Slice(size_t start, size_t count) const {
+  std::vector<ColumnVector> cols;
+  cols.reserve(columns_.size());
+  for (const ColumnVector& col : columns_) {
+    cols.push_back(col.TakeRange(start, count));
   }
   return DataChunk(std::move(cols));
 }
@@ -92,38 +103,67 @@ std::string DataChunk::ToString(size_t max_rows) const {
   return os.str();
 }
 
+namespace {
+
+/// One multiply-xorshift step: a bijection of `h` for a given word, and
+/// one-to-one in the word for a given `h`.
+inline uint64_t WordStep(uint64_t h, uint64_t word) {
+  h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+  return h ^ (h >> 32);
+}
+
+/// Folds `len` bytes into `h` eight at a time (the tail zero-padded), over
+/// four independent lanes that are folded together at the end. Changing
+/// any one word changes its lane and so the result.
+uint64_t HashWords(uint64_t h, const void* data, size_t len) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  auto word = [&](size_t at) {
+    uint64_t w;
+    std::memcpy(&w, p + at, 8);
+    return w;
+  };
+  uint64_t lane[4] = {h, h + 1, h + 2, h + 3};
+  size_t i = 0;
+  for (; i + 32 <= len; i += 32) {
+    for (size_t k = 0; k < 4; ++k) lane[k] = WordStep(lane[k], word(i + 8 * k));
+  }
+  for (; i + 8 <= len; i += 8) lane[0] = WordStep(lane[0], word(i));
+  if (i < len) {
+    uint64_t w = 0;
+    std::memcpy(&w, p + i, len - i);
+    lane[0] = WordStep(lane[0], w);
+  }
+  uint64_t r = lane[0];
+  for (size_t k = 1; k < 4; ++k) r = WordStep(r, lane[k]);
+  return HashInt64(r ^ len);
+}
+
+}  // namespace
+
 uint64_t ChecksumChunk(const DataChunk& chunk) {
   uint64_t h = HashInt64(chunk.num_columns());
   for (size_t c = 0; c < chunk.num_columns(); ++c) {
     const ColumnVector& col = chunk.column(c);
     h = HashCombine(h, static_cast<uint64_t>(col.type()));
     h = HashCombine(h, col.size());
-    switch (col.type()) {
-      case DataType::kBool:
-        h = HashCombine(
-            h, HashBytes(col.bool_data().data(), col.bool_data().size()));
-        break;
-      case DataType::kInt32:
-      case DataType::kDate32:
-        h = HashCombine(h, HashBytes(col.i32().data(),
-                                     col.i32().size() * sizeof(int32_t)));
-        break;
-      case DataType::kInt64:
-        h = HashCombine(h, HashBytes(col.i64().data(),
-                                     col.i64().size() * sizeof(int64_t)));
-        break;
-      case DataType::kDouble:
-        h = HashCombine(h, HashBytes(col.f64().data(),
-                                     col.f64().size() * sizeof(double)));
-        break;
-      case DataType::kString:
-        for (const std::string& s : col.strs()) {
-          h = HashCombine(h, HashString(s));
-        }
-        break;
-    }
-    for (size_t i = 0; i < col.size(); ++i) {
-      if (!col.IsValid(i)) h = HashCombine(h, i);
+    col.Visit([&](const auto& data) {
+      using Storage = std::decay_t<decltype(data)>;
+      if constexpr (std::is_same_v<Storage, StringColumn>) {
+        // The arena's bytes plus the offsets, which fix every row's length
+        // and are the same however the arena was built.
+        const std::vector<char>& bytes = data.bytes();
+        const std::vector<uint64_t>& offsets = data.offsets();
+        h = HashWords(h, bytes.data(), bytes.size());
+        h = HashWords(h, offsets.data(), offsets.size() * sizeof(uint64_t));
+      } else {
+        h = HashWords(h, data.data(),
+                      data.size() * sizeof(typename Storage::value_type));
+      }
+    });
+    if (col.HasNulls()) {
+      for (size_t i = 0; i < col.size(); ++i) {
+        if (!col.IsValid(i)) h = HashCombine(h, i);
+      }
     }
   }
   return h;

@@ -46,6 +46,10 @@ class DataChunk {
   /// New chunk with only the selected rows (all columns gathered).
   DataChunk Gather(const SelectionVector& sel) const;
 
+  /// New chunk with rows [start, start + count): the same chunk as a
+  /// Gather of those rows, copied as one byte range per column.
+  DataChunk Slice(size_t start, size_t count) const;
+
   /// New chunk with only the given columns, in the given order.
   DataChunk SelectColumns(const std::vector<size_t>& indices) const;
 
@@ -92,18 +96,6 @@ struct ChunkView {
 /// the unreliable-fabric recovery layer — the same hash everywhere, like the
 /// partitioning hash (see common/hash.h).
 uint64_t ChecksumChunk(const DataChunk& chunk);
-
-/// Splits `rows` rows worth of columns into kVectorSize-sized chunks.
-/// `make_chunk(start, count)` must return the chunk covering that row range.
-template <typename MakeChunkFn>
-std::vector<DataChunk> ChunkRows(size_t rows, MakeChunkFn make_chunk) {
-  std::vector<DataChunk> out;
-  for (size_t start = 0; start < rows; start += kVectorSize) {
-    const size_t count = std::min(kVectorSize, rows - start);
-    out.push_back(make_chunk(start, count));
-  }
-  return out;
-}
 
 }  // namespace dflow
 

@@ -82,21 +82,30 @@ void WithCompare(CompareOp op, Fn fn) {
   }
 }
 
-// Compares a typed column against a typed constant, honoring nulls.
-// `get(i)` reads row i through a raw pointer: a store into the byte mask
+// Compares a typed column against a typed constant, honoring nulls, over
+// every row or over the rows `sel` selects (mask entry i is row sel[i]).
+// `get(row)` reads a row through a raw pointer: a store into the byte mask
 // may alias anything, so a read through the vector would be reloaded for
 // every row.
 template <typename T, typename GetFn>
-void CompareLoop(size_t n, const ColumnVector& col, GetFn get, CompareOp op,
-                 const T& constant, Mask* mask) {
+void CompareLoop(const ColumnVector& col, const SelectionVector* sel,
+                 GetFn get, CompareOp op, const T& constant, Mask* mask) {
+  const size_t n = sel == nullptr ? col.size() : sel->size();
   mask->assign(n, 0);
   uint8_t* out = mask->data();
+  const uint32_t* rows = sel == nullptr ? nullptr : sel->indices().data();
   WithCompare(op, [&](auto cmp) {
-    for (size_t i = 0; i < n; ++i) out[i] = cmp(get(i), constant) ? 1 : 0;
+    if (rows == nullptr) {
+      for (size_t i = 0; i < n; ++i) out[i] = cmp(get(i), constant) ? 1 : 0;
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = cmp(get(rows[i]), constant) ? 1 : 0;
+      }
+    }
   });
   if (col.HasNulls()) {
     for (size_t i = 0; i < n; ++i) {
-      if (!col.IsValid(i)) out[i] = 0;
+      if (!col.IsValid(rows == nullptr ? i : rows[i])) out[i] = 0;
     }
   }
 }
@@ -104,8 +113,9 @@ void CompareLoop(size_t n, const ColumnVector& col, GetFn get, CompareOp op,
 }  // namespace
 
 Status CompareToConstant(const ColumnVector& col, CompareOp op,
-                         const Value& constant, Mask* mask) {
-  const size_t n = col.size();
+                         const Value& constant, Mask* mask,
+                         const SelectionVector* sel) {
+  const size_t n = sel == nullptr ? col.size() : sel->size();
   if (constant.is_null()) {
     // SQL semantics: comparison with NULL is never true.
     mask->assign(n, 0);
@@ -122,12 +132,14 @@ Status CompareToConstant(const ColumnVector& col, CompareOp op,
       const int32_t* d = col.i32().data();
       if (constant.type() == DataType::kDouble) {
         const double c = constant.AsDouble();
-        CompareLoop<double>(n, col, [d](size_t i) { return static_cast<double>(d[i]); },
-                            op, c, mask);
+        CompareLoop<double>(
+            col, sel, [d](size_t i) { return static_cast<double>(d[i]); }, op,
+            c, mask);
       } else {
         const int64_t c = constant.AsInt64();
-        CompareLoop<int64_t>(n, col, [d](size_t i) { return static_cast<int64_t>(d[i]); },
-                             op, c, mask);
+        CompareLoop<int64_t>(
+            col, sel, [d](size_t i) { return static_cast<int64_t>(d[i]); },
+            op, c, mask);
       }
       return Status::OK();
     }
@@ -140,11 +152,13 @@ Status CompareToConstant(const ColumnVector& col, CompareOp op,
       const int64_t* d = col.i64().data();
       if (constant.type() == DataType::kDouble) {
         const double c = constant.AsDouble();
-        CompareLoop<double>(n, col, [d](size_t i) { return static_cast<double>(d[i]); },
-                            op, c, mask);
+        CompareLoop<double>(
+            col, sel, [d](size_t i) { return static_cast<double>(d[i]); }, op,
+            c, mask);
       } else {
         const int64_t c = constant.AsInt64();
-        CompareLoop<int64_t>(n, col, [d](size_t i) { return d[i]; }, op, c, mask);
+        CompareLoop<int64_t>(
+            col, sel, [d](size_t i) { return d[i]; }, op, c, mask);
       }
       return Status::OK();
     }
@@ -155,7 +169,8 @@ Status CompareToConstant(const ColumnVector& col, CompareOp op,
       }
       const double* d = col.f64().data();
       const double c = constant.AsDouble();
-      CompareLoop<double>(n, col, [d](size_t i) { return d[i]; }, op, c, mask);
+      CompareLoop<double>(
+          col, sel, [d](size_t i) { return d[i]; }, op, c, mask);
       return Status::OK();
     }
     case DataType::kString: {
@@ -163,10 +178,10 @@ Status CompareToConstant(const ColumnVector& col, CompareOp op,
         return Status::InvalidArgument("cannot compare string column with " +
                                        std::string(DataTypeToString(constant.type())));
       }
-      const std::string* d = col.strs().data();
-      const std::string& c = constant.string_value();
-      CompareLoop<std::string>(n, col, [d](size_t i) -> const std::string& { return d[i]; }, op, c,
-                               mask);
+      const StringColumn& d = col.strs();
+      const std::string_view c = constant.string_value();
+      CompareLoop<std::string_view>(col, sel, [&d](size_t i) { return d[i]; },
+                                    op, c, mask);
       return Status::OK();
     }
     case DataType::kBool: {
@@ -176,7 +191,8 @@ Status CompareToConstant(const ColumnVector& col, CompareOp op,
       }
       const uint8_t* d = col.bool_data().data();
       const uint8_t c = constant.bool_value() ? 1 : 0;
-      CompareLoop<uint8_t>(n, col, [d](size_t i) { return d[i]; }, op, c, mask);
+      CompareLoop<uint8_t>(
+          col, sel, [d](size_t i) { return d[i]; }, op, c, mask);
       return Status::OK();
     }
   }
@@ -292,17 +308,18 @@ bool MatchesShape(const LikeShape& shape, std::string_view value) {
 }  // namespace
 
 Status ComputeLikeMask(const ColumnVector& col, std::string_view pattern,
-                       Mask* mask) {
+                       Mask* mask, const SelectionVector* sel) {
   if (col.type() != DataType::kString) {
     return Status::InvalidArgument("LIKE requires a string column");
   }
-  const size_t n = col.size();
+  const size_t n = sel == nullptr ? col.size() : sel->size();
   mask->assign(n, 0);
-  const auto& d = col.strs();
+  const StringColumn& d = col.strs();
   // Classified once per call; LikeMatch stays the reference matcher.
   const LikeShape shape = ClassifyLike(pattern);
   for (size_t i = 0; i < n; ++i) {
-    (*mask)[i] = col.IsValid(i) && MatchesShape(shape, d[i]) ? 1 : 0;
+    const size_t row = sel == nullptr ? i : (*sel)[i];
+    (*mask)[i] = col.IsValid(row) && MatchesShape(shape, d[row]) ? 1 : 0;
   }
   return Status::OK();
 }

@@ -26,18 +26,22 @@ std::string_view ArithOpToString(ArithOp op);
 /// Byte-per-row boolean mask; 1 = row passes.
 using Mask = std::vector<uint8_t>;
 
-/// mask[i] = (col[i] op constant). NULL rows produce 0.
+/// mask[i] = (col[i] op constant). NULL rows produce 0. With a non-null
+/// `sel`, only the selected rows are compared: mask[i] = (col[sel[i]] op
+/// constant).
 Status CompareToConstant(const ColumnVector& col, CompareOp op,
-                         const Value& constant, Mask* mask);
+                         const Value& constant, Mask* mask,
+                         const SelectionVector* sel = nullptr);
 
 /// mask[i] = (a[i] op b[i]). Columns must have equal length and comparable
 /// types. NULL on either side produces 0.
 Status CompareColumns(const ColumnVector& a, CompareOp op,
                       const ColumnVector& b, Mask* mask);
 
-/// mask[i] = LIKE(col[i], pattern). Column must be kString.
+/// mask[i] = LIKE(col[i], pattern). Column must be kString. With a non-null
+/// `sel`, only the selected rows are tested: mask[i] = LIKE(col[sel[i]]).
 Status ComputeLikeMask(const ColumnVector& col, std::string_view pattern,
-                       Mask* mask);
+                       Mask* mask, const SelectionVector* sel = nullptr);
 
 /// In-place mask combinators (sizes must match).
 void AndMasks(const Mask& other, Mask* mask);

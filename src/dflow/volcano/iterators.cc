@@ -328,7 +328,7 @@ Status HashAggIterator::Open() {
   auto flush = [&]() -> Status {
     if (batch.num_rows() == 0) return Status::OK();
     ctx_->meter->ChargeCpu(batch.ByteSize(), sim::CostClass::kAggregate);
-    DFLOW_RETURN_NOT_OK(agg_->Push(batch, &sink));
+    DFLOW_RETURN_NOT_OK(agg_->Push(std::move(batch), &sink));
     batch = DataChunk::EmptyFromSchema(child_->schema());
     return Status::OK();
   };

@@ -10,12 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dflow/common/random.h"
 #include "dflow/encode/byte_io.h"
 #include "dflow/encode/encoding.h"
+#include "dflow/storage/table.h"
+#include "dflow/storage/zone_map.h"
 #include "dflow/testing/canonical.h"
 #include "dflow/testing/plan_gen.h"
 #include "dflow/vector/data_chunk.h"
@@ -459,6 +464,170 @@ TEST(ChunkPropertyTest, ChecksumIsContentNotIdentity) {
     rest.Append(static_cast<uint32_t>(r));
   }
   EXPECT_NE(ChecksumChunk(chunk), ChecksumChunk(chunk.Gather(rest)));
+}
+
+// ------------------------------------------------- span-wise decoding
+
+// Every encoding, over a column whose RLE runs (1000 rows) and FOR values
+// (10 bits) cross every 2048-row span boundary.
+std::vector<std::pair<ColumnVector, Encoding>> SpanColumns(size_t rows,
+                                                           bool nulls) {
+  Random rng(0x5BA9ULL + rows);
+  std::vector<int64_t> runs(rows), narrow(rows), wide(rows);
+  std::vector<int32_t> dates(rows);
+  std::vector<double> doubles(rows);
+  std::vector<uint8_t> bools(rows);
+  std::vector<std::string> flags(rows), comments(rows);
+  const char* kFlags[] = {"A", "N", "R", ""};
+  for (size_t i = 0; i < rows; ++i) {
+    runs[i] = static_cast<int64_t>(i / 1000) * 7 - 3;
+    narrow[i] = rng.NextInt64(-500, 523);  // 10 bits
+    wide[i] = rng.NextInt64(INT64_MIN / 2, INT64_MAX / 2);
+    dates[i] = static_cast<int32_t>(8000 + rng.NextUint64(1000));
+    doubles[i] = rng.NextDouble(-1e6, 1e6);
+    bools[i] = static_cast<uint8_t>((i / 3000) % 2);
+    flags[i] = kFlags[rng.NextUint64(4)];
+    comments[i] = rng.NextString(rng.NextUint64(30));
+  }
+  std::vector<std::pair<ColumnVector, Encoding>> out = {
+      {ColumnVector::FromInt64(runs), Encoding::kRle},
+      {ColumnVector::FromBool(bools), Encoding::kRle},
+      {ColumnVector::FromInt64(narrow), Encoding::kForBitPack},
+      {ColumnVector::FromDate32(dates), Encoding::kForBitPack},
+      {ColumnVector::FromString(flags), Encoding::kDictionary},
+      {ColumnVector::FromInt64(wide), Encoding::kPlain},
+      {ColumnVector::FromDate32(dates), Encoding::kPlain},
+      {ColumnVector::FromDouble(doubles), Encoding::kPlain},
+      {ColumnVector::FromBool(bools), Encoding::kPlain},
+      {ColumnVector::FromString(comments), Encoding::kPlain},
+  };
+  if (nulls) {
+    for (auto& [col, enc] : out) {
+      for (size_t i = 0; i < rows; i += 1 + rng.NextUint64(3000)) {
+        col.SetNull(i);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SpanDecodeTest, DecodeChunksEqualsDecodeColumnSplitAtVectorSize) {
+  for (size_t rows : {1u, 2047u, 2048u, 2049u, 65543u}) {
+    for (bool nulls : {false, true}) {
+      for (auto& [col, enc] : SpanColumns(rows, nulls)) {
+        SCOPED_TRACE(std::string(EncodingToString(enc)) + " " +
+                     std::string(DataTypeToString(col.type())) + " rows=" +
+                     std::to_string(rows) + (nulls ? " nulls" : ""));
+        Result<EncodedColumn> encoded = EncodeColumn(col, enc);
+        ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+        Result<ColumnVector> whole = DecodeColumn(encoded.ValueOrDie());
+        ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+        auto rg = RowGroup::Make(static_cast<uint32_t>(rows),
+                                 {encoded.ValueOrDie()},
+                                 {ZoneMap::Compute(col)});
+        ASSERT_TRUE(rg.ok()) << rg.status().ToString();
+        auto chunks = rg.ValueOrDie().DecodeChunks({0});
+        ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
+        ASSERT_EQ(chunks.ValueOrDie().size(),
+                  (rows + kVectorSize - 1) / kVectorSize);
+        uint64_t bytes = 0;
+        for (size_t k = 0; k < chunks.ValueOrDie().size(); ++k) {
+          const ColumnVector& got = chunks.ValueOrDie()[k].column(0);
+          const size_t start = k * kVectorSize;
+          const ColumnVector want = whole.ValueOrDie().TakeRange(
+              start, std::min(kVectorSize, rows - start));
+          ASSERT_EQ(got.size(), want.size());
+          EXPECT_EQ(got.HasNulls(), want.HasNulls());
+          EXPECT_EQ(got.ByteSize(), want.ByteSize());
+          for (size_t r = 0; r < got.size(); ++r) {
+            ASSERT_EQ(FormatValueTagged(got.GetValue(r)),
+                      FormatValueTagged(want.GetValue(r)))
+                << "span " << k << " row " << r;
+            ASSERT_EQ(FormatValueTagged(got.GetValue(r)),
+                      FormatValueTagged(col.GetValue(start + r)));
+          }
+          bytes += got.ByteSize();
+        }
+        EXPECT_EQ(bytes, rg.ValueOrDie().DecodedBytes({0}));
+      }
+    }
+  }
+}
+
+TEST(SpanDecodeTest, InputTruncatedAtASpanBoundaryIsOutOfRange) {
+  const size_t rows = 3 * kVectorSize + 5;
+  for (auto& [col, enc] : SpanColumns(rows, /*nulls=*/false)) {
+    SCOPED_TRACE(std::string(EncodingToString(enc)) + " " +
+                 std::string(DataTypeToString(col.type())));
+    const EncodedColumn full = EncodeColumn(col, enc).ValueOrDie();
+    // Bytes before the first span: the validity flag plus each encoding's
+    // header; then the bytes each span reads.
+    size_t header = 1;
+    std::vector<size_t> span_end;  // byte offset where span k's data ends
+    switch (enc) {
+      case Encoding::kPlain:
+        for (size_t k = 1; k <= 3; ++k) {
+          size_t end = header;
+          for (size_t r = 0; r < k * kVectorSize; ++r) {
+            end += col.type() == DataType::kString
+                       ? 4 + col.strs()[r].size()
+                       : FixedWidthBytes(col.type());
+          }
+          span_end.push_back(end);
+        }
+        break;
+      case Encoding::kRle: {
+        const size_t run = col.type() == DataType::kBool ? 3000 : 1000;
+        for (size_t k = 1; k <= 3; ++k) {
+          // A span reads every run up to the one holding its last row.
+          span_end.push_back(header + 12 * ((k * kVectorSize + run - 1) / run));
+        }
+        break;
+      }
+      case Encoding::kDictionary: {
+        header += 4 + 4 * 4 + 3;  // four entries: "A", "N", "R", ""
+        for (size_t k = 1; k <= 3; ++k) {
+          span_end.push_back(header + 4 * k * kVectorSize);
+        }
+        break;
+      }
+      case Encoding::kForBitPack: {
+        header += 9;
+        const size_t bits = full.data[9];
+        for (size_t k = 1; k <= 3; ++k) {
+          span_end.push_back(header + k * kVectorSize * bits / 8);
+        }
+        break;
+      }
+    }
+    for (size_t k = 0; k < span_end.size(); ++k) {
+      // The last RLE run may hold every row past the third span.
+      if (span_end[k] == full.data.size()) continue;
+      ASSERT_LT(span_end[k], full.data.size());
+      EncodedColumn cut = full;
+      cut.data.resize(span_end[k]);
+      EXPECT_TRUE(DecodeColumn(cut).status().IsOutOfRange());
+      // Spans 0..k decode; a later one finds its bytes gone.
+      auto decoder = ColumnDecoder::Open(cut);
+      ASSERT_TRUE(decoder.ok()) << decoder.status().ToString();
+      for (size_t span = 0; span <= k; ++span) {
+        auto got = decoder.ValueOrDie().Next(kVectorSize);
+        ASSERT_TRUE(got.ok()) << "span " << span << ": "
+                              << got.status().ToString();
+        for (size_t r = 0; r < kVectorSize; ++r) {
+          ASSERT_EQ(FormatValueTagged(got.ValueOrDie().GetValue(r)),
+                    FormatValueTagged(col.GetValue(span * kVectorSize + r)));
+        }
+      }
+      Status rest = Status::OK();
+      while (rest.ok() && decoder.ValueOrDie().rows_left() > 0) {
+        const size_t n =
+            std::min(kVectorSize, decoder.ValueOrDie().rows_left());
+        rest = decoder.ValueOrDie().Next(n).status();
+      }
+      EXPECT_TRUE(rest.IsOutOfRange()) << rest.ToString();
+    }
+  }
 }
 
 }  // namespace

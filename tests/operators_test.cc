@@ -431,6 +431,35 @@ TEST(JoinTest, HashTableInsertAndProbe) {
   EXPECT_EQ(table->CountMatches(probe).ValueOrDie(), 3u);
 }
 
+TEST(JoinTest, CountingThroughASelectionEqualsCountingTheGatheredRows) {
+  Random rng(0x5E1ULL);
+  Schema build_schema({{"k", DataType::kInt64}});
+  JoinHashTable table(build_schema, 0);
+  std::vector<int64_t> build_keys(500);
+  for (int64_t& k : build_keys) k = rng.NextInt64(0, 200);
+  ASSERT_TRUE(
+      table.Insert(DataChunk({ColumnVector::FromInt64(build_keys)})).ok());
+  std::vector<int64_t> probe_keys(1000);
+  for (int64_t& k : probe_keys) k = rng.NextInt64(0, 300);
+  ColumnVector probe = ColumnVector::FromInt64(probe_keys);
+  for (size_t i = 0; i < probe.size(); i += 7) probe.SetNull(i);
+  std::vector<uint64_t> hashes;
+  ASSERT_TRUE(HashColumn(probe, &hashes).ok());
+  uint64_t total = 0;
+  for (uint32_t part = 0; part < 4; ++part) {
+    SelectionVector sel;
+    for (size_t r = 0; r < probe.size(); ++r) {
+      if (hashes[r] % 4 == part) sel.Append(static_cast<uint32_t>(r));
+    }
+    const uint64_t through =
+        table.CountMatches(probe, hashes, &sel).ValueOrDie();
+    EXPECT_EQ(through, table.CountMatches(probe.Gather(sel)).ValueOrDie());
+    total += through;
+  }
+  EXPECT_EQ(total, table.CountMatches(probe).ValueOrDie());
+  EXPECT_GT(total, 0u);
+}
+
 TEST(JoinTest, NullKeysNeverJoin) {
   Schema build_schema({{"k", DataType::kInt64}});
   auto table = std::make_shared<JoinHashTable>(build_schema, 0);

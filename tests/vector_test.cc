@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dflow/common/random.h"
 #include "dflow/common/string_util.h"
@@ -341,19 +344,211 @@ TEST(KernelsTest, HashIsConsistentAcrossCalls) {
   EXPECT_EQ(h1[0], h1[1]);
 }
 
-TEST(KernelsTest, ChunkRowsSplitsAtVectorSize) {
-  auto chunks = ChunkRows(kVectorSize * 2 + 10, [](size_t start, size_t count) {
-    DataChunk c;
-    std::vector<int64_t> vals(count);
-    for (size_t i = 0; i < count; ++i) vals[i] = static_cast<int64_t>(start + i);
-    c.AddColumn(ColumnVector::FromInt64(std::move(vals)));
-    return c;
-  });
-  ASSERT_EQ(chunks.size(), 3u);
-  EXPECT_EQ(chunks[0].num_rows(), kVectorSize);
-  EXPECT_EQ(chunks[2].num_rows(), 10u);
-  EXPECT_EQ(chunks[2].column(0).i64()[0],
-            static_cast<int64_t>(kVectorSize * 2));
+// ------------------------------------------- STRING arena vs a reference
+
+// What a STRING column should hold, kept the obvious way: one std::string
+// per row (a NULL row's slot included) and the validity mask.
+struct StringRef {
+  std::vector<std::string> values;
+  std::vector<uint8_t> valid;
+  bool masked = false;
+
+  void Append(const std::string& v, bool is_valid) {
+    values.push_back(is_valid ? v : std::string());
+    valid.push_back(is_valid ? 1 : 0);
+    masked = masked || !is_valid;
+  }
+};
+
+void ExpectMatches(const ColumnVector& col, const StringRef& ref) {
+  ASSERT_EQ(col.type(), DataType::kString);
+  ASSERT_EQ(col.size(), ref.values.size());
+  EXPECT_EQ(col.HasNulls(), ref.masked);
+  uint64_t bytes = 0;
+  for (size_t i = 0; i < ref.values.size(); ++i) {
+    EXPECT_EQ(col.IsValid(i), ref.valid[i] != 0) << "row " << i;
+    EXPECT_EQ(col.strs()[i], ref.values[i]) << "row " << i;
+    bytes += ref.values[i].size() + 4;
+  }
+  if (ref.masked) bytes += ref.values.size();
+  EXPECT_EQ(col.ByteSize(), bytes);
+}
+
+// A source column with empty strings, a 64 KiB string and NULL rows whose
+// slots keep stale text, plus its reference.
+std::pair<ColumnVector, StringRef> StringSource(Random* rng, size_t rows) {
+  std::vector<std::string> values;
+  for (size_t i = 0; i < rows; ++i) {
+    if (i == rows / 2) {
+      values.push_back(std::string(64 * 1024, 'x'));
+    } else if (rng->NextBool(0.2)) {
+      values.emplace_back();
+    } else {
+      values.push_back(rng->NextString(rng->NextUint64(20)));
+    }
+  }
+  ColumnVector col = ColumnVector::FromString(values);
+  StringRef ref{values, std::vector<uint8_t>(rows, 1), false};
+  for (size_t i = 0; i < rows; ++i) {
+    if (i != rows / 2 && rng->NextBool(0.25)) {
+      col.SetNull(i);  // the slot keeps its text
+      ref.valid[i] = 0;
+      ref.masked = true;
+    }
+  }
+  return {std::move(col), std::move(ref)};
+}
+
+TEST(StringColumnTest, EveryOperationMatchesAStringVectorReference) {
+  Random rng(0xA7E4AULL);
+  auto [src, src_ref] = StringSource(&rng, 300);
+  ExpectMatches(src, src_ref);
+  for (size_t i = 0; i < src.size(); ++i) {
+    const Value v = src.GetValue(i);
+    if (src_ref.valid[i]) {
+      EXPECT_EQ(v.string_value(), src_ref.values[i]);
+    } else {
+      EXPECT_TRUE(v.is_null());
+    }
+  }
+
+  // AppendFrom, AppendRange and AppendRows all append the default for a
+  // NULL row.
+  StringRef appended;
+  ColumnVector from(DataType::kString);
+  for (size_t i = 0; i < src.size(); ++i) {
+    from.AppendFrom(src, i);
+    appended.Append(src_ref.values[i], src_ref.valid[i] != 0);
+  }
+  ExpectMatches(from, appended);
+  ColumnVector range(DataType::kString);
+  for (size_t start = 0; start < src.size(); start += 37) {
+    range.AppendRange(src, start, std::min<size_t>(37, src.size() - start));
+  }
+  ExpectMatches(range, appended);
+  std::vector<uint32_t> rows;
+  SelectionVector sel;
+  StringRef picked;
+  StringRef gathered{{}, {}, src_ref.masked};
+  for (size_t i = 0; i < src.size(); ++i) {
+    if (rng.NextBool(0.5)) {
+      rows.push_back(static_cast<uint32_t>(i));
+      sel.Append(static_cast<uint32_t>(i));
+      picked.Append(src_ref.values[i], src_ref.valid[i] != 0);
+      // Gather copies the slot and the mask whole.
+      gathered.values.push_back(src_ref.values[i]);
+      gathered.valid.push_back(src_ref.valid[i]);
+    }
+  }
+  ColumnVector by_rows(DataType::kString);
+  by_rows.AppendRows(src, rows.data(), rows.size());
+  ExpectMatches(by_rows, picked);
+  ExpectMatches(src.Gather(sel), gathered);
+
+  // TakeRange copies slots and carries the mask, as Gather does.
+  StringRef taken{{src_ref.values.begin() + 100, src_ref.values.begin() + 200},
+                  {src_ref.valid.begin() + 100, src_ref.valid.begin() + 200},
+                  src_ref.masked};
+  ExpectMatches(src.TakeRange(100, 100), taken);
+  ExpectMatches(src, src_ref);  // the source is untouched
+
+  // AppendValue, AppendNull, Resize and Clear.
+  ColumnVector built(DataType::kString);
+  StringRef built_ref;
+  built.AppendValue(Value::String(""));
+  built_ref.Append("", true);
+  built.AppendNull();
+  built_ref.Append("", false);
+  built.AppendValue(Value::String(std::string(64 * 1024, 'y')));
+  built_ref.Append(std::string(64 * 1024, 'y'), true);
+  ExpectMatches(built, built_ref);
+  built.Resize(5);
+  built_ref.values.resize(5);
+  built_ref.valid.resize(5, 1);
+  ExpectMatches(built, built_ref);
+  built.Resize(2);
+  built_ref.values.resize(2);
+  built_ref.valid.resize(2);
+  ExpectMatches(built, built_ref);
+  built.Clear();
+  ExpectMatches(built, StringRef{});
+
+  // A column appending its own rows reads them before its arena moves.
+  ColumnVector self = ColumnVector::FromString({"abc", ""});
+  for (int i = 0; i < 10; ++i) self.AppendFrom(self, 0);
+  EXPECT_EQ(self.strs()[11], "abc");
+}
+
+TEST(StringColumnTest, AnEmptyColumnAllocatesNothing) {
+  ColumnVector col(DataType::kString);
+  EXPECT_EQ(col.strs().bytes().capacity(), 0u);
+  EXPECT_EQ(col.strs().offsets().capacity(), 0u);
+  EXPECT_EQ(col.size(), 0u);
+  EXPECT_EQ(col.ByteSize(), 0u);
+  col.AppendValue(Value::String("a"));
+  col.Resize(0);
+  EXPECT_TRUE(col.strs().offsets().empty());
+}
+
+TEST(StringColumnTest, AppendRangeOfANullRowEqualsAppendFrom) {
+  ColumnVector src = ColumnVector::FromString({"x", "stale text", "z"});
+  src.SetNull(1);
+  ColumnVector by_range(DataType::kString);
+  by_range.AppendRange(src, 0, 3);
+  ColumnVector by_value(DataType::kString);
+  for (size_t i = 0; i < 3; ++i) by_value.AppendFrom(src, i);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(by_range.GetValue(i).ToString(), by_value.GetValue(i).ToString());
+    EXPECT_EQ(by_range.strs()[i], by_value.strs()[i]);
+  }
+  EXPECT_EQ(by_range.strs()[1], "");
+  EXPECT_EQ(by_range.ByteSize(), by_value.ByteSize());
+  EXPECT_EQ(by_range.ByteSize(), (1u + 4u) + (0u + 4u) + (1u + 4u) + 3u);
+}
+
+TEST(ChecksumTest, EqualContentHashesEquallyHoweverTheArenaWasBuilt) {
+  const std::vector<std::string> values = {"alpha", "", "be", "gamma", ""};
+  DataChunk direct({ColumnVector::FromInt64({1, 2, 3, 4, 5}),
+                    ColumnVector::FromString(values)});
+  // The same rows as two AppendRange slices of a longer column.
+  ColumnVector longer = ColumnVector::FromString(
+      {"pad", "alpha", "", "be", "pad", "gamma", ""});
+  ColumnVector sliced(DataType::kString);
+  sliced.AppendRange(longer, 1, 3);
+  sliced.AppendRange(longer, 5, 2);
+  DataChunk slices({ColumnVector::FromInt64({1, 2, 3, 4, 5}),
+                    std::move(sliced)});
+  // And as a Gather out of the longer column and a Slice of a chunk.
+  DataChunk gathered({ColumnVector::FromInt64({9, 1, 2, 3, 9, 4, 5}),
+                      std::move(longer)});
+  gathered = gathered.Gather(SelectionVector({1, 2, 3, 5, 6}));
+  DataChunk sliced_chunk =
+      DataChunk({ColumnVector::FromInt64({0, 1, 2, 3, 4, 5}),
+                 ColumnVector::FromString(
+                     {"x", "alpha", "", "be", "gamma", ""})})
+          .Slice(1, 5);
+  const uint64_t want = ChecksumChunk(direct);
+  EXPECT_EQ(ChecksumChunk(slices), want);
+  EXPECT_EQ(ChecksumChunk(gathered), want);
+  EXPECT_EQ(ChecksumChunk(sliced_chunk), want);
+
+  // One byte changed anywhere gives a different checksum.
+  std::vector<std::string> changed = values;
+  changed[3][2] = 'M';
+  EXPECT_NE(ChecksumChunk(DataChunk({ColumnVector::FromInt64({1, 2, 3, 4, 5}),
+                                     ColumnVector::FromString(changed)})),
+            want);
+  // So does moving a byte from one row to its neighbour.
+  EXPECT_NE(ChecksumChunk(DataChunk(
+                {ColumnVector::FromInt64({1, 2, 3, 4, 5}),
+                 ColumnVector::FromString({"alph", "a", "be", "gamma", ""})})),
+            want);
+  EXPECT_NE(ChecksumChunk(DataChunk({ColumnVector::FromInt64({1, 2, 3, 4, 6}),
+                                     ColumnVector::FromString(values)})),
+            want);
+  DataChunk nulled = direct;
+  nulled.column(0).SetNull(2);
+  EXPECT_NE(ChecksumChunk(nulled), want);
 }
 
 }  // namespace
