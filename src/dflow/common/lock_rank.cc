@@ -22,8 +22,6 @@ const char* LockRankName(LockRank rank) {
       return "StealDeque";
     case LockRank::kJoinPartition:
       return "JoinPartition";
-    case LockRank::kMpmcQueue:
-      return "MpmcQueue";
     case LockRank::kErrorSlot:
       return "ErrorSlot";
   }

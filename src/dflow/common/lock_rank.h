@@ -35,8 +35,6 @@ enum class LockRank : int {
   kStealDeque = 60,
   /// Per-partition hash-table locks in the parallel join build/probe.
   kJoinPartition = 70,
-  /// MpmcQueue item buffer and close flag (credit-gated edge analogue).
-  kMpmcQueue = 80,
   /// First-error capture slots; leaf rank, never held across a call.
   kErrorSlot = 90,
 };

@@ -243,10 +243,24 @@ std::vector<std::shared_ptr<JoinHashTable>> NewJoinTables(
 
 }  // namespace compile
 
+namespace {
+
+/// ExecOptions::credits, checked in the two lowerings every program passes
+/// through, before anything is built or any thread starts.
+Status CheckCredits(uint32_t credits) {
+  if (credits > 0) return Status::OK();
+  return Status::InvalidArgument(
+      "credits must be >= 1: an edge with zero credits can never carry a "
+      "chunk");
+}
+
+}  // namespace
+
 Result<compile::ProgramPtr> Engine::LowerProgram(
     const QuerySpec& spec, const PreparedQuery& prepared,
     const Placement& placement, const ExecOptions& options,
     const std::string& label, const CostEstimate& demand) {
+  DFLOW_RETURN_NOT_OK(CheckCredits(options.credits));
   DFLOW_RETURN_NOT_OK(CheckNode(options.node));
   if (placement.sites.size() != prepared.kinds.size()) {
     return Status::InvalidArgument("placement '" + placement.name +
@@ -294,6 +308,7 @@ Result<compile::ProgramPtr> Engine::LowerProgram(
 
 Result<compile::JoinProgramPtr> Engine::LowerJoin(const JoinSpec& spec,
                                                   const ExecOptions& options) {
+  DFLOW_RETURN_NOT_OK(CheckCredits(options.credits));
   const bool parallel = options.mode == ExecMode::kParallel;
   if (spec.num_nodes < 1 ||
       (!parallel && spec.num_nodes > fabric_.num_nodes())) {

@@ -53,7 +53,9 @@ struct ExecOptions {
   /// Worker threads for ExecMode::kParallel: 0 runs one, and more than
   /// kMaxParallelWorkers is refused with InvalidArgument.
   uint32_t parallel_workers = 4;
-  /// Credits (chunks in flight) per pipeline edge.
+  /// Credits (chunks in flight) per edge of the simulated pipeline. Must be
+  /// >= 1 in every mode: kParallel runs no credit-gated edges and only
+  /// validates it.
   uint32_t credits = 8;
   /// DMA rate limit on the network edge, Gbps (0 = none). Set by the
   /// scheduler to tame background queries.

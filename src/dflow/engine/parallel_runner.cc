@@ -25,19 +25,8 @@ namespace {
 using compile::OpCode;
 using compile::ProgramOp;
 
-/// One operator of a chain, instantiated afresh per chain.
+/// One operator of the worker chain, instantiated afresh per morsel.
 using OpFactory = std::function<Result<OperatorPtr>()>;
-
-parallel::ChainFactory MakeChain(std::vector<OpFactory> factories) {
-  return [factories]() -> Result<std::vector<OperatorPtr>> {
-    std::vector<OperatorPtr> ops;
-    for (const OpFactory& make : factories) {
-      DFLOW_ASSIGN_OR_RETURN(OperatorPtr op, make());
-      ops.push_back(std::move(op));
-    }
-    return ops;
-  };
-}
 
 /// Lowers a CPU-only program to the real-parallel executor's three-layer
 /// pipeline shape (see parallel::ParallelPipelineSpec) by dispatching on
@@ -57,9 +46,10 @@ parallel::ChainFactory MakeChain(std::vector<OpFactory> factories) {
 Result<parallel::ParallelPipelineSpec> BuildParallelPipelineSpec(
     const compile::ProgramPtr& program) {
   const QuerySpec& spec = program->spec();
-  // Factories share the immutable program; its resolved expressions are
-  // const-evaluated, which is thread-safe.
-  std::vector<OpFactory> worker, merge, output;
+  // Worker factories share the immutable program; its resolved expressions
+  // are const-evaluated, which is thread-safe.
+  parallel::ParallelPipelineSpec pipeline;
+  std::vector<OpFactory> worker;
   bool fuse_worker = true;
   Schema input = program->scan_schema();
   auto instantiate = [&program, &input](const ProgramOp& op) -> OpFactory {
@@ -81,12 +71,12 @@ Result<parallel::ParallelPipelineSpec> BuildParallelPipelineSpec(
         // sum of the per-morsel counts is the global COUNT(*).
         worker.push_back(instantiate(op));
         fuse_worker = false;
-        const Schema counted = op.output_schema;
-        merge.push_back([counted]() {
-          std::vector<AggSpec> sum_counts{{AggFunc::kSum, "count", "count"}};
-          return HashAggregateOperator::Make(counted, {}, sum_counts,
-                                             AggMode::kComplete);
-        });
+        std::vector<AggSpec> sum_counts{{AggFunc::kSum, "count", "count"}};
+        DFLOW_ASSIGN_OR_RETURN(
+            OperatorPtr sum,
+            HashAggregateOperator::Make(op.output_schema, {}, sum_counts,
+                                        AggMode::kComplete));
+        pipeline.merge_chain.push_back(std::move(sum));
         break;
       }
       case OpCode::kCompleteAgg: {
@@ -97,23 +87,25 @@ Result<parallel::ParallelPipelineSpec> BuildParallelPipelineSpec(
             OperatorPtr partial,
             HashAggregateOperator::Make(input, spec.group_by, spec.aggregates,
                                         AggMode::kPartial));
-        const Schema partial_schema = partial->output_schema();
         worker.push_back([program, input]() {
           return HashAggregateOperator::Make(
               input, program->spec().group_by, program->spec().aggregates,
               AggMode::kPartial);
         });
-        merge.push_back([program, partial_schema]() {
-          return HashAggregateOperator::Make(
-              partial_schema, program->spec().group_by,
-              MakeMergeSpecs(program->spec().aggregates), AggMode::kFinal);
-        });
+        DFLOW_ASSIGN_OR_RETURN(
+            OperatorPtr final_agg,
+            HashAggregateOperator::Make(partial->output_schema(), spec.group_by,
+                                        MakeMergeSpecs(spec.aggregates),
+                                        AggMode::kFinal));
+        pipeline.merge_chain.push_back(std::move(final_agg));
         break;
       }
       case OpCode::kSort:
-      case OpCode::kLimit:
-        output.push_back(instantiate(op));
+      case OpCode::kLimit: {
+        DFLOW_ASSIGN_OR_RETURN(OperatorPtr stage, instantiate(op)());
+        pipeline.output_chain.push_back(std::move(stage));
         break;
+      }
       default:
         return Status::Internal(
             "parallel executor cannot run opcode " +
@@ -122,25 +114,20 @@ Result<parallel::ParallelPipelineSpec> BuildParallelPipelineSpec(
     input = op.output_schema;
   }
 
-  fuse_worker = fuse_worker && !worker.empty();
-  parallel::ParallelPipelineSpec pipeline;
-  pipeline.make_worker_chain = MakeChain(std::move(worker));
-  if (fuse_worker) {
-    pipeline.make_worker_chain =
-        [chain = std::move(pipeline.make_worker_chain)]()
-        -> Result<std::vector<OperatorPtr>> {
-      DFLOW_ASSIGN_OR_RETURN(std::vector<OperatorPtr> ops, chain());
-      std::vector<OperatorPtr> kernel;
-      DFLOW_ASSIGN_OR_RETURN(OperatorPtr fused,
-                             compile::FusedOperator::Make(std::move(ops)));
-      kernel.push_back(std::move(fused));
-      return kernel;
-    };
-  }
-  if (!merge.empty()) pipeline.make_merge_chain = MakeChain(std::move(merge));
-  if (!output.empty()) {
-    pipeline.make_output_chain = MakeChain(std::move(output));
-  }
+  pipeline.make_worker_chain = [worker = std::move(worker), fuse_worker]()
+      -> Result<std::vector<OperatorPtr>> {
+    std::vector<OperatorPtr> ops;
+    for (const OpFactory& make : worker) {
+      DFLOW_ASSIGN_OR_RETURN(OperatorPtr op, make());
+      ops.push_back(std::move(op));
+    }
+    if (!fuse_worker || ops.empty()) return ops;
+    DFLOW_ASSIGN_OR_RETURN(OperatorPtr fused,
+                           compile::FusedOperator::Make(std::move(ops)));
+    std::vector<OperatorPtr> kernel;
+    kernel.push_back(std::move(fused));
+    return kernel;
+  };
   // Without a total order from the query itself, canonically order the
   // merged rows so downstream stages (and the client) see a stream that
   // never depends on scheduling.
@@ -178,15 +165,12 @@ Result<QueryResult> Engine::ExecuteParallel(const QuerySpec& spec,
   DFLOW_ASSIGN_OR_RETURN(TableScanSource scan, ScanOf(*program));
   DFLOW_ASSIGN_OR_RETURN(parallel::ParallelPipelineSpec pipeline,
                          BuildParallelPipelineSpec(program));
-  parallel::ParallelExecOptions popt;
-  popt.workers = workers;
-  popt.queue_capacity = options.credits;
-
   QueryResult result;
   DFLOW_ASSIGN_OR_RETURN(
       result.chunks,
-      parallel::RunMorselPipeline(scan, pipeline, popt, &result.parallel));
-  result.report.variant = "real-parallel:w" + std::to_string(popt.workers);
+      parallel::RunMorselPipeline(scan, std::move(pipeline), workers,
+                                  &result.parallel));
+  result.report.variant = "real-parallel:w" + std::to_string(workers);
   result.report.sim_ns = 0;  // no simulated time in this mode
   uint64_t rows = 0;
   for (const DataChunk& c : result.chunks) rows += c.num_rows();
@@ -207,17 +191,12 @@ Result<JoinRunResult> Engine::ExecuteParallelJoin(
   const parallel::ParallelJoinInputs inputs{
       &build_scan,       &probe_scan,        program.build.key,
       program.probe.key, program.partitions, program.probe.filter};
-  parallel::ParallelExecOptions popt;
-  popt.workers = workers;
-  popt.queue_capacity = options.credits;
-
   JoinRunResult result;
   DFLOW_ASSIGN_OR_RETURN(
       result.node_counts,
-      parallel::RunParallelHashJoin(inputs, popt, &result.parallel));
+      parallel::RunParallelHashJoin(inputs, workers, &result.parallel));
   for (int64_t count : result.node_counts) result.total_rows += count;
-  result.report.variant =
-      "real-parallel-join:w" + std::to_string(popt.workers);
+  result.report.variant = "real-parallel-join:w" + std::to_string(workers);
   result.report.sim_ns = 0;
   result.report.result_rows = static_cast<uint64_t>(result.total_rows);
   result.report.scan = probe_scan.Stats();

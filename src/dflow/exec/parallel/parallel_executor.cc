@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <thread>
 #include <utility>
 
-#include "dflow/exec/parallel/mpmc_queue.h"
+#include "dflow/exec/local_executor.h"
 #include "dflow/exec/parallel/task_scheduler.h"
 #include "dflow/types/value.h"
 #include "dflow/vector/column_vector.h"
@@ -15,61 +14,20 @@ namespace dflow::parallel {
 
 namespace {
 
-/// Worker output in flight to the merge: the chunks one morsel produced,
-/// tagged with the morsel's sequence.
-struct ResultItem {
+/// The chunks one morsel's worker chain produced, tagged with the morsel's
+/// sequence.
+struct MorselOutput {
   uint64_t sequence = 0;
   std::vector<DataChunk> chunks;
 };
 
-/// Pushes `chunk` through ops[from..] and appends the tail-stage output
-/// (`chunk` itself when the chain has no stage left).
-Status PushThroughChain(std::vector<OperatorPtr>* ops, size_t from,
-                        DataChunk chunk, std::vector<DataChunk>* out) {
-  if (from == ops->size()) {
-    out->push_back(std::move(chunk));
-    return Status::OK();
-  }
-  std::vector<DataChunk> current;
-  DFLOW_RETURN_NOT_OK((*ops)[from]->Push(std::move(chunk), &current));
-  for (size_t i = from + 1; i < ops->size(); ++i) {
-    std::vector<DataChunk> next;
-    for (DataChunk& c : current) {
-      DFLOW_RETURN_NOT_OK((*ops)[i]->Push(std::move(c), &next));
-    }
-    current = std::move(next);
-  }
-  for (DataChunk& c : current) out->push_back(std::move(c));
-  return Status::OK();
-}
-
-/// Finishes each op in order, flowing its flush output through the rest of
-/// the chain (a stage's Finish runs only after it has seen every upstream
-/// chunk, including upstream Finish output).
-Status FinishChain(std::vector<OperatorPtr>* ops,
-                   std::vector<DataChunk>* out) {
-  for (size_t i = 0; i < ops->size(); ++i) {
-    std::vector<DataChunk> flushed;
-    DFLOW_RETURN_NOT_OK((*ops)[i]->Finish(&flushed));
-    for (DataChunk& c : flushed) {
-      DFLOW_RETURN_NOT_OK(PushThroughChain(ops, i + 1, std::move(c), out));
-    }
-  }
-  return Status::OK();
-}
-
-/// Runs chunks through an optional single-threaded chain (push + finish).
-Result<std::vector<DataChunk>> RunSerialChain(
-    const ChainFactory& factory, std::vector<DataChunk> chunks) {
-  if (!factory) return chunks;
-  DFLOW_ASSIGN_OR_RETURN(std::vector<OperatorPtr> ops, factory());
-  if (ops.empty()) return chunks;
-  std::vector<DataChunk> out;
-  for (DataChunk& c : chunks) {
-    DFLOW_RETURN_NOT_OK(PushThroughChain(&ops, 0, std::move(c), &out));
-  }
-  DFLOW_RETURN_NOT_OK(FinishChain(&ops, &out));
-  return out;
+/// Runs `chunks` through `chain` (push + finish); an empty chain passes
+/// them through.
+Result<std::vector<DataChunk>> RunChain(const std::vector<OperatorPtr>& chain,
+                                        std::vector<DataChunk> chunks) {
+  std::vector<Operator*> ops;
+  for (const OperatorPtr& op : chain) ops.push_back(op.get());
+  return RunLocalPipeline(std::move(chunks), ops);
 }
 
 /// Concatenates row-compatible chunks and re-emits them sorted by every
@@ -118,101 +76,79 @@ std::vector<DataChunk> CanonicalOrder(const std::vector<DataChunk>& chunks) {
 }  // namespace
 
 Result<std::vector<DataChunk>> RunMorselPipeline(
-    const TableScanSource& scan, const ParallelPipelineSpec& spec,
-    const ParallelExecOptions& options, ParallelExecStats* stats) {
+    const TableScanSource& scan, ParallelPipelineSpec spec, uint32_t workers,
+    ParallelExecStats* stats) {
   if (!spec.make_worker_chain) {
     return Status::InvalidArgument("parallel pipeline needs a worker chain");
   }
-  if (options.workers == 0) {
+  if (workers == 0) {
     return Status::InvalidArgument("parallel pipeline needs >= 1 worker");
-  }
-  if (options.queue_capacity == 0) {
-    return Status::InvalidArgument(
-        "result queue needs >= 1 credit of capacity");
   }
   const auto wall_start = std::chrono::steady_clock::now();
 
-  MpmcQueue<ResultItem> queue(options.queue_capacity);
-  // A fresh worker chain per morsel, finished right after it: partial state
+  // A fresh worker chain per input, finished right after it: partial state
   // is flushed under the morsel's sequence (see ParallelPipelineSpec).
-  // A null `chunk` finishes the chain over no input.
-  auto run_chain = [&spec, &queue](DataChunk* chunk,
-                                   uint64_t sequence) -> Status {
+  auto run_worker_chain =
+      [&spec](std::vector<DataChunk> input) -> Result<std::vector<DataChunk>> {
     DFLOW_ASSIGN_OR_RETURN(std::vector<OperatorPtr> chain,
                            spec.make_worker_chain());
-    std::vector<DataChunk> outs;
-    if (chunk != nullptr) {
-      DFLOW_RETURN_NOT_OK(
-          PushThroughChain(&chain, 0, std::move(*chunk), &outs));
-    }
-    DFLOW_RETURN_NOT_OK(FinishChain(&chain, &outs));
-    // Blocks when the merge side is `queue_capacity` items behind — the
-    // same backpressure the simulator applies via edge credits.
-    if (!outs.empty()) queue.Push(ResultItem{sequence, std::move(outs)});
-    return Status::OK();
+    return RunChain(chain, std::move(input));
   };
 
-  WorkStealingScheduler::Options sched_options;
-  sched_options.workers = options.workers;
-  sched_options.steal_seed = options.steal_seed;
-  std::vector<DataChunk> collected;
-  uint64_t queue_items = 0;
+  // One output slot per worker: a task appends only to the slot of the
+  // worker running it, so no lock is needed, and the dispatch barrier
+  // (scheduler->Wait()) publishes every slot to this thread.
+  std::vector<std::vector<MorselOutput>> by_worker(workers);
   DispatchStats dispatched;
-  Status run_status;
   WorkStealingScheduler::Stats sched_stats;
   {
-    WorkStealingScheduler scheduler(sched_options);
-    // The closer dispatches every morsel and then closes the queue, so the
-    // collector below terminates.
-    std::thread closer([&] {
-      run_status = DispatchMorsels(
-          scan,
-          [&run_chain](uint32_t, Morsel morsel) {
-            return run_chain(&morsel.chunk, morsel.sequence);
-          },
-          &scheduler, &dispatched);
-      if (run_status.ok() && dispatched.morsels == 0) {
-        run_status = run_chain(nullptr, 0);
-      }
-      queue.Close();
-    });
-
-    // Collect (this thread is the merge-side consumer), then restore the
-    // canonical order: results sorted by originating sequence.
-    std::vector<ResultItem> items;
-    ResultItem item;
-    while (queue.Pop(&item) == QueueOp::kOk) {
-      ++queue_items;
-      items.push_back(std::move(item));
-    }
-    closer.join();
+    WorkStealingScheduler scheduler(workers);
+    DFLOW_RETURN_NOT_OK(DispatchMorsels(
+        scan,
+        [&](uint32_t worker, Morsel morsel) -> Status {
+          std::vector<DataChunk> input;
+          input.push_back(std::move(morsel.chunk));
+          DFLOW_ASSIGN_OR_RETURN(std::vector<DataChunk> out,
+                                 run_worker_chain(std::move(input)));
+          if (!out.empty()) {
+            by_worker[worker].push_back({morsel.sequence, std::move(out)});
+          }
+          return Status::OK();
+        },
+        &scheduler, &dispatched));
     sched_stats = scheduler.stats();
-
-    std::sort(items.begin(), items.end(),
-              [](const ResultItem& a, const ResultItem& b) {
-                return a.sequence < b.sequence;
-              });
-    for (ResultItem& it : items) {
-      for (DataChunk& c : it.chunks) collected.push_back(std::move(c));
-    }
   }  // joins the worker pool
 
-  DFLOW_RETURN_NOT_OK(run_status);
+  std::vector<MorselOutput> outputs;
+  for (std::vector<MorselOutput>& slot : by_worker) {
+    for (MorselOutput& output : slot) outputs.push_back(std::move(output));
+  }
+  if (dispatched.morsels == 0) {
+    DFLOW_ASSIGN_OR_RETURN(std::vector<DataChunk> out, run_worker_chain({}));
+    if (!out.empty()) outputs.push_back({0, std::move(out)});
+  }
+  // Restore scan order: the merge sees outputs sorted by sequence.
+  std::sort(outputs.begin(), outputs.end(),
+            [](const MorselOutput& a, const MorselOutput& b) {
+              return a.sequence < b.sequence;
+            });
+  std::vector<DataChunk> collected;
+  for (MorselOutput& output : outputs) {
+    for (DataChunk& c : output.chunks) collected.push_back(std::move(c));
+  }
 
-  DFLOW_ASSIGN_OR_RETURN(
-      std::vector<DataChunk> merged,
-      RunSerialChain(spec.make_merge_chain, std::move(collected)));
+  DFLOW_ASSIGN_OR_RETURN(std::vector<DataChunk> merged,
+                         RunChain(spec.merge_chain, std::move(collected)));
   if (spec.canonical_order) merged = CanonicalOrder(merged);
-  DFLOW_ASSIGN_OR_RETURN(
-      std::vector<DataChunk> final_chunks,
-      RunSerialChain(spec.make_output_chain, std::move(merged)));
+  DFLOW_ASSIGN_OR_RETURN(std::vector<DataChunk> final_chunks,
+                         RunChain(spec.output_chain, std::move(merged)));
 
   if (stats != nullptr) {
     stats->morsels = dispatched.morsels;
     stats->rows_in = dispatched.rows;
     stats->tasks_run = sched_stats.tasks_run;
     stats->steals = sched_stats.steals;
-    stats->queue_items = queue_items;
+    stats->queue_items = outputs.size();
     stats->wall_ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - wall_start)

@@ -11,22 +11,12 @@
 
 namespace dflow::parallel {
 
-struct ParallelExecOptions {
-  /// Worker threads (>= 1). 1 gives the serial shape of the same code
-  /// path — useful as the scaling baseline and for debugging.
-  uint32_t workers = 4;
-  /// Capacity of the worker→merge result queue: the real-thread
-  /// incarnation of ExecOptions::credits (chunks in flight per edge).
-  size_t queue_capacity = 8;
-  /// Seed for the scheduler's randomized victim selection.
-  uint64_t steal_seed = 0x9e3779b97f4a7c15ULL;
-};
-
 struct ParallelExecStats {
   uint64_t morsels = 0;
   uint64_t rows_in = 0;
   uint64_t tasks_run = 0;
   uint64_t steals = 0;
+  /// Non-empty morsel outputs handed to the merge.
   uint64_t queue_items = 0;
   /// Wall-clock time of the parallel region (dispatch, decode, compute and
   /// merge),
@@ -36,9 +26,8 @@ struct ParallelExecStats {
   uint64_t wall_ns = 0;
 };
 
-/// Builds one linear operator chain. The worker-chain factory is invoked
-/// once per morsel (each morsel runs and flushes private operator state);
-/// merge and output factories once.
+/// Builds one linear operator chain; invoked once per morsel, so each
+/// morsel runs and flushes private operator state.
 using ChainFactory = std::function<Result<std::vector<OperatorPtr>>()>;
 
 /// A morsel-parallel pipeline in three layers:
@@ -59,23 +48,28 @@ using ChainFactory = std::function<Result<std::vector<OperatorPtr>>()>;
 /// without a total order asks for `canonical_order`: after the merge chain
 /// the rows are sorted canonically (column by column, nulls first), which
 /// erases the group order a hash aggregate picks. The output chain
-/// (ORDER BY / LIMIT) then runs over that deterministic stream.
+/// (ORDER BY / LIMIT) then runs over that deterministic stream. The merge
+/// and output chains run once, so the spec holds their operators.
 struct ParallelPipelineSpec {
-  ChainFactory make_worker_chain;           // required; may return {}
-  ChainFactory make_merge_chain;            // optional (null = pass-through)
+  /// Required; may return no operators.
+  ChainFactory make_worker_chain;
+  /// Empty passes the sorted morsel outputs through.
+  std::vector<OperatorPtr> merge_chain;
   /// Sort the merged rows canonically before the output chain. Set
   /// whenever the query lacks an ORDER BY.
   bool canonical_order = false;
-  ChainFactory make_output_chain;           // optional (ORDER BY, LIMIT)
+  /// ORDER BY, LIMIT; empty passes the rows through.
+  std::vector<OperatorPtr> output_chain;
 };
 
-/// Runs `scan` through the pipeline with real threads: the scan's surviving
-/// row groups are decoded by the workers that claim them (DispatchMorsels).
-/// Returns the final chunk stream; deterministic for a fixed (scan, spec)
-/// regardless of worker count or interleaving.
+/// Runs `scan` through the pipeline on `workers` (>= 1) real threads: the
+/// scan's surviving row groups are decoded by the workers that claim them
+/// (DispatchMorsels). 1 worker gives the serial shape of the same code
+/// path. Returns the final chunk stream; deterministic for a fixed
+/// (scan, spec) regardless of worker count or interleaving.
 Result<std::vector<DataChunk>> RunMorselPipeline(
-    const TableScanSource& scan, const ParallelPipelineSpec& spec,
-    const ParallelExecOptions& options, ParallelExecStats* stats = nullptr);
+    const TableScanSource& scan, ParallelPipelineSpec spec, uint32_t workers,
+    ParallelExecStats* stats = nullptr);
 
 }  // namespace dflow::parallel
 

@@ -41,7 +41,7 @@ struct BuildShard {
 }  // namespace
 
 Result<std::vector<int64_t>> RunParallelHashJoin(
-    const ParallelJoinInputs& inputs, const ParallelExecOptions& options,
+    const ParallelJoinInputs& inputs, uint32_t workers,
     ParallelExecStats* stats) {
   if (inputs.build == nullptr || inputs.probe == nullptr) {
     return Status::InvalidArgument("join needs a build and a probe scan");
@@ -49,7 +49,7 @@ Result<std::vector<int64_t>> RunParallelHashJoin(
   if (inputs.partitions == 0) {
     return Status::InvalidArgument("join needs >= 1 partition");
   }
-  if (options.workers == 0) {
+  if (workers == 0) {
     return Status::InvalidArgument("join needs >= 1 worker");
   }
   const auto wall_start = std::chrono::steady_clock::now();
@@ -76,14 +76,11 @@ Result<std::vector<int64_t>> RunParallelHashJoin(
   }
   const auto* probe_filter = static_cast<const FilterOperator*>(filter.get());
   std::vector<std::vector<int64_t>> worker_counts(
-      options.workers, std::vector<int64_t>(p, 0));
+      workers, std::vector<int64_t>(p, 0));
 
   const HashPartitioner build_part(inputs.build_key, p);
 
-  WorkStealingScheduler::Options sched_options;
-  sched_options.workers = options.workers;
-  sched_options.steal_seed = options.steal_seed;
-  WorkStealingScheduler scheduler(sched_options);
+  WorkStealingScheduler scheduler(workers);
 
   // ------------------------------------------------------- build phase
   DispatchStats build_dispatched;

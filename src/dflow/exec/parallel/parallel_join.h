@@ -33,9 +33,10 @@ struct ParallelJoinInputs {
   ExprPtr probe_filter;
 };
 
-/// Returns the matched-row count per partition (deterministic).
+/// Runs on `workers` (>= 1) threads and returns the matched-row count per
+/// partition (deterministic).
 Result<std::vector<int64_t>> RunParallelHashJoin(
-    const ParallelJoinInputs& inputs, const ParallelExecOptions& options,
+    const ParallelJoinInputs& inputs, uint32_t workers,
     ParallelExecStats* stats = nullptr);
 
 }  // namespace dflow::parallel

@@ -7,12 +7,18 @@
 
 namespace dflow::parallel {
 
-WorkStealingScheduler::WorkStealingScheduler(const Options& options)
-    : workers_(std::max(1u, options.workers)) {
+namespace {
+/// Seed of the per-worker victim-selection RNGs (worker i uses seed + i).
+/// Steal order affects scheduling only, never results.
+constexpr uint64_t kStealSeed = 0x9e3779b97f4a7c15ULL;
+}  // namespace
+
+WorkStealingScheduler::WorkStealingScheduler(uint32_t workers)
+    : workers_(std::max(1u, workers)) {
   deques_.resize(workers_);
   steal_rng_.reserve(workers_);
   for (uint32_t i = 0; i < workers_; ++i) {
-    steal_rng_.emplace_back(options.steal_seed + i);
+    steal_rng_.emplace_back(kStealSeed + i);
   }
   threads_.reserve(workers_);
   for (uint32_t i = 0; i < workers_; ++i) {
@@ -21,18 +27,6 @@ WorkStealingScheduler::WorkStealingScheduler(const Options& options)
 }
 
 WorkStealingScheduler::~WorkStealingScheduler() { Shutdown(); }
-
-void WorkStealingScheduler::Submit(Task task) {
-  {
-    RankedMutexLock lock(&mutex_);
-    const uint32_t target = next_worker_;
-    next_worker_ = (next_worker_ + 1) % workers_;
-    DFLOW_CHECK(!shutdown_);
-    outstanding_ += 1;
-    deques_[target].push_back(std::move(task));
-  }
-  work_cv_.NotifyOne();
-}
 
 void WorkStealingScheduler::SubmitTo(uint32_t worker, Task task) {
   {

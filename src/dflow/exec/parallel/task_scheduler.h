@@ -41,29 +41,18 @@ class WorkStealingScheduler {
   /// thread-local lookups.
   using Task = std::function<void(uint32_t worker)>;
 
-  struct Options {
-    uint32_t workers = 4;
-    /// Seed for the per-worker victim-selection RNGs. Steal order affects
-    /// scheduling only, never results; the seed exists so stress tests can
-    /// vary interleavings reproducibly.
-    uint64_t steal_seed = 0x9e3779b97f4a7c15ULL;
-  };
-
   struct Stats {
     uint64_t tasks_run = 0;
     uint64_t steals = 0;  // tasks taken from another worker's deque
   };
 
-  explicit WorkStealingScheduler(const Options& options);
+  /// Starts `workers` threads (at least one).
+  explicit WorkStealingScheduler(uint32_t workers);
   ~WorkStealingScheduler();  // implies Shutdown()
   WorkStealingScheduler(const WorkStealingScheduler&) = delete;
   WorkStealingScheduler& operator=(const WorkStealingScheduler&) = delete;
 
   uint32_t num_workers() const { return workers_; }
-
-  /// Enqueues onto workers round-robin (initial placement; stealing
-  /// rebalances from there).
-  void Submit(Task task) DFLOW_EXCLUDES(mutex_);
 
   /// Enqueues onto a specific worker's deque (it may still be stolen).
   void SubmitTo(uint32_t worker, Task task) DFLOW_EXCLUDES(mutex_);
@@ -75,7 +64,7 @@ class WorkStealingScheduler {
 
   /// Runs every already-queued task to completion, then stops and joins
   /// all workers. Idempotent; called by the destructor. After Shutdown,
-  /// Submit is illegal.
+  /// SubmitTo is illegal.
   void Shutdown() DFLOW_EXCLUDES(mutex_);
 
   Stats stats() const DFLOW_EXCLUDES(mutex_);
@@ -97,7 +86,6 @@ class WorkStealingScheduler {
   /// guarded (the ctor and Shutdown are single-threaded by contract).
   std::vector<std::thread> threads_;
   uint64_t outstanding_ DFLOW_GUARDED_BY(mutex_) = 0;
-  uint32_t next_worker_ DFLOW_GUARDED_BY(mutex_) = 0;  // round-robin cursor
   bool shutdown_ DFLOW_GUARDED_BY(mutex_) = false;
   Stats stats_ DFLOW_GUARDED_BY(mutex_);
   std::exception_ptr first_error_ DFLOW_GUARDED_BY(mutex_);

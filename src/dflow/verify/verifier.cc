@@ -422,7 +422,7 @@ void CheckPlacement(const GraphSpec& spec, const VerifyContext& ctx,
 // Family 3 flags credit *topology* smells (zero windows anywhere, all-finite
 // feedback loops). This family proves the stronger, arithmetic conditions a
 // run-time executor actually wedges on: a self-loop that waits on its own
-// credits, a live edge whose derived queue would be born closed, and a
+// credits, a live edge with zero credits that can never carry a chunk, and a
 // feedback cycle whose total credit pool cannot hold the batch occupancy
 // its sources inject. A graph can trip both families on one edge — the
 // family 3 code names the smell, the VY_DEADLOCK_* code the proof.
@@ -470,16 +470,15 @@ void CheckDeadlocks(const GraphSpec& spec, const Adjacency& adj,
                       "downstream half consumes, which is itself — wedged "
                       "once the window fills");
     }
-    // Zero credits on a live edge: the parallel runner derives the
-    // MpmcQueue capacity from `credits`, and a zero-capacity queue is born
-    // closed — every chunk the live producer pushes is rejected.
+    // Zero credits on a live edge: a credit-gated edge with no credits can
+    // never carry a chunk, so the live producer's first chunk waits
+    // forever (DataflowGraph::Connect refuses to build one).
     if (edge.credits == 0 && live[edge.from]) {
       report->Add(Severity::kError, "VY_DEADLOCK_ZERO_CAPACITY",
                   spec.nodes[edge.from].name, edge.label,
                   "live edge (producer is reachable from a source) has zero "
-                  "credits; the derived parallel-executor MpmcQueue would "
-                  "have capacity 0 and be born closed, rejecting the first "
-                  "chunk");
+                  "credits; it can never carry a chunk, so the producer "
+                  "blocks on its first one");
     }
   }
 

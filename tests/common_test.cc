@@ -224,16 +224,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LockRankTest, IncreasingRankAcquisitionIsAllowed) {
   RankedMutex low(LockRank::kStealDeque);
-  RankedMutex high(LockRank::kMpmcQueue);
+  RankedMutex high(LockRank::kJoinPartition);
   RankedMutexLock outer(&low);
-  RankedMutexLock inner(&high);  // kStealDeque < kMpmcQueue: legal nesting
+  RankedMutexLock inner(&high);  // kStealDeque < kJoinPartition: legal
 }
 
 TEST(LockRankDeathTest, OutOfOrderAcquisitionAborts) {
   // The runtime half of the lock-order discipline (the static half is
   // tools/lint_lock_order.py): acquiring a rank <= the highest held rank
   // must abort with a message naming both locks.
-  RankedMutex high(LockRank::kMpmcQueue);
+  RankedMutex high(LockRank::kJoinPartition);
   RankedMutex low(LockRank::kStealDeque);
   EXPECT_DEATH(
       {
@@ -245,9 +245,9 @@ TEST(LockRankDeathTest, OutOfOrderAcquisitionAborts) {
 
 TEST(LockRankDeathTest, SameRankReacquisitionAborts) {
   // Equal ranks are also refused: the order is strictly increasing, so two
-  // kMpmcQueue locks can never nest (rules out self-deadlock by design).
-  RankedMutex a(LockRank::kMpmcQueue);
-  RankedMutex b(LockRank::kMpmcQueue);
+  // kJoinPartition locks can never nest (rules out self-deadlock by design).
+  RankedMutex a(LockRank::kJoinPartition);
+  RankedMutex b(LockRank::kJoinPartition);
   EXPECT_DEATH(
       {
         RankedMutexLock outer(&a);

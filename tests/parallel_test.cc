@@ -1,9 +1,8 @@
 // Tier-1 coverage for the real-parallel executor
-// (src/dflow/exec/parallel/): the bounded MPMC queue (FIFO per producer,
-// capacity backpressure, close semantics, tuple conservation under
-// stress), the work-stealing scheduler (steal correctness, drain-on-
-// shutdown, exception propagation), row-group morsel dispatch, and
-// end-to-end plan equivalence: ExecMode::kParallel must fingerprint
+// (src/dflow/exec/parallel/): the work-stealing scheduler (steal
+// correctness, drain-on-shutdown, exception propagation), row-group morsel
+// dispatch, the sequence-ordered hand-off of morsel outputs to the merge,
+// and end-to-end plan equivalence: ExecMode::kParallel must fingerprint
 // byte-identically to the Volcano reference at 1, 2, and 8 workers, give
 // bit-stable DOUBLE aggregates, report the simulated scan and match the
 // simulated join's partition counts. This suite is the TSan CI leg's main
@@ -24,9 +23,7 @@
 
 #include "dflow/engine/engine.h"
 #include "dflow/engine/volcano_runner.h"
-#include "dflow/exec/invariants.h"
 #include "dflow/exec/parallel/morsel.h"
-#include "dflow/exec/parallel/mpmc_queue.h"
 #include "dflow/exec/parallel/parallel_executor.h"
 #include "dflow/exec/parallel/task_scheduler.h"
 #include "dflow/plan/parser.h"
@@ -38,186 +35,14 @@
 namespace dflow::parallel {
 namespace {
 
-// ------------------------------------------------------------ MPMC queue
-
-TEST(MpmcQueueTest, FifoPerProducerAcrossConcurrentProducers) {
-  MpmcQueue<std::pair<int, int>> queue(4);  // (producer, sequence)
-  constexpr int kProducers = 3;
-  constexpr int kItems = 200;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      for (int i = 0; i < kItems; ++i) {
-        ASSERT_EQ(queue.Push({p, i}), QueueOp::kOk);
-      }
-    });
-  }
-  std::vector<int> next_expected(kProducers, 0);
-  int popped = 0;
-  std::pair<int, int> item;
-  while (popped < kProducers * kItems) {
-    ASSERT_EQ(queue.Pop(&item), QueueOp::kOk);
-    // Items from one producer must arrive in push order.
-    EXPECT_EQ(item.second, next_expected[item.first]);
-    next_expected[item.first] = item.second + 1;
-    ++popped;
-  }
-  for (auto& t : producers) t.join();
-  queue.Close();
-  EXPECT_EQ(queue.Pop(&item), QueueOp::kClosed);
-}
-
-TEST(MpmcQueueTest, CapacityBoundsOccupancyAndTryPushRespectsIt) {
-  MpmcQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_FALSE(queue.TryPush(3));  // full: backpressure
-  EXPECT_EQ(queue.size(), 2u);
-  int out = 0;
-  EXPECT_TRUE(queue.TryPop(&out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(queue.TryPush(3));
-}
-
-TEST(MpmcQueueTest, ZeroCapacityIsRejectedAsBornClosed) {
-  // An edge with zero credits can never move a chunk; the queue makes the
-  // misconfiguration observable instead of deadlocking.
-  MpmcQueue<int> queue(0);
-  EXPECT_FALSE(queue.valid());
-  EXPECT_TRUE(queue.closed());
-  EXPECT_EQ(queue.Push(42), QueueOp::kClosed);
-  int out = 0;
-  EXPECT_EQ(queue.Pop(&out), QueueOp::kClosed);
-  EXPECT_FALSE(queue.TryPush(42));
-}
-
-TEST(MpmcQueueTest, CloseDrainsPendingItemsThenReportsClosed) {
-  MpmcQueue<int> queue(8);
-  ASSERT_EQ(queue.Push(1), QueueOp::kOk);
-  ASSERT_EQ(queue.Push(2), QueueOp::kOk);
-  queue.Close();
-  EXPECT_EQ(queue.Push(3), QueueOp::kClosed);  // rejected, dropped
-  int out = 0;
-  ASSERT_EQ(queue.Pop(&out), QueueOp::kOk);  // pre-close items drainable
-  EXPECT_EQ(out, 1);
-  ASSERT_EQ(queue.Pop(&out), QueueOp::kOk);
-  EXPECT_EQ(out, 2);
-  EXPECT_EQ(queue.Pop(&out), QueueOp::kClosed);
-  EXPECT_EQ(queue.Pop(&out), QueueOp::kClosed);  // idempotent
-}
-
-TEST(MpmcQueueTest, CloseWakesConsumersBlockedOnAnEmptyQueue) {
-  MpmcQueue<int> queue(4);
-  constexpr int kConsumers = 3;
-  std::atomic<int> closed_seen{0};
-  std::vector<std::thread> consumers;
-  for (int i = 0; i < kConsumers; ++i) {
-    consumers.emplace_back([&] {
-      int out = 0;
-      // Blocks on the empty queue until the producer side closes.
-      while (queue.Pop(&out) == QueueOp::kOk) {
-      }
-      closed_seen.fetch_add(1);
-    });
-  }
-  queue.Close();  // must wake every blocked consumer
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(closed_seen.load(), kConsumers);
-}
-
-TEST(MpmcQueueTest, StressConservesTuplesUnderTheInvariantOracle) {
-  const uint64_t checks_before = invariants::checks_run();
-  MpmcQueue<uint64_t> queue(3);  // tiny: maximize blocking transitions
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr uint64_t kItems = 500;
-  std::atomic<uint64_t> consumed_sum{0};
-  std::atomic<uint64_t> consumed_count{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&queue, p] {
-      for (uint64_t i = 0; i < kItems; ++i) {
-        ASSERT_EQ(queue.Push(static_cast<uint64_t>(p) * kItems + i),
-                  QueueOp::kOk);
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      uint64_t item = 0;
-      while (queue.Pop(&item) == QueueOp::kOk) {
-        consumed_sum.fetch_add(item);
-        consumed_count.fetch_add(1);
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[p].join();  // producers
-  queue.Close();
-  for (size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
-
-  const uint64_t total = kProducers * kItems;
-  EXPECT_EQ(consumed_count.load(), total);
-  // Every item arrived exactly once: sum of 0..total-1.
-  EXPECT_EQ(consumed_sum.load(), total * (total - 1) / 2);
-#ifndef DFLOW_INVARIANTS_DISABLED
-  EXPECT_EQ(queue.pushed(), total);
-  EXPECT_EQ(queue.popped(), total);
-  // The DFLOW_INVARIANT tuple-conservation hooks actually ran.
-  EXPECT_GT(invariants::checks_run(), checks_before);
-#else
-  (void)checks_before;
-#endif
-}
-
-TEST(MpmcQueueTest, CloseWhileProducerBlockedOnFullQueue) {
-  // Deterministic two-thread barrier: the producer fills the capacity-1
-  // queue, signals "about to block", then blocks inside Push on the full
-  // queue. The main thread waits for the signal, closes, and the blocked
-  // Push must wake and return kClosed without delivering its item — while
-  // the item pushed *before* the close stays drainable.
-  MpmcQueue<int> queue(1);
-  ASSERT_EQ(queue.Push(1), QueueOp::kOk);  // queue now full
-
-  std::mutex barrier_mu;
-  std::condition_variable barrier_cv;
-  bool about_to_block = false;
-  QueueOp blocked_result = QueueOp::kOk;
-  std::thread producer([&] {
-    {
-      std::lock_guard<std::mutex> lock(barrier_mu);
-      about_to_block = true;
-    }
-    barrier_cv.notify_one();
-    blocked_result = queue.Push(2);  // blocks: capacity exhausted
-  });
-
-  {
-    std::unique_lock<std::mutex> lock(barrier_mu);
-    barrier_cv.wait(lock, [&] { return about_to_block; });
-  }
-  // The producer is at (or entering) the blocked Push. Close must wake it.
-  queue.Close();
-  producer.join();
-  EXPECT_EQ(blocked_result, QueueOp::kClosed);
-
-  // Close-with-pending semantics: the pre-close item drains, the rejected
-  // one never appears.
-  int out = 0;
-  ASSERT_EQ(queue.Pop(&out), QueueOp::kOk);
-  EXPECT_EQ(out, 1);
-  EXPECT_EQ(queue.Pop(&out), QueueOp::kClosed);
-}
-
 // ------------------------------------------------------------- scheduler
 
 TEST(WorkStealingSchedulerTest, RunsEverySubmittedTask) {
-  WorkStealingScheduler::Options options;
-  options.workers = 4;
-  WorkStealingScheduler scheduler(options);
+  WorkStealingScheduler scheduler(4);
   std::atomic<int> ran{0};
   constexpr int kTasks = 200;
   for (int i = 0; i < kTasks; ++i) {
-    scheduler.Submit([&ran](uint32_t) { ran.fetch_add(1); });
+    scheduler.SubmitTo(i % 4, [&ran](uint32_t) { ran.fetch_add(1); });
   }
   ASSERT_TRUE(scheduler.Wait().ok());
   EXPECT_EQ(ran.load(), kTasks);
@@ -232,9 +57,7 @@ TEST(WorkStealingSchedulerTest, IdleWorkersStealFromALoadedDeque) {
   // the blocker and parks until all count tasks are done; steals take the
   // FRONT, so every count task reaches another worker by stealing. Either
   // way, all kTasks count tasks are executed by thieves.
-  WorkStealingScheduler::Options options;
-  options.workers = 3;
-  WorkStealingScheduler scheduler(options);
+  WorkStealingScheduler scheduler(3);
   constexpr int kTasks = 16;
   std::mutex m;
   std::condition_variable cv;
@@ -280,11 +103,9 @@ TEST(WorkStealingSchedulerTest, ShutdownDrainsQueuedTasksAndJoins) {
   std::atomic<int> ran{0};
   constexpr int kTasks = 64;
   {
-    WorkStealingScheduler::Options options;
-    options.workers = 2;
-    WorkStealingScheduler scheduler(options);
+    WorkStealingScheduler scheduler(2);
     for (int i = 0; i < kTasks; ++i) {
-      scheduler.Submit([&ran](uint32_t) { ran.fetch_add(1); });
+      scheduler.SubmitTo(i % 2, [&ran](uint32_t) { ran.fetch_add(1); });
     }
     scheduler.Shutdown();  // no Wait(): shutdown itself must drain
     EXPECT_EQ(ran.load(), kTasks);
@@ -304,9 +125,7 @@ TEST(WorkStealingSchedulerTest, StealDuringShutdownDrainsEverything) {
   std::atomic<int> ran{0};
   constexpr int kTasks = 64;
   {
-    WorkStealingScheduler::Options options;
-    options.workers = 2;
-    WorkStealingScheduler scheduler(options);
+    WorkStealingScheduler scheduler(2);
     scheduler.SubmitTo(0, [&](uint32_t) {
       std::unique_lock<std::mutex> lock(gate_mu);
       gate_cv.wait(lock, [&] { return release; });
@@ -326,22 +145,20 @@ TEST(WorkStealingSchedulerTest, StealDuringShutdownDrainsEverything) {
 }
 
 TEST(WorkStealingSchedulerTest, FirstTaskExceptionSurfacesFromWait) {
-  WorkStealingScheduler::Options options;
-  options.workers = 2;
-  WorkStealingScheduler scheduler(options);
+  WorkStealingScheduler scheduler(2);
   std::atomic<int> ran{0};
-  scheduler.Submit([](uint32_t) {
+  scheduler.SubmitTo(0, [](uint32_t) {
     throw std::runtime_error("morsel exploded");
   });
   for (int i = 0; i < 8; ++i) {
-    scheduler.Submit([&ran](uint32_t) { ran.fetch_add(1); });
+    scheduler.SubmitTo((i + 1) % 2, [&ran](uint32_t) { ran.fetch_add(1); });
   }
   const Status status = scheduler.Wait();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("morsel exploded"), std::string::npos);
   EXPECT_EQ(ran.load(), 8);           // later tasks still ran
   EXPECT_TRUE(scheduler.Wait().ok());  // error is consumed, pool reusable
-  scheduler.Submit([&ran](uint32_t) { ran.fetch_add(1); });
+  scheduler.SubmitTo(1, [&ran](uint32_t) { ran.fetch_add(1); });
   ASSERT_TRUE(scheduler.Wait().ok());
   EXPECT_EQ(ran.load(), 9);
 }
@@ -379,9 +196,7 @@ TEST(MorselTest, SplitCoversEveryRowExactlyOnceInScanOrder) {
           .ValueOrDie();
   ASSERT_EQ(scan.SurvivingRowGroups(), (std::vector<size_t>{1, 2}));
   for (uint32_t workers : {1u, 3u}) {
-    WorkStealingScheduler::Options options;
-    options.workers = workers;
-    WorkStealingScheduler scheduler(options);
+    WorkStealingScheduler scheduler(workers);
     std::mutex mu;
     std::vector<Morsel> seen;
     DispatchStats stats;
@@ -418,6 +233,114 @@ TEST(MorselTest, SplitCoversEveryRowExactlyOnceInScanOrder) {
     EXPECT_EQ(sequences, expected_sequences) << workers << " workers";
     EXPECT_EQ(next_id, 12000);
   }
+}
+
+// ------------------------------------------ sequence-ordered collection
+
+/// Shared by the worker chains of one run: the first morsel (id 0) waits in
+/// its Finish until a later morsel's chain has finished.
+struct FinishGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool later_finished = false;
+  std::vector<int64_t> finish_order;  // first id of each finished morsel
+};
+
+/// Pass-through worker stage that makes the morsels finish out of scan
+/// order through `gate` (null: no waiting).
+class GateOperator : public Operator {
+ public:
+  GateOperator(Schema schema, FinishGate* gate)
+      : schema_(std::move(schema)), gate_(gate) {}
+  std::string name() const override { return "gate"; }
+  const Schema& output_schema() const override { return schema_; }
+  OperatorTraits traits() const override { return {}; }
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override {
+    first_id_ = input.GetValue(0, 0).int64_value();
+    out->push_back(std::move(input));
+    return Status::OK();
+  }
+  Status Finish(std::vector<DataChunk>*) override {
+    if (gate_ == nullptr) return Status::OK();
+    std::unique_lock<std::mutex> lock(gate_->mu);
+    if (first_id_ == 0) {
+      gate_->cv.wait(lock, [this] { return gate_->later_finished; });
+    } else {
+      gate_->later_finished = true;
+      gate_->cv.notify_all();
+    }
+    gate_->finish_order.push_back(first_id_);
+    return Status::OK();
+  }
+
+ private:
+  Schema schema_;
+  FinishGate* gate_;
+  int64_t first_id_ = -1;
+};
+
+/// Pass-through merge stage that records the first id of every chunk.
+class RecordingOperator : public Operator {
+ public:
+  RecordingOperator(Schema schema, std::vector<int64_t>* seen)
+      : schema_(std::move(schema)), seen_(seen) {}
+  std::string name() const override { return "record"; }
+  const Schema& output_schema() const override { return schema_; }
+  OperatorTraits traits() const override { return {}; }
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override {
+    seen_->push_back(input.GetValue(0, 0).int64_value());
+    out->push_back(std::move(input));
+    return Status::OK();
+  }
+
+ private:
+  Schema schema_;
+  std::vector<int64_t>* seen_;
+};
+
+TEST(ParallelExecutorTest, MergeSeesScanOrderWhenMorselsFinishOutOfOrder) {
+  // Eight single-chunk row groups of 1500 rows: morsel i starts at id
+  // 1500 * i.
+  const std::shared_ptr<Table> table = MakeIdTable(8 * 1500, 1500);
+  const TableScanSource scan =
+      TableScanSource::Make(table, {"id", "v"}).ValueOrDie();
+  const Schema schema = scan.output_schema();
+  auto run = [&](uint32_t workers, FinishGate* gate,
+                 std::vector<int64_t>* merged) {
+    ParallelPipelineSpec spec;
+    spec.make_worker_chain = [schema, gate]() {
+      std::vector<OperatorPtr> ops;
+      ops.push_back(std::make_unique<GateOperator>(schema, gate));
+      return Result<std::vector<OperatorPtr>>(std::move(ops));
+    };
+    spec.merge_chain.push_back(
+        std::make_unique<RecordingOperator>(schema, merged));
+    ParallelExecStats stats;
+    auto r = RunMorselPipeline(scan, std::move(spec), workers, &stats);
+    EXPECT_TRUE(r.ok()) << r.status().message();
+    EXPECT_EQ(stats.queue_items, 8u);
+    std::string rendered;
+    if (!r.ok()) return rendered;
+    for (const DataChunk& chunk : r.ValueOrDie()) {
+      rendered += chunk.ToString(chunk.num_rows() + 1);
+      rendered += "\n--\n";
+    }
+    return rendered;
+  };
+
+  FinishGate gate;
+  std::vector<int64_t> gated_merge;
+  std::vector<int64_t> serial_merge;
+  const std::string gated = run(2, &gate, &gated_merge);
+  const std::string serial = run(1, nullptr, &serial_merge);
+  // The first morsel finished only after a later one had.
+  ASSERT_EQ(gate.finish_order.size(), 8u);
+  EXPECT_NE(gate.finish_order.front(), 0);
+  std::vector<int64_t> scan_order;
+  for (int64_t i = 0; i < 8; ++i) scan_order.push_back(1500 * i);
+  EXPECT_EQ(gated_merge, scan_order);
+  EXPECT_EQ(serial_merge, scan_order);
+  EXPECT_EQ(gated, serial);
 }
 
 // ------------------------------------------- end-to-end plan equivalence
@@ -515,7 +438,7 @@ TEST(ParallelEquivalenceTest, OutputStreamIsIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(ParallelExecutorTest, ReportsStatsAndHonorsCreditCapacity) {
+TEST(ParallelExecutorTest, ReportsStats) {
   sim::FabricConfig config;
   Engine engine(config);
   // 1000-row row groups: 20 single-chunk morsels, so many tasks.
@@ -527,29 +450,23 @@ TEST(ParallelExecutorTest, ReportsStatsAndHonorsCreditCapacity) {
   ExecOptions options;
   options.mode = ExecMode::kParallel;
   options.parallel_workers = 4;
-  options.credits = 2;  // tight queue: force backpressure
   options.verify = verify::VerifyMode::kOff;
-  const uint64_t checks_before = invariants::checks_run();
   auto r = engine.Execute(spec, options);
   ASSERT_TRUE(r.ok()) << r.status().message();
   const QueryResult& result = r.ValueOrDie();
   EXPECT_EQ(result.parallel.morsels, 20u);
   EXPECT_EQ(result.parallel.tasks_run, result.parallel.morsels);
   EXPECT_EQ(result.parallel.rows_in, 20000u);
-  // Every morsel's output crossed the 2-credit queue.
+  // Every morsel's output reached the merge.
   EXPECT_EQ(result.parallel.queue_items, 20u);
   EXPECT_GT(result.parallel.wall_ns, 0u);
   EXPECT_EQ(result.report.variant, "real-parallel:w4");
   EXPECT_EQ(result.report.sim_ns, 0u);
   EXPECT_EQ(result.report.result_rows, 20000u);
-#ifndef DFLOW_INVARIANTS_DISABLED
-  // The queue's occupancy <= capacity ledger was checked on every push.
-  EXPECT_GE(invariants::checks_run(), checks_before + 20);
-#else
-  (void)checks_before;
-#endif
 }
 
+// Zero credits are refused by the lowering, before anything is built or any
+// thread starts, in every mode and for queries and joins alike.
 TEST(ParallelExecutorTest, ZeroCreditsIsAnExplicitError) {
   testing::PlanGen gen;
   sim::FabricConfig config;
@@ -561,11 +478,28 @@ TEST(ParallelExecutorTest, ZeroCreditsIsAnExplicitError) {
   for (const auto& table : c.tables) {
     ASSERT_TRUE(engine.catalog().Register(table).ok());
   }
-  ExecOptions options;
-  options.mode = ExecMode::kParallel;
-  options.credits = 0;
-  options.verify = verify::VerifyMode::kOff;
-  EXPECT_FALSE(engine.Execute(c.query, options).ok());
+  ASSERT_TRUE(engine.catalog().Register(MakeIdTable(1'000, 500)).ok());
+  JoinSpec join;
+  join.build_table = "ids";
+  join.probe_table = "ids";
+  join.build_key = "id";
+  join.probe_key = "id";
+  join.num_nodes = 2;
+  for (ExecMode mode : {ExecMode::kSimulated, ExecMode::kParallel}) {
+    ExecOptions options;
+    options.mode = mode;
+    options.credits = 0;
+    options.verify = verify::VerifyMode::kOff;
+    const char* what = mode == ExecMode::kParallel ? "parallel" : "simulated";
+    auto q = engine.Execute(c.query, options);
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_NE(q.status().message().find("credits"), std::string::npos)
+        << what << ": " << q.status().message();
+    auto j = engine.ExecutePartitionedJoin(join, options);
+    EXPECT_EQ(j.status().code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_NE(j.status().message().find("credits"), std::string::npos)
+        << what << ": " << j.status().message();
+  }
 }
 
 // ------------------------------------------------ scan, join, aggregates

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "dflow/cluster/cluster.h"
 #include "dflow/common/random.h"
 #include "dflow/exec/scan.h"
@@ -64,6 +70,125 @@ TEST(ZoneMapTest, MergeWidens) {
   a.Merge(b);
   EXPECT_EQ(a.min.int64_value(), 1);
   EXPECT_EQ(a.max.int64_value(), 20);
+}
+
+// The zone map as a loop over boxed Values ordered by Value::Compare: the
+// reference the typed ZoneMap::Compute must reproduce bound for bound.
+ZoneMap ReferenceZoneMap(const ColumnVector& col) {
+  ZoneMap zm;
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (!col.IsValid(i)) {
+      zm.has_nulls = true;
+      continue;
+    }
+    Value v = col.GetValue(i);
+    if (!zm.valid) {
+      zm.min = v;
+      zm.max = v;
+      zm.valid = true;
+    } else {
+      if (v.Compare(zm.min) < 0) zm.min = v;
+      if (v.Compare(zm.max) > 0) zm.max = std::move(v);
+    }
+  }
+  return zm;
+}
+
+// Equal type and nullness, and the same bits for a DOUBLE (so -0.0 and 0.0
+// differ, and a NaN equals itself).
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type() != b.type() || a.is_null() != b.is_null()) return false;
+  if (a.is_null()) return true;
+  if (a.type() == DataType::kDouble) {
+    const double x = a.double_value();
+    const double y = b.double_value();
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  }
+  return a.Compare(b) == 0;
+}
+
+TEST(ZoneMapTest, TypedComputeMatchesTheValueLoop) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> specials = {-0.0, 0.0, kNaN, -1.5, 2.25};
+  const std::vector<std::string> strings = {"", "\xc3\xa9", "Z", "a"};
+  const std::vector<DataType> types = {
+      DataType::kBool,   DataType::kInt32,  DataType::kInt64,
+      DataType::kDouble, DataType::kString, DataType::kDate32};
+  Random rng(20240917);
+  int checked = 0;
+  for (uint64_t round = 0; round < 60; ++round) {
+    for (DataType type : types) {
+      ColumnVector col(type);
+      const size_t rows = rng.NextUint64(40);
+      // Round 0 of every type is all-NULL; later rounds null ~1 row in 4.
+      const double null_rate = round == 0 ? 1.0 : 0.25;
+      for (size_t r = 0; r < rows; ++r) {
+        if (rng.NextBool(null_rate)) {
+          col.AppendNull();
+          continue;
+        }
+        switch (type) {
+          case DataType::kBool:
+            col.AppendValue(Value::Bool(rng.NextBool()));
+            break;
+          case DataType::kInt32:
+            col.AppendValue(Value::Int32(
+                static_cast<int32_t>(rng.NextInt64(-50, 50))));
+            break;
+          case DataType::kDate32:
+            col.AppendValue(Value::Date32(
+                static_cast<int32_t>(rng.NextInt64(8000, 8100))));
+            break;
+          case DataType::kInt64:
+            col.AppendValue(Value::Int64(rng.NextInt64(-1000, 1000)));
+            break;
+          case DataType::kDouble:
+            col.AppendValue(Value::Double(
+                rng.NextBool(0.5) ? specials[rng.NextUint64(specials.size())]
+                                  : rng.NextDouble(-3.0, 3.0)));
+            break;
+          case DataType::kString:
+            // Empty strings, and bytes above 0x7f (compared unsigned).
+            col.AppendValue(Value::String(
+                rng.NextBool(0.3) ? strings[rng.NextUint64(strings.size())]
+                                  : rng.NextString(rng.NextUint64(4))));
+            break;
+        }
+      }
+      const ZoneMap want = ReferenceZoneMap(col);
+      const ZoneMap got = ZoneMap::Compute(col);
+      const std::string what =
+          std::string(DataTypeToString(type)) + " round " +
+          std::to_string(round);
+      EXPECT_EQ(got.valid, want.valid) << what;
+      EXPECT_EQ(got.has_nulls, want.has_nulls) << what;
+      EXPECT_TRUE(SameValue(got.min, want.min))
+          << what << ": min " << got.min.ToString() << " vs "
+          << want.min.ToString();
+      EXPECT_TRUE(SameValue(got.max, want.max))
+          << what << ": max " << got.max.ToString() << " vs "
+          << want.max.ToString();
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 360);
+}
+
+TEST(ZoneMapTest, TypedComputeKeepsTheFirstOfATieAndSkipsNaN) {
+  // -0.0 and 0.0 compare equal: the first one seen is both bounds. A NaN
+  // after the first value never replaces a bound.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const ZoneMap zeros =
+      ZoneMap::Compute(ColumnVector::FromDouble({-0.0, 0.0}));
+  EXPECT_TRUE(std::signbit(zeros.min.double_value()));
+  EXPECT_TRUE(std::signbit(zeros.max.double_value()));
+  const ZoneMap nan = ZoneMap::Compute(ColumnVector::FromDouble({1.0, kNaN}));
+  EXPECT_EQ(nan.min.double_value(), 1.0);
+  EXPECT_EQ(nan.max.double_value(), 1.0);
+  const ZoneMap strings =
+      ZoneMap::Compute(ColumnVector::FromString({"b", "", "ab"}));
+  EXPECT_EQ(strings.min.string_value(), "");
+  EXPECT_EQ(strings.max.string_value(), "b");
 }
 
 TEST(TableBuilderTest, BuildsRowGroups) {

@@ -266,16 +266,16 @@ SELF_TEST_SNIPPET = """
 class Inverted {
  public:
   void Bad() {
-    RankedMutexLock outer(&queue_mutex_);
-    RankedMutexLock inner(&deque_mutex_);  // kStealDeque < kMpmcQueue: bad
+    RankedMutexLock outer(&partition_mutex_);
+    RankedMutexLock inner(&deque_mutex_);  // kStealDeque < kJoinPartition: bad
   }
   void Good() {
     RankedMutexLock outer(&deque_mutex_);
-    RankedMutexLock inner(&queue_mutex_);
+    RankedMutexLock inner(&partition_mutex_);
   }
  private:
   RankedMutex deque_mutex_{LockRank::kStealDeque};
-  RankedMutex queue_mutex_{LockRank::kMpmcQueue};
+  RankedMutex partition_mutex_{LockRank::kJoinPartition};
 };
 """
 
@@ -283,15 +283,15 @@ class Inverted {
 def run_self_test(root: pathlib.Path) -> int:
     """The lint must detect a seeded rank inversion, and only that one."""
     ranks = parse_ranks(root)
-    for needed in ("kStealDeque", "kMpmcQueue"):
+    for needed in ("kStealDeque", "kJoinPartition"):
         if needed not in ranks:
             print(f"lint_lock_order: self-test needs LockRank::{needed}",
                   file=sys.stderr)
             return 1
     edges, findings = scan_text(strip_comments(SELF_TEST_SNIPPET),
                                 "<self-test>", ranks, {})
-    ok = (len(findings) == 1 and "queue_mutex_" in findings[0].message
-          and (ranks["kStealDeque"], ranks["kMpmcQueue"]) in edges)
+    ok = (len(findings) == 1 and "partition_mutex_" in findings[0].message
+          and (ranks["kStealDeque"], ranks["kJoinPartition"]) in edges)
     if not ok:
         print("lint_lock_order: SELF-TEST FAILED — seeded inversion not "
               f"detected as expected; findings: {[str(f) for f in findings]}")
