@@ -6,10 +6,10 @@
 
 #include "dflow/common/hash.h"
 #include "dflow/common/logging.h"
-#include "dflow/exec/aggregate.h"
+#include "dflow/compile/compiler.h"
 #include "dflow/exec/join.h"
 #include "dflow/exec/local_executor.h"
-#include "dflow/exec/misc_ops.h"
+#include "dflow/plan/expr.h"
 
 namespace dflow::cluster {
 namespace {
@@ -20,60 +20,7 @@ namespace {
 /// only keeps the cluster-level merge work from being free.
 constexpr sim::SimTime kClusterOpNsPerRow = 40;
 
-/// Output column names of a local fragment (scan+filter+project only, so
-/// either the projection names or, select-all, the full table schema).
-std::vector<std::string> LocalOutputNames(const QuerySpec& spec,
-                                          const Schema& table_schema) {
-  if (!spec.projections.empty()) return spec.projection_names;
-  std::vector<std::string> names;
-  names.reserve(table_schema.num_fields());
-  for (const Field& f : table_schema.fields()) names.push_back(f.name);
-  return names;
-}
-
-/// Schema of the chunks flowing between fragments, recovered from the
-/// first non-empty chunk (chunks carry types but not names). nullopt when
-/// there are zero rows.
-std::optional<Schema> InferSchema(const std::vector<DataChunk>& chunks,
-                                  const std::vector<std::string>& names) {
-  for (const DataChunk& chunk : chunks) {
-    if (chunk.num_rows() == 0 || chunk.num_columns() != names.size()) {
-      continue;
-    }
-    std::vector<Field> fields;
-    fields.reserve(names.size());
-    for (size_t i = 0; i < names.size(); ++i) {
-      fields.push_back(Field{names[i], chunk.column(i).type()});
-    }
-    return Schema(std::move(fields));
-  }
-  return std::nullopt;
-}
-
-std::optional<Schema> InferSchema(const NodeChunks& per_node,
-                                  const std::vector<std::string>& names) {
-  for (const std::vector<DataChunk>& chunks : per_node) {
-    if (std::optional<Schema> schema = InferSchema(chunks, names)) {
-      return schema;
-    }
-  }
-  return std::nullopt;
-}
-
-/// Column names of the final (coordinator-side) result, for resolving the
-/// ORDER BY column.
-std::vector<std::string> FinalOutputNames(const QuerySpec& spec,
-                                          const Schema& table_schema) {
-  if (spec.count_only) return {"count"};
-  if (!spec.aggregates.empty()) {
-    std::vector<std::string> names = spec.group_by;
-    for (const AggSpec& a : spec.aggregates) names.push_back(a.output_name);
-    return names;
-  }
-  return LocalOutputNames(spec, table_schema);
-}
-
-/// Sum of the per-node counts a gather delivered to the coordinator.
+/// Sum of the per-node join counts a gather delivered to the coordinator.
 int64_t SumCounts(const std::vector<DataChunk>& chunks) {
   int64_t total = 0;
   for (const DataChunk& chunk : chunks) {
@@ -304,10 +251,15 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
   const int coord = options_.coordinator;
   DistributedResult result;
 
-  DFLOW_ASSIGN_OR_RETURN(std::shared_ptr<Table> any_shard,
-                         cluster_->node(alive.front()).catalog().Lookup(
-                             spec.table));
-  const Schema& table_schema = any_shard->schema();
+  // The query's one lowering, split into the halves every phase below runs
+  // (compile::PartitionSplit). The program itself never runs, so it needs
+  // no verification; each node fragment compiles its own.
+  DFLOW_ASSIGN_OR_RETURN(
+      compile::ProgramPtr program,
+      cluster_->node(coord).Compile(spec, PlacementChoice::kCpuOnly,
+                                    verify::VerifyMode::kOff));
+  DFLOW_ASSIGN_OR_RETURN(compile::PartitionSplit split,
+                         compile::PartitionSplit::Make(std::move(program)));
 
   // ---- Exchange plan, verified before any frame moves: grouped
   // aggregates shuffle partial states so each group has one home, and every
@@ -326,9 +278,9 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
                   options_, &result);
   DFLOW_RETURN_NOT_OK(plan.Verify());
 
-  // ---- Phase A: per-node local fragments, each on its own fabric.
-  // Aggregation, ordering and limits move to the merge phases; the scan/
-  // filter/project work (the bytes-heavy part) runs against each shard.
+  // ---- Phase A: per-node local fragments, each on its own fabric: the
+  // stream half (scan/filter/project, the bytes-heavy part), or the whole
+  // COUNT. Aggregation, ordering and limits move to the merge phases.
   QuerySpec local_spec = spec;
   local_spec.order_by.reset();
   local_spec.limit = 0;
@@ -336,20 +288,26 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
     local_spec.aggregates.clear();
     local_spec.group_by.clear();
   }
+  if (has_agg && spec.projections.empty()) {
+    // Aggregates over raw columns: project exactly the columns the
+    // partition half reads, so each shard scans what Execute scans.
+    for (const Field& f : split.partition_schema().fields()) {
+      local_spec.projections.push_back(Expr::Col(f.name));
+      local_spec.projection_names.push_back(f.name);
+    }
+  }
   std::vector<NodeChunks> rows;
   DFLOW_ASSIGN_OR_RETURN(std::vector<sim::SimTime> ready,
                          RunLocalPhase(alive, {local_spec}, &rows, &result));
   NodeChunks& sent = rows[0];
+  uint64_t local_rows = 0;
+  for (int i : alive) local_rows += TotalRows(sent[i]);
 
-  std::optional<Schema> in_schema;
-  if (has_agg) {
-    in_schema = InferSchema(sent, LocalOutputNames(spec, table_schema));
-  }
-  if (has_agg && !in_schema.has_value()) {
+  if (has_agg && local_rows == 0) {
     // Zero rows survived the filter on every shard, so the distributed
     // answer equals the full query over any (empty-result) shard: run it
     // on the coordinator, which also yields the scalar-aggregate
-    // empty-state row with the right types.
+    // empty-state row.
     DFLOW_ASSIGN_OR_RETURN(QueryResult run, RunLocalFragment(coord, spec));
     result.chunks = std::move(run.chunks);
     sim::SimTime worst = 0;
@@ -359,22 +317,15 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
     // ---- Phases B/C: what each node sends to the coordinator is its
     // local rows (count, plain select), its partial states (global
     // aggregate) or its merged groups (grouped aggregate).
-    Schema partial_schema;
-    std::vector<AggSpec> merge_specs;
     if (has_agg) {
       NodeChunks partial(sent.size());
       for (int i : alive) {
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr agg,
-            HashAggregateOperator::Make(*in_schema, spec.group_by,
-                                        spec.aggregates, AggMode::kPartial));
-        partial_schema = agg->output_schema();
+        DFLOW_ASSIGN_OR_RETURN(OperatorPtr agg, split.MakePartition());
         ready[i] += TotalRows(sent[i]) * kClusterOpNsPerRow;
         DFLOW_ASSIGN_OR_RETURN(
             partial[i], RunLocalPipeline(std::move(sent[i]), {agg.get()}));
       }
       sent = std::move(partial);
-      merge_specs = MakeMergeSpecs(spec.aggregates);
     }
     if (grouped) {
       DFLOW_ASSIGN_OR_RETURN(
@@ -382,15 +333,12 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
           plan.Next(std::exchange(sent, NodeChunks(sent.size())), ready));
       if (!xr.has_value()) return result;
       for (int i : alive) {
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr fin,
-            HashAggregateOperator::Make(partial_schema, spec.group_by,
-                                        merge_specs, AggMode::kFinal));
+        DFLOW_ASSIGN_OR_RETURN(OperatorPtr merge, split.MakeMerge());
         ready[i] = xr->done_ns[i] +
                    TotalRows(xr->received[i]) * kClusterOpNsPerRow;
         DFLOW_ASSIGN_OR_RETURN(
             sent[i],
-            RunLocalPipeline(std::move(xr->received[i]), {fin.get()}));
+            RunLocalPipeline(std::move(xr->received[i]), {merge.get()}));
         result.tasks.push_back(TaskInfo{i, "merge", TaskInfo::State::kDone});
       }
     }
@@ -398,59 +346,34 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
                            plan.Next(std::move(sent), ready));
     if (!gx.has_value()) return result;
     std::vector<DataChunk>& gathered = gx->received[coord];
-    if (spec.count_only) {
-      result.chunks.emplace_back(std::vector<ColumnVector>{
-          ColumnVector::FromInt64({SumCounts(gathered)})});
-      result.makespan_ns = gx->done_ns[coord] + kClusterOpNsPerRow;
+    result.makespan_ns =
+        gx->done_ns[coord] +
+        (spec.count_only ? 1 : TotalRows(gathered)) * kClusterOpNsPerRow;
+    if (spec.count_only || (has_agg && !grouped)) {
+      // The merge half at the coordinator: the SUM of the per-node counts,
+      // or the global aggregate's kFinal merge (which emits the
+      // empty-state row when nothing came).
+      DFLOW_ASSIGN_OR_RETURN(OperatorPtr merge, split.MakeMerge());
+      DFLOW_ASSIGN_OR_RETURN(
+          result.chunks,
+          RunLocalPipeline(std::move(gathered), {merge.get()}));
     } else {
-      result.makespan_ns =
-          gx->done_ns[coord] + TotalRows(gathered) * kClusterOpNsPerRow;
-      if (has_agg && !grouped) {
-        // Global aggregate: one kFinal merge at the coordinator (which
-        // emits the empty-state row when nothing came).
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr fin,
-            HashAggregateOperator::Make(partial_schema, spec.group_by,
-                                        merge_specs, AggMode::kFinal));
-        DFLOW_ASSIGN_OR_RETURN(result.chunks,
-                               RunLocalPipeline(std::move(gathered),
-                                                {fin.get()}));
-      } else {
-        result.chunks = std::move(gathered);
-      }
+      result.chunks = std::move(gathered);
     }
   }
 
-  // ---- ORDER BY / LIMIT at the coordinator, over the gathered result.
-  // Same operators as the single-node engine, so tie-breaking and top-K
-  // selection are identical by construction.
+  // ---- The output half (ORDER BY / LIMIT) at the coordinator, over the
+  // gathered result: the single-node engine's operators, so tie-breaking
+  // and top-K selection are identical by construction.
   if (!spec.count_only &&
       (spec.order_by.has_value() || spec.limit > 0)) {
-    const std::vector<std::string> final_names =
-        FinalOutputNames(spec, table_schema);
-    std::optional<Schema> out_schema = InferSchema(result.chunks, final_names);
-    if (out_schema.has_value()) {
-      std::vector<OperatorPtr> owned;
-      std::vector<Operator*> ops;
-      if (spec.order_by.has_value()) {
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr sort,
-            SortOperator::Make(*out_schema, spec.order_by->column,
-                               spec.order_by->descending,
-                               spec.order_by->limit));
-        ops.push_back(sort.get());
-        owned.push_back(std::move(sort));
-      }
-      if (spec.limit > 0) {
-        owned.push_back(
-            std::make_unique<LimitOperator>(*out_schema, spec.limit));
-        ops.push_back(owned.back().get());
-      }
-      const uint64_t sorted_rows = TotalRows(result.chunks);
-      DFLOW_ASSIGN_OR_RETURN(result.chunks,
-                             RunLocalPipeline(std::move(result.chunks), ops));
-      result.makespan_ns += sorted_rows * kClusterOpNsPerRow;
-    }
+    DFLOW_ASSIGN_OR_RETURN(std::vector<OperatorPtr> output, split.MakeOutput());
+    std::vector<Operator*> ops;
+    for (const OperatorPtr& op : output) ops.push_back(op.get());
+    const uint64_t sorted_rows = TotalRows(result.chunks);
+    DFLOW_ASSIGN_OR_RETURN(result.chunks,
+                           RunLocalPipeline(std::move(result.chunks), ops));
+    result.makespan_ns += sorted_rows * kClusterOpNsPerRow;
   }
 
   result.tasks.push_back(TaskInfo{coord, "coord", TaskInfo::State::kDone});

@@ -204,6 +204,91 @@ Result<OperatorPtr> InstantiateOp(const DflowProgram& program,
   return op;
 }
 
+Result<PartitionSplit> PartitionSplit::Make(ProgramPtr program) {
+  PartitionSplit split(std::move(program));
+  const std::vector<ProgramOp>& ops = split.program_->ops();
+  split.partition_schema_ = split.program_->scan_schema();
+  for (size_t i = 0; i < ops.size(); ++i) {
+    switch (ops[i].code) {
+      case OpCode::kDecode:
+        break;  // identity on data
+      case OpCode::kFilter:
+      case OpCode::kProject:
+        split.stream_.push_back(i);
+        split.partition_schema_ = ops[i].output_schema;
+        break;
+      case OpCode::kCount:
+      case OpCode::kCompleteAgg:
+        split.partition_ = i;
+        break;
+      case OpCode::kSort:
+      case OpCode::kLimit:
+        split.output_.push_back(i);
+        break;
+      default:
+        return Status::Internal("partition split cannot run opcode " +
+                                std::string(OpCodeToString(ops[i].code)));
+    }
+  }
+  if (split.partition_.has_value()) {
+    DFLOW_ASSIGN_OR_RETURN(OperatorPtr partition, split.MakePartition());
+    split.merge_schema_ = partition->output_schema();
+  }
+  return split;
+}
+
+bool PartitionSplit::counts() const {
+  return partition_.has_value() &&
+         program_->ops()[*partition_].code == OpCode::kCount;
+}
+
+Result<std::vector<OperatorPtr>> PartitionSplit::MakeOps(
+    const std::vector<size_t>& indices) const {
+  std::vector<OperatorPtr> ops;
+  for (size_t i : indices) {
+    Schema current =
+        i == 0 ? program_->scan_schema() : program_->ops()[i - 1].output_schema;
+    DFLOW_ASSIGN_OR_RETURN(OperatorPtr op,
+                           InstantiateOp(*program_, program_->ops()[i],
+                                         &current));
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+Result<std::vector<OperatorPtr>> PartitionSplit::MakeStream() const {
+  return MakeOps(stream_);
+}
+
+Result<std::vector<OperatorPtr>> PartitionSplit::MakeOutput() const {
+  return MakeOps(output_);
+}
+
+Result<OperatorPtr> PartitionSplit::MakePartition() const {
+  if (!partition_.has_value()) return OperatorPtr();
+  if (counts()) {
+    Schema current = partition_schema_;
+    return InstantiateOp(*program_, program_->ops()[*partition_], &current);
+  }
+  const QuerySpec& spec = program_->spec();
+  return HashAggregateOperator::Make(partition_schema_, spec.group_by,
+                                     spec.aggregates, AggMode::kPartial);
+}
+
+Result<OperatorPtr> PartitionSplit::MakeMerge() const {
+  if (!partition_.has_value()) return OperatorPtr();
+  if (counts()) {
+    // Each partition's COUNT emits one row (possibly 0); their sum is the
+    // global COUNT(*).
+    const std::vector<AggSpec> sum_counts{{AggFunc::kSum, "count", "count"}};
+    return HashAggregateOperator::Make(merge_schema_, {}, sum_counts,
+                                       AggMode::kComplete);
+  }
+  return NewQueryOperator(program_->spec(), program_->filter(),
+                          program_->projections(), OpCode::kFinalAgg,
+                          merge_schema_);
+}
+
 namespace {
 
 /// The join case of the opcode table: BUILD and PROBE bind `table`, their

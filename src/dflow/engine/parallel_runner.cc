@@ -6,7 +6,6 @@
 // the Volcano reference for every fuzzed plan).
 
 #include <algorithm>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "dflow/compile/compiler.h"
 #include "dflow/compile/fuse.h"
 #include "dflow/engine/engine.h"
-#include "dflow/exec/aggregate.h"
 #include "dflow/exec/parallel/parallel_join.h"
 #include "dflow/exec/scan.h"
 
@@ -22,116 +20,40 @@ namespace dflow {
 
 namespace {
 
-using compile::OpCode;
-using compile::ProgramOp;
-
-/// One operator of the worker chain, instantiated afresh per morsel.
-using OpFactory = std::function<Result<OperatorPtr>()>;
-
-/// Lowers a CPU-only program to the real-parallel executor's three-layer
-/// pipeline shape (see parallel::ParallelPipelineSpec) by dispatching on
-/// its opcodes:
-///
-///   worker chain   FILTER, PROJECT, the per-morsel half of COUNT (a count)
-///                  and of COMPLETE_AGG (an unbounded partial aggregate)
-///   merge chain    the merge half: a SUM of the counts | the final agg
-///   output chain   SORT, LIMIT
-///
-/// with canonical ordering enabled whenever the query lacks an ORDER BY.
-/// DECODE is skipped: it is identity on data and models a wire size the
-/// real executor doesn't have. Any other opcode (a placement that keeps
-/// work off the CPU) is Status::Internal. A worker chain without a COUNT
+/// Maps a CPU-only program's partition split (compile::PartitionSplit) onto
+/// the real-parallel executor's three layers (see
+/// parallel::ParallelPipelineSpec): the stream and partition halves are the
+/// worker chain, run afresh per morsel; the merge half is the merge chain;
+/// the output half is the output chain. Canonical ordering is enabled
+/// whenever the query lacks an ORDER BY. A worker chain without a COUNT
 /// runs as one compile::FusedOperator, the kernel the simulated graphs run
 /// for their fused groups.
 Result<parallel::ParallelPipelineSpec> BuildParallelPipelineSpec(
-    const compile::ProgramPtr& program) {
-  const QuerySpec& spec = program->spec();
-  // Worker factories share the immutable program; its resolved expressions
-  // are const-evaluated, which is thread-safe.
+    compile::ProgramPtr program) {
   parallel::ParallelPipelineSpec pipeline;
-  std::vector<OpFactory> worker;
-  bool fuse_worker = true;
-  Schema input = program->scan_schema();
-  auto instantiate = [&program, &input](const ProgramOp& op) -> OpFactory {
-    return [program, op, input]() {
-      Schema current = input;
-      return compile::InstantiateOp(*program, op, &current);
-    };
-  };
-  for (const ProgramOp& op : program->ops()) {
-    switch (op.code) {
-      case OpCode::kDecode:
-        break;  // identity on data; models a wire size this executor lacks
-      case OpCode::kFilter:
-      case OpCode::kProject:
-        worker.push_back(instantiate(op));
-        break;
-      case OpCode::kCount: {
-        // Each morsel's CountOperator emits one row (possibly zero); the
-        // sum of the per-morsel counts is the global COUNT(*).
-        worker.push_back(instantiate(op));
-        fuse_worker = false;
-        std::vector<AggSpec> sum_counts{{AggFunc::kSum, "count", "count"}};
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr sum,
-            HashAggregateOperator::Make(op.output_schema, {}, sum_counts,
-                                        AggMode::kComplete));
-        pipeline.merge_chain.push_back(std::move(sum));
-        break;
-      }
-      case OpCode::kCompleteAgg: {
-        // Unbounded per-morsel pre-aggregation (max_groups = 0): it never
-        // flushes early, so the merge sees exactly one partial state per
-        // (morsel, group), in morsel order.
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr partial,
-            HashAggregateOperator::Make(input, spec.group_by, spec.aggregates,
-                                        AggMode::kPartial));
-        worker.push_back([program, input]() {
-          return HashAggregateOperator::Make(
-              input, program->spec().group_by, program->spec().aggregates,
-              AggMode::kPartial);
-        });
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr final_agg,
-            HashAggregateOperator::Make(partial->output_schema(), spec.group_by,
-                                        MakeMergeSpecs(spec.aggregates),
-                                        AggMode::kFinal));
-        pipeline.merge_chain.push_back(std::move(final_agg));
-        break;
-      }
-      case OpCode::kSort:
-      case OpCode::kLimit: {
-        DFLOW_ASSIGN_OR_RETURN(OperatorPtr stage, instantiate(op)());
-        pipeline.output_chain.push_back(std::move(stage));
-        break;
-      }
-      default:
-        return Status::Internal(
-            "parallel executor cannot run opcode " +
-            std::string(compile::OpCodeToString(op.code)));
-    }
-    input = op.output_schema;
-  }
-
-  pipeline.make_worker_chain = [worker = std::move(worker), fuse_worker]()
-      -> Result<std::vector<OperatorPtr>> {
-    std::vector<OperatorPtr> ops;
-    for (const OpFactory& make : worker) {
-      DFLOW_ASSIGN_OR_RETURN(OperatorPtr op, make());
-      ops.push_back(std::move(op));
-    }
-    if (!fuse_worker || ops.empty()) return ops;
+  // Without a total order from the query itself, canonically order the
+  // merged rows so downstream stages (and the client) see a stream that
+  // never depends on scheduling.
+  pipeline.canonical_order = !program->spec().order_by.has_value();
+  DFLOW_ASSIGN_OR_RETURN(compile::PartitionSplit split,
+                         compile::PartitionSplit::Make(std::move(program)));
+  DFLOW_ASSIGN_OR_RETURN(OperatorPtr merge, split.MakeMerge());
+  if (merge != nullptr) pipeline.merge_chain.push_back(std::move(merge));
+  DFLOW_ASSIGN_OR_RETURN(pipeline.output_chain, split.MakeOutput());
+  // Worker chains share the immutable program; its resolved expressions
+  // are const-evaluated, which is thread-safe.
+  pipeline.make_worker_chain =
+      [split = std::move(split)]() -> Result<std::vector<OperatorPtr>> {
+    DFLOW_ASSIGN_OR_RETURN(std::vector<OperatorPtr> ops, split.MakeStream());
+    DFLOW_ASSIGN_OR_RETURN(OperatorPtr partition, split.MakePartition());
+    if (partition != nullptr) ops.push_back(std::move(partition));
+    if (split.counts() || ops.empty()) return ops;
     DFLOW_ASSIGN_OR_RETURN(OperatorPtr fused,
                            compile::FusedOperator::Make(std::move(ops)));
     std::vector<OperatorPtr> kernel;
     kernel.push_back(std::move(fused));
     return kernel;
   };
-  // Without a total order from the query itself, canonically order the
-  // merged rows so downstream stages (and the client) see a stream that
-  // never depends on scheduling.
-  pipeline.canonical_order = !spec.order_by.has_value();
   return pipeline;
 }
 
@@ -164,7 +86,7 @@ Result<QueryResult> Engine::ExecuteParallel(const QuerySpec& spec,
       LowerProgram(spec, prepared, cpu_only, unverified, spec.table));
   DFLOW_ASSIGN_OR_RETURN(TableScanSource scan, ScanOf(*program));
   DFLOW_ASSIGN_OR_RETURN(parallel::ParallelPipelineSpec pipeline,
-                         BuildParallelPipelineSpec(program));
+                         BuildParallelPipelineSpec(std::move(program)));
   QueryResult result;
   DFLOW_ASSIGN_OR_RETURN(
       result.chunks,

@@ -52,8 +52,13 @@ void BumpCheck();
 /// updates that exist solely to feed DFLOW_INVARIANT checks).
 #define DFLOW_INVARIANTS_ONLY(stmt) stmt
 #else
-#define DFLOW_INVARIANT(cond, detail) \
-  do {                                \
+// Compiled out, `cond` and `detail` stay unevaluated operands: they are
+// type-checked and name their operands (so invariant-only locals are still
+// used), but nothing is evaluated, no code is emitted and nothing refers
+// to InvariantFailed.
+#define DFLOW_INVARIANT(cond, detail)                     \
+  do {                                                    \
+    (void)sizeof((void)!(cond), (void)(detail), 0);       \
   } while (0)
 #define DFLOW_INVARIANTS_ONLY(stmt)
 #endif

@@ -116,8 +116,12 @@ class Tracer {
     }                                         \
   } while (0)
 #else
-#define DFLOW_TRACE(tracer_expr, ...) \
-  do {                                \
+// Compiled out, the call stays an unevaluated operand: it is type-checked
+// and names its arguments (so trace-only locals are still used), but
+// nothing is evaluated and no code is emitted.
+#define DFLOW_TRACE(tracer_expr, ...)                          \
+  do {                                                         \
+    (void)sizeof((void)((tracer_expr)->__VA_ARGS__), 0);       \
   } while (0)
 #endif
 

@@ -92,6 +92,23 @@ QuerySpec GroupedAggSpec() {
   return spec;
 }
 
+/// A global aggregate over a computed projection, so the router's partial
+/// aggregate runs over PROJECT output rather than raw columns.
+QuerySpec ProjectedAggSpec() {
+  QuerySpec spec;
+  spec.table = "lineitem";
+  spec.filter = Expr::Cmp(CompareOp::kLt, Expr::Col("l_discount"),
+                          Expr::Lit(Value::Double(0.05)));
+  spec.projections = {Expr::Arith(ArithOp::kAdd, Expr::Col("l_partkey"),
+                                  Expr::Col("l_suppkey")),
+                      Expr::Col("l_suppkey")};
+  spec.projection_names = {"part_supp", "supp"};
+  spec.aggregates = {{AggFunc::kSum, "part_supp", "sum_part_supp"},
+                     {AggFunc::kMin, "supp", "min_supp"},
+                     {AggFunc::kCount, "", "cnt"}};
+  return spec;
+}
+
 // ------------------------------------------ VY_XCHG_* exact-code rejects
 
 /// A minimally-valid one-exchange plan; each test breaks one field.
@@ -373,6 +390,13 @@ TEST(DistributedEquivalence, EveryRouterShapeMatchesSingleNode) {
        Sql("SELECT SUM(l_partkey) AS s, MIN(l_suppkey) AS lo, "
            "MAX(l_suppkey) AS hi FROM lineitem")},
       {"grouped aggregate", GroupedAggSpec()},
+      // SUM(l_partkey) per group is all but unique, so the top 3 has no
+      // ties; the sort and its limit run after the shuffle and merge.
+      {"grouped aggregate order by limit",
+       Sql("SELECT l_returnflag, l_linestatus, SUM(l_partkey) AS s, "
+           "COUNT(*) AS c FROM lineitem WHERE l_discount < 0.06 "
+           "GROUP BY l_returnflag, l_linestatus ORDER BY s DESC LIMIT 3")},
+      {"global aggregate over a projection", ProjectedAggSpec()},
       // l_extendedprice is a random double, so the top 20 has no ties.
       {"select order by limit",
        Sql("SELECT l_orderkey, l_extendedprice FROM lineitem "
@@ -429,6 +453,24 @@ TEST(DistributedEquivalence, RunsAreByteDeterministic) {
         dr.total_rows, dr.makespan_ns, dr.exchange.bytes, dr.exchange.frames);
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(DistributedEquivalence, FragmentsScanOnlyWhatThePlanScans) {
+  // An aggregate over raw columns: each node's fragment reads exactly the
+  // encoded bytes the node's own Engine::Execute of the query reads, not
+  // every column of its shard.
+  auto cl = MakeTestCluster(2);
+  QueryRouter router(cl.get(), {});
+  ASSERT_EQ(router.ExecuteQuery(GroupedAggSpec()).ValueOrDie().outcome,
+            "DONE");
+  for (int i = 0; i < cl->num_nodes(); ++i) {
+    Engine& node = cl->node(i);
+    const uint64_t fragment_bytes =
+        node.fabric().store_media()->bytes_processed();
+    const QueryResult single = node.Execute(GroupedAggSpec()).ValueOrDie();
+    EXPECT_GT(fragment_bytes, 0u) << "node " << i;
+    EXPECT_EQ(fragment_bytes, single.report.media_bytes) << "node " << i;
+  }
 }
 
 // ------------------------------------------------------------ fault paths

@@ -656,7 +656,9 @@ TEST(JoinTest, ProbeOutputEqualsAPerValueAppendFromReference) {
     std::vector<int32_t> ws;
     for (int r = 0; r < 40; ++r) {
       ids.push_back(r % 25);  // keys 20..24 are never probed
-      names.push_back("c" + std::to_string(insert * 40 + r));
+      // Appended, not "c" + ...: GCC 12 reports a bogus -Wrestrict there.
+      names.push_back("c");
+      names.back() += std::to_string(insert * 40 + r);
       ws.push_back(r);
     }
     DataChunk chunk({ColumnVector::FromInt64(std::move(ids))});
