@@ -22,7 +22,9 @@ std::vector<bool> FlagStragglers(const std::vector<sim::SimTime>& times,
   return flags;
 }
 
-Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
+Cluster::Cluster(ClusterConfig config)
+    : config_(std::move(config)),
+      workers_(std::max(config_.num_nodes, 1)) {
   if (config_.num_nodes < 1) config_.num_nodes = 1;
   // Every node is an independent single-compute-node fabric: the cluster's
   // parallelism is across nodes, the fabric's is within one.
@@ -55,33 +57,46 @@ Status Cluster::RegisterSharded(std::shared_ptr<Table> table) {
   if (targets.empty()) {
     return Status::InvalidArgument("cluster has no alive nodes to shard onto");
   }
-  DFLOW_ASSIGN_OR_RETURN(std::vector<DataChunk> chunks, table->ToChunks());
+  // slot[node]: the node's shard index, its position among the targets.
+  std::vector<size_t> slot(nodes_.size());
   std::vector<TableBuilder> builders;
   builders.reserve(targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
+    slot[targets[i]] = i;
     builders.emplace_back(table->name(), table->schema());
   }
+  std::vector<size_t> columns(table->schema().num_fields());
+  for (size_t c = 0; c < columns.size(); ++c) columns[c] = c;
   const uint32_t n = static_cast<uint32_t>(targets.size());
   std::vector<uint64_t> hashes;
-  for (const DataChunk& chunk : chunks) {
-    if (chunk.num_rows() == 0) continue;
-    hashes.clear();  // non-empty switches HashColumn into combine mode
-    DFLOW_RETURN_NOT_OK(HashColumn(chunk.column(0), &hashes));
-    std::vector<SelectionVector> sel(n);
-    for (size_t r = 0; r < hashes.size(); ++r) {
-      sel[hashes[r] % n].Append(static_cast<uint32_t>(r));
+  for (size_t g = 0; g < table->num_row_groups(); ++g) {
+    DFLOW_ASSIGN_OR_RETURN(std::vector<DataChunk> chunks,
+                           table->row_group(g).DecodeChunks(columns));
+    // sel[c][p]: the rows of chunk c that shard p receives.
+    std::vector<std::vector<SelectionVector>> sel(chunks.size());
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      sel[c].resize(n);
+      if (chunks[c].num_rows() == 0) continue;
+      hashes.clear();  // non-empty switches HashColumn into combine mode
+      DFLOW_RETURN_NOT_OK(HashColumn(chunks[c].column(0), &hashes));
+      for (size_t r = 0; r < hashes.size(); ++r) {
+        sel[c][hashes[r] % n].Append(static_cast<uint32_t>(r));
+      }
     }
-    for (uint32_t p = 0; p < n; ++p) {
-      if (sel[p].empty()) continue;
-      DFLOW_RETURN_NOT_OK(builders[p].Append(chunk.Gather(sel[p])));
-    }
+    DFLOW_RETURN_NOT_OK(ForEachNode(targets, [&](int node) -> Status {
+      const size_t p = slot[node];
+      for (size_t c = 0; c < chunks.size(); ++c) {
+        if (sel[c][p].empty()) continue;
+        DFLOW_RETURN_NOT_OK(builders[p].Append(chunks[c].Gather(sel[c][p])));
+      }
+      return Status::OK();
+    }));
   }
-  for (size_t i = 0; i < targets.size(); ++i) {
-    DFLOW_ASSIGN_OR_RETURN(Table shard, builders[i].Finish());
-    DFLOW_RETURN_NOT_OK(nodes_[targets[i]]->catalog().Register(
-        std::make_shared<Table>(std::move(shard))));
-  }
-  return Status::OK();
+  return ForEachNode(targets, [&](int node) -> Status {
+    DFLOW_ASSIGN_OR_RETURN(Table shard, builders[slot[node]].Finish());
+    return nodes_[node]->catalog().Register(
+        std::make_shared<Table>(std::move(shard)));
+  });
 }
 
 Status Cluster::ReshardAll() {

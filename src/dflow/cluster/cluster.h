@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "dflow/cluster/node_workers.h"
 #include "dflow/engine/engine.h"
 #include "dflow/sim/fabric.h"
 #include "dflow/sim/inter_node_link.h"
@@ -83,8 +84,9 @@ std::vector<bool> FlagStragglers(const std::vector<sim::SimTime>& times,
 /// Engine (catalog + fabric + optimizer + executors) per node, joined by a
 /// full mesh of credit-windowed, checksummed inter-node links. The cluster
 /// itself is pure mechanism — sharding tables, owning links, tracking node
-/// health; query-level policy (exchange lowering, task lifecycles,
-/// merge-at-coordinator) lives in QueryRouter.
+/// health, and the host workers its nodes run on (NodeWorkers); query-level
+/// policy (exchange lowering, task lifecycles, merge-at-coordinator) lives
+/// in QueryRouter.
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config);
@@ -97,12 +99,24 @@ class Cluster {
   /// The directed link src -> dst (src != dst).
   sim::InterNodeLink& link(int src, int dst);
 
+  /// Runs fn(node) for every node of `nodes` concurrently, each on its
+  /// node's host worker (NodeWorkers::ForEachNode): returns once all
+  /// finished, with the first failing node's Status in `nodes` order.
+  /// A task may touch its own node's engine and its own slots of the
+  /// caller's per-node state, never the links or another node.
+  Status ForEachNode(const std::vector<int>& nodes,
+                     const NodeWorkers::NodeFn& fn) {
+    return workers_.ForEachNode(nodes, fn);
+  }
+
   /// Hash-shards `table` by its first column across all nodes and registers
   /// each shard in the owning node's catalog under the table's own name
   /// (catalogs are per-node, so names never clash). The original is kept so
   /// a re-route after node loss can re-shard over the survivors. Row r goes
   /// to node hash(col0[r]) % num_nodes — the same HashColumn basis as the
   /// intra-node HashPartitioner, so partition agreement is by construction.
+  /// One row group is decoded at a time; each node gathers and appends its
+  /// rows, and encodes its shard, on its own worker.
   Status RegisterSharded(std::shared_ptr<Table> table);
 
   /// Re-shards every registered table over the currently-alive nodes
@@ -146,6 +160,8 @@ class Cluster {
   uint64_t node_losses_ = 0;
   bool link_faults_armed_ = false;
   std::map<std::string, std::shared_ptr<Table>> original_tables_;
+  /// Last, so the workers are joined before the engines they run go away.
+  NodeWorkers workers_;
 };
 
 }  // namespace dflow::cluster

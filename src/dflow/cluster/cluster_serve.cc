@@ -22,9 +22,10 @@ Result<ClusterServiceResult> ClusterServiceLoop::Run() {
   // Shard tenants round-robin over the alive nodes: deterministic, and an
   // even split so the scale-out bench measures parallelism, not placement
   // luck. (Key-affine routing uses QueryRouter::HomeNode instead.)
-  std::vector<std::vector<serve::TenantConfig>> shards(alive.size());
+  // shards[node]: that node's tenants.
+  std::vector<std::vector<serve::TenantConfig>> shards(cluster_->num_nodes());
   for (size_t t = 0; t < tenants_.size(); ++t) {
-    shards[t % alive.size()].push_back(tenants_[t]);
+    shards[alive[t % alive.size()]].push_back(tenants_[t]);
   }
 
   ClusterServiceResult result;
@@ -37,18 +38,25 @@ Result<ClusterServiceResult> ClusterServiceLoop::Run() {
     result.cluster.nodes[i].alive = cluster_->node_alive(i);
   }
 
-  std::vector<sim::SimTime> node_makespans;
-  for (size_t s = 0; s < alive.size(); ++s) {
-    const int node = alive[s];
-    if (shards[s].empty()) continue;
+  // Each node serves its shard on its own worker, all nodes at once; the
+  // totals, flags and per-node reports fold below in node order.
+  std::vector<int> serving;
+  for (int node : alive) {
+    if (!shards[node].empty()) serving.push_back(node);
+  }
+  DFLOW_RETURN_NOT_OK(cluster_->ForEachNode(serving, [&](int node) -> Status {
     // Per-node seed derivation keeps arrival streams independent across
     // nodes while staying a pure function of (config seed, node id).
     serve::ServiceConfig node_config = config_;
     node_config.seed = config_.seed + 0x9e3779b97f4a7c15ULL * (node + 1);
-    serve::ServiceLoop loop(&cluster_->node(node), shards[s], node_config);
-    DFLOW_ASSIGN_OR_RETURN(serve::ServiceResult node_result, loop.Run());
+    serve::ServiceLoop loop(&cluster_->node(node), shards[node], node_config);
+    DFLOW_ASSIGN_OR_RETURN(result.node_results[node], loop.Run());
+    return Status::OK();
+  }));
 
-    const serve::ServiceReport& r = node_result.service;
+  std::vector<sim::SimTime> node_makespans;
+  for (int node : serving) {
+    const serve::ServiceReport& r = result.node_results[node].service;
     result.cluster.arrivals_total += r.arrivals_total;
     result.cluster.admitted_total += r.admitted_total;
     result.cluster.shed_total += r.shed_total;
@@ -56,7 +64,6 @@ Result<ClusterServiceResult> ClusterServiceLoop::Run() {
     result.cluster.failed_total += r.failed_total;
     node_makespans.push_back(r.makespan_ns);
     result.cluster.nodes[node].report = r;
-    result.node_results[node] = std::move(node_result);
   }
 
   // Stragglers among the per-node serving makespans (the router applies

@@ -45,9 +45,10 @@ struct ClusterServiceResult {
 /// alive nodes (tenant t to the (t mod alive)-th alive node) and runs one
 /// serve::ServiceLoop per node over that node's tenant subset — admission,
 /// lifecycle, breakers, brownout, and the program cache all per node, each
-/// node on its own fabric. Nodes serve concurrently, so the cluster
-/// makespan is the max of the per-node makespans and throughput scales
-/// with alive nodes.
+/// node on its own fabric and its own host worker (Cluster::ForEachNode).
+/// Nodes serve concurrently, so the cluster makespan is the max of the
+/// per-node makespans and throughput scales with alive nodes; the report
+/// folds the nodes in node order, so it is byte-identical per seed.
 class ClusterServiceLoop {
  public:
   ClusterServiceLoop(Cluster* cluster,

@@ -21,6 +21,94 @@ std::string_view ExchangeOutcomeToString(ExchangeOutcome outcome) {
   return "?";
 }
 
+namespace {
+
+/// One routed piece of a source's chunks, in send order: a local delivery
+/// (dst is the source) or one wire frame with its size and checksum.
+struct RoutedFrame {
+  int dst;
+  DataChunk chunk;
+  uint64_t bytes = 0;
+  uint64_t checksum = 0;
+};
+
+/// Routes source `src`'s chunks as `spec` describes, in the exchange's
+/// deterministic order (chunk order, destinations ascending, frames of a
+/// chunk in row order): hashes a shuffle's key, gathers each
+/// destination's piece, cuts pieces into frames of at most `frame_cap`
+/// bytes and checksums them. Each input chunk is freed once routed. Runs
+/// on the source's worker; touches no link.
+Status RouteSource(const verify::ExchangeSpec& spec, uint64_t frame_cap,
+                   int src, std::vector<DataChunk> chunks,
+                   std::vector<RoutedFrame>* out) {
+  const uint32_t fanout = static_cast<uint32_t>(spec.to_nodes.size());
+  std::vector<uint64_t> hashes;
+  for (DataChunk& chunk : chunks) {
+    if (chunk.num_rows() == 0) continue;
+
+    // Route this chunk: per destination node, the piece it receives.
+    std::vector<std::pair<int, DataChunk>> routed;
+    switch (spec.kind) {
+      case verify::ExchangeKind::kShuffle: {
+        if (spec.key_col < 0 ||
+            static_cast<size_t>(spec.key_col) >= chunk.num_columns()) {
+          return Status::InvalidArgument("shuffle key column out of range");
+        }
+        hashes.clear();  // non-empty switches HashColumn into combine mode
+        DFLOW_RETURN_NOT_OK(HashColumn(chunk.column(spec.key_col), &hashes));
+        std::vector<SelectionVector> sel(fanout);
+        for (size_t r = 0; r < hashes.size(); ++r) {
+          sel[hashes[r] % fanout].Append(static_cast<uint32_t>(r));
+        }
+        for (uint32_t p = 0; p < fanout; ++p) {
+          if (sel[p].empty()) continue;
+          routed.emplace_back(spec.to_nodes[p],
+                              sel[p].size() == chunk.num_rows()
+                                  ? std::move(chunk)
+                                  : chunk.Gather(sel[p]));
+        }
+        break;
+      }
+      case verify::ExchangeKind::kBroadcast: {
+        for (size_t i = 0; i + 1 < spec.to_nodes.size(); ++i) {
+          routed.emplace_back(spec.to_nodes[i], chunk);
+        }
+        routed.emplace_back(spec.to_nodes.back(), std::move(chunk));
+        break;
+      }
+      case verify::ExchangeKind::kGather: {
+        routed.emplace_back(spec.to_nodes[0], std::move(chunk));
+        break;
+      }
+    }
+    chunk = DataChunk();
+
+    for (auto& [dst, piece] : routed) {
+      if (dst == src) {
+        out->push_back(RoutedFrame{dst, std::move(piece)});
+        continue;
+      }
+      // Split the piece into wire frames of at most frame_cap bytes each.
+      const uint64_t piece_bytes = piece.ByteSize();
+      const size_t piece_rows = piece.num_rows();
+      const size_t num_frames =
+          static_cast<size_t>((piece_bytes + frame_cap - 1) / frame_cap);
+      const size_t rows_per_frame = (piece_rows + num_frames - 1) / num_frames;
+      for (size_t start = 0; start < piece_rows; start += rows_per_frame) {
+        const size_t count = std::min(rows_per_frame, piece_rows - start);
+        DataChunk frame = count == piece_rows ? std::move(piece)
+                                              : piece.Slice(start, count);
+        const uint64_t bytes = frame.ByteSize();
+        const uint64_t checksum = ChecksumChunk(frame);
+        out->push_back(RoutedFrame{dst, std::move(frame), bytes, checksum});
+      }
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<ExchangeResult> RunExchange(Cluster* cluster,
                                    const verify::ExchangeSpec& spec,
                                    sim::SimTime cancel_at_ns,
@@ -78,89 +166,46 @@ Result<ExchangeResult> RunExchange(Cluster* cluster,
     return result;
   };
 
-  const uint32_t fanout = static_cast<uint32_t>(spec.to_nodes.size());
-  std::vector<uint64_t> hashes;
-
-  // Deterministic frame layout: source nodes ascending, that source's
+  // Routing (hash, gather, frame cuts, checksums) runs on every source's
+  // own worker at once. The sends stay serial on this thread in the
+  // deterministic frame layout: source nodes ascending, that source's
   // chunks in order, destinations ascending, frames of a chunk in row
-  // order. Same inputs => same schedule => byte-identical counters.
+  // order. The links are shared state and a frame's timing depends on the
+  // frames before it, so same inputs => same schedule => byte-identical
+  // counters.
+  std::vector<std::vector<RoutedFrame>> routed(n);
+  const auto route = [&](int src) {
+    return RouteSource(spec, frame_cap, src, std::move(inputs[src]),
+                       &routed[src]);
+  };
+  DFLOW_RETURN_NOT_OK(cluster->ForEachNode(spec.from_nodes, route));
   for (int src : spec.from_nodes) {
-    for (DataChunk& chunk : inputs[src]) {
-      if (chunk.num_rows() == 0) continue;
-
-      // Route this chunk: per destination node, the piece it receives.
-      std::vector<std::pair<int, DataChunk>> routed;
-      switch (spec.kind) {
-        case verify::ExchangeKind::kShuffle: {
-          if (spec.key_col < 0 ||
-              static_cast<size_t>(spec.key_col) >= chunk.num_columns()) {
-            return Status::InvalidArgument("shuffle key column out of range");
-          }
-          hashes.clear();  // non-empty switches HashColumn into combine mode
-          DFLOW_RETURN_NOT_OK(HashColumn(chunk.column(spec.key_col), &hashes));
-          std::vector<SelectionVector> sel(fanout);
-          for (size_t r = 0; r < hashes.size(); ++r) {
-            sel[hashes[r] % fanout].Append(static_cast<uint32_t>(r));
-          }
-          for (uint32_t p = 0; p < fanout; ++p) {
-            if (sel[p].empty()) continue;
-            routed.emplace_back(spec.to_nodes[p],
-                                sel[p].size() == chunk.num_rows()
-                                    ? std::move(chunk)
-                                    : chunk.Gather(sel[p]));
-          }
-          break;
-        }
-        case verify::ExchangeKind::kBroadcast: {
-          for (size_t i = 0; i + 1 < spec.to_nodes.size(); ++i) {
-            routed.emplace_back(spec.to_nodes[i], chunk);
-          }
-          routed.emplace_back(spec.to_nodes.back(), std::move(chunk));
-          break;
-        }
-        case verify::ExchangeKind::kGather: {
-          routed.emplace_back(spec.to_nodes[0], std::move(chunk));
-          break;
-        }
+    for (RoutedFrame& frame : routed[src]) {
+      if (frame.dst == src) {
+        // Local delivery: no link, no frame, no credit — the piece is
+        // already where it needs to be at the fragment's own ready time.
+        result.received[src].push_back(std::move(frame.chunk));
+        continue;
       }
-
-      for (auto& [dst, piece] : routed) {
-        if (dst == src) {
-          // Local delivery: no link, no frame, no credit — the piece is
-          // already where it needs to be at the fragment's own ready time.
-          result.received[src].push_back(std::move(piece));
-          continue;
-        }
-        // Split the piece into wire frames of at most frame_bytes each.
-        const uint64_t piece_bytes = piece.ByteSize();
-        const size_t piece_rows = piece.num_rows();
-        const size_t num_frames = static_cast<size_t>(
-            (piece_bytes + frame_cap - 1) / frame_cap);
-        const size_t rows_per_frame =
-            (piece_rows + num_frames - 1) / num_frames;
-        for (size_t start = 0; start < piece_rows; start += rows_per_frame) {
-          const size_t count = std::min(rows_per_frame, piece_rows - start);
-          DataChunk frame = count == piece_rows ? std::move(piece)
-                                                : piece.Slice(start, count);
-          const sim::SimTime ready = ready_ns[src];
-          if (cancel_at_ns > 0 && ready >= cancel_at_ns) {
-            return finish(ExchangeOutcome::kCancelled);
-          }
-          const sim::InterNodeLink::FrameResult sent = cluster->link(src, dst)
-              .Send(ready, frame.ByteSize(), ChecksumChunk(frame));
-          if (loss_armed &&
-              (src == fault.lose_node || dst == fault.lose_node) &&
-              sent.arrive >= fault.lose_node_at_ns) {
-            cluster->MarkNodeLost(fault.lose_node);
-            return finish(ExchangeOutcome::kNodeLost);
-          }
-          if (!sent.delivered) {
-            return finish(ExchangeOutcome::kRetryExhausted);
-          }
-          result.done_ns[dst] = std::max(result.done_ns[dst], sent.arrive);
-          result.received[dst].push_back(std::move(frame));
-        }
+      const sim::SimTime ready = ready_ns[src];
+      if (cancel_at_ns > 0 && ready >= cancel_at_ns) {
+        return finish(ExchangeOutcome::kCancelled);
       }
+      const sim::InterNodeLink::FrameResult sent =
+          cluster->link(src, frame.dst).Send(ready, frame.bytes,
+                                             frame.checksum);
+      if (loss_armed &&
+          (src == fault.lose_node || frame.dst == fault.lose_node) &&
+          sent.arrive >= fault.lose_node_at_ns) {
+        cluster->MarkNodeLost(fault.lose_node);
+        return finish(ExchangeOutcome::kNodeLost);
+      }
+      if (!sent.delivered) {
+        return finish(ExchangeOutcome::kRetryExhausted);
+      }
+      result.done_ns[frame.dst] =
+          std::max(result.done_ns[frame.dst], sent.arrive);
+      result.received[frame.dst].push_back(std::move(frame.chunk));
     }
   }
   return finish(ExchangeOutcome::kDone);

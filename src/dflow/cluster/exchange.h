@@ -49,16 +49,20 @@ struct ExchangeResult {
 ///
 /// Execution is phase-structured: `inputs[node]` are the chunks node's local
 /// fragment produced, ready at cluster virtual time `ready_ns[node]`, both
-/// indexed by node id over the full cluster. Frames go onto the links in a
-/// deterministic order (source node asc, chunk order, destination asc) —
-/// same inputs, same seed, same schedule, byte-identical counters. Frames
-/// not yet departed at `cancel_at_ns` (0 = never) are never sent, and every
-/// in-flight credit is returned whatever the outcome.
+/// indexed by node id over the full cluster. Each source's chunks are
+/// routed (hashed, gathered, cut into frames, checksummed) on that source's
+/// host worker (Cluster::ForEachNode), all sources at once; the frames then
+/// go onto the links from the calling thread in a deterministic order
+/// (source node asc, chunk order, destination asc) — same inputs, same
+/// seed, same schedule, byte-identical counters. Frames not yet departed
+/// at `cancel_at_ns` (0 = never) are never sent, and every in-flight
+/// credit is returned whatever the outcome.
 ///
 /// The exchange takes its inputs over: a chunk that goes whole to one node
 /// (a gather, the last broadcast copy, a shuffle whose rows all hash to one
 /// node) moves there, a piece that fits in one frame is sent as that frame,
-/// and a larger piece is cut into contiguous row ranges.
+/// and a larger piece is cut into contiguous row ranges. Each input chunk
+/// is freed as soon as it is routed.
 Result<ExchangeResult> RunExchange(Cluster* cluster,
                                    const verify::ExchangeSpec& spec,
                                    sim::SimTime cancel_at_ns,

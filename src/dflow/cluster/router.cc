@@ -207,8 +207,7 @@ Result<std::vector<sim::SimTime>> QueryRouter::RunLocalPhase(
   const ClusterFaultConfig& fault = cluster_->config().fault;
   rows->assign(fragments.size(), NodeChunks(n));
   std::vector<sim::SimTime> ready(n, 0);
-  std::vector<sim::SimTime> local_ns;
-  for (int i : alive) {
+  DFLOW_RETURN_NOT_OK(cluster_->ForEachNode(alive, [&](int i) -> Status {
     sim::SimTime t = 0;
     for (size_t f = 0; f < fragments.size(); ++f) {
       DFLOW_ASSIGN_OR_RETURN(QueryResult run,
@@ -221,8 +220,10 @@ Result<std::vector<sim::SimTime>> QueryRouter::RunLocalPhase(
                                     fault.slow_factor);
     }
     ready[i] = t;
-    local_ns.push_back(t);
-  }
+    return Status::OK();
+  }));
+  std::vector<sim::SimTime> local_ns;
+  for (int i : alive) local_ns.push_back(ready[i]);
   const std::vector<bool> slow =
       FlagStragglers(local_ns, cluster_->config().straggler_factor);
   for (size_t k = 0; k < alive.size(); ++k) {
@@ -319,12 +320,13 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
     // aggregate) or its merged groups (grouped aggregate).
     if (has_agg) {
       NodeChunks partial(sent.size());
-      for (int i : alive) {
+      DFLOW_RETURN_NOT_OK(cluster_->ForEachNode(alive, [&](int i) -> Status {
         DFLOW_ASSIGN_OR_RETURN(OperatorPtr agg, split.MakePartition());
         ready[i] += TotalRows(sent[i]) * kClusterOpNsPerRow;
         DFLOW_ASSIGN_OR_RETURN(
             partial[i], RunLocalPipeline(std::move(sent[i]), {agg.get()}));
-      }
+        return Status::OK();
+      }));
       sent = std::move(partial);
     }
     if (grouped) {
@@ -332,13 +334,16 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
           std::optional<ExchangeResult> xr,
           plan.Next(std::exchange(sent, NodeChunks(sent.size())), ready));
       if (!xr.has_value()) return result;
-      for (int i : alive) {
+      DFLOW_RETURN_NOT_OK(cluster_->ForEachNode(alive, [&](int i) -> Status {
         DFLOW_ASSIGN_OR_RETURN(OperatorPtr merge, split.MakeMerge());
         ready[i] = xr->done_ns[i] +
                    TotalRows(xr->received[i]) * kClusterOpNsPerRow;
         DFLOW_ASSIGN_OR_RETURN(
             sent[i],
             RunLocalPipeline(std::move(xr->received[i]), {merge.get()}));
+        return Status::OK();
+      }));
+      for (int i : alive) {
         result.tasks.push_back(TaskInfo{i, "merge", TaskInfo::State::kDone});
       }
     }
@@ -461,7 +466,7 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
   std::vector<sim::SimTime> count_ready(ready.size(), 0);
   // Each node counts its matches straight off the probe loop: no joined
   // row is materialized, and the one-row count chunk is what gathers.
-  for (int i : alive) {
+  DFLOW_RETURN_NOT_OK(cluster_->ForEachNode(alive, [&](int i) -> Status {
     JoinHashTable table(build_schema, build_key);
     for (const DataChunk& chunk : bx->received[i]) {
       DFLOW_RETURN_NOT_OK(table.Insert(chunk));
@@ -480,6 +485,9 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
     const uint64_t local_work = table.num_rows() + TotalRows(px.received[i]);
     count_ready[i] = std::max(bx->done_ns[i], px.done_ns[i]) +
                      local_work * kClusterOpNsPerRow;
+    return Status::OK();
+  }));
+  for (int i : alive) {
     result.tasks.push_back(TaskInfo{i, "join", TaskInfo::State::kDone});
   }
   DFLOW_ASSIGN_OR_RETURN(std::optional<ExchangeResult> gx,

@@ -1,6 +1,7 @@
 #ifndef DFLOW_CLUSTER_ROUTER_H_
 #define DFLOW_CLUSTER_ROUTER_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,7 +66,12 @@ struct DistributedResult {
 /// Shards queries across the cluster and drives the MPP task lifecycle:
 /// per-node local fragments (each on its own fabric, via its own engine),
 /// exchange lowering onto the inter-node links, straggler detection,
-/// node-loss re-routing, and merge-at-coordinator. Each query's data
+/// node-loss re-routing, and merge-at-coordinator. Every per-node phase
+/// (local fragments, partial aggregates, merges, join build and probe)
+/// runs on all nodes at once, each on its node's host worker
+/// (Cluster::ForEachNode); tasks, straggler flags and the query's outcome
+/// are folded after each phase's barrier, in alive-node order, so a run's
+/// result does not depend on thread timing. Each query's data
 /// movement is one verify::ExchangePlanSpec: the VY_XCHG_* family checks it
 /// before a single frame moves, and its exchanges are what runs, in plan
 /// order. Per node, the router keeps the scheduler's demand ledger: local
@@ -102,12 +108,14 @@ class QueryRouter {
   Status PrepareCluster();
 
   /// Per-alive-node local fragment run: Charge ledger, Execute, Release.
+  /// Runs on the node's worker; touches only that node's state.
   Result<QueryResult> RunLocalFragment(int node, const QuerySpec& spec);
 
   /// Phase A: runs every spec of `fragments` on each alive node, in order,
-  /// into rows[fragment][node], and adds one "local" task per node with
-  /// stragglers flagged (FlagStragglers). Returns each node's ready time:
-  /// its summed fragment times, scaled on the seeded slow node.
+  /// into rows[fragment][node], all nodes at once; then adds one "local"
+  /// task per node with stragglers flagged (FlagStragglers). Returns each
+  /// node's ready time: its summed fragment times, scaled on the seeded
+  /// slow node.
   Result<std::vector<sim::SimTime>> RunLocalPhase(
       const std::vector<int>& alive, const std::vector<QuerySpec>& fragments,
       std::vector<NodeChunks>* rows, DistributedResult* result);
@@ -116,8 +124,9 @@ class QueryRouter {
   RouterOptions options_;
   std::vector<std::unique_ptr<Scheduler>> schedulers_;
   std::vector<std::unique_ptr<DemandLedger>> ledgers_;
-  uint64_t ledger_charges_ = 0;
-  uint64_t ledger_releases_ = 0;
+  /// Bumped by every node's worker.
+  std::atomic<uint64_t> ledger_charges_{0};
+  std::atomic<uint64_t> ledger_releases_{0};
 };
 
 }  // namespace dflow::cluster

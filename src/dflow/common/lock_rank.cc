@@ -22,6 +22,8 @@ const char* LockRankName(LockRank rank) {
       return "StealDeque";
     case LockRank::kJoinPartition:
       return "JoinPartition";
+    case LockRank::kNodeWorkers:
+      return "NodeWorkers";
     case LockRank::kErrorSlot:
       return "ErrorSlot";
   }

@@ -35,6 +35,9 @@ enum class LockRank : int {
   kStealDeque = 60,
   /// Per-partition hash-table locks in the parallel join build/probe.
   kJoinPartition = 70,
+  /// A cluster's node-worker pool (cluster::NodeWorkers): the batch in
+  /// flight and its completion count; never held while a node task runs.
+  kNodeWorkers = 80,
   /// First-error capture slots; leaf rank, never held across a call.
   kErrorSlot = 90,
 };

@@ -3,9 +3,11 @@
 // stable codes), hash-shuffle partitioner properties, distributed-vs-
 // single-node equivalence, fault paths (node loss mid-shuffle, cancel
 // mid-broadcast, retry exhaustion) with the credit ledger balanced after
-// every outcome, deterministic straggler detection, and the per-node
+// every outcome, deterministic straggler detection, the per-node
 // fabric-epoch / cache-key scoping that keeps one node's crash from
-// stranding another node's compiled programs.
+// stranding another node's compiled programs, and the node workers the
+// per-node phases run on concurrently: same answers, same simulated
+// counters and same task lists on every run, whatever the thread timing.
 
 #include <gtest/gtest.h>
 
@@ -13,12 +15,16 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dflow/cluster/cluster.h"
 #include "dflow/cluster/cluster_serve.h"
 #include "dflow/cluster/exchange.h"
+#include "dflow/cluster/node_workers.h"
 #include "dflow/cluster/router.h"
 #include "dflow/compile/program_cache.h"
 #include "dflow/plan/expr.h"
@@ -44,6 +50,16 @@ LineitemSpec SmallLineitem() {
   return spec;
 }
 
+/// A quarter of SmallLineitem in three row groups, for tests that build
+/// many clusters.
+LineitemSpec TinyLineitem() {
+  LineitemSpec spec = SmallLineitem();
+  spec.rows = 3'000;
+  spec.num_orders = 500;
+  spec.row_group_size = 1'024;
+  return spec;
+}
+
 KvSpec SmallKv() {
   KvSpec spec;
   spec.rows = 1'500;
@@ -51,16 +67,16 @@ KvSpec SmallKv() {
   return spec;
 }
 
-std::unique_ptr<Cluster> MakeTestCluster(int nodes,
-                                         ClusterFaultConfig fault = {}) {
+std::unique_ptr<Cluster> MakeTestCluster(
+    int nodes, ClusterFaultConfig fault = {},
+    const LineitemSpec& lineitem = SmallLineitem()) {
   ClusterConfig config;
   config.num_nodes = nodes;
   config.seed = 42;
   config.fault = fault;
   auto cl = std::make_unique<Cluster>(config);
   DFLOW_CHECK(
-      cl->RegisterSharded(MakeLineitemTable(SmallLineitem()).ValueOrDie())
-          .ok());
+      cl->RegisterSharded(MakeLineitemTable(lineitem).ValueOrDie()).ok());
   DFLOW_CHECK(cl->RegisterSharded(MakeKvTable(SmallKv()).ValueOrDie()).ok());
   return cl;
 }
@@ -609,6 +625,203 @@ TEST(ClusterFaults, LedgerChargesBalanceReleases) {
   DFLOW_CHECK(router.ExecuteQuery(GroupedAggSpec()).ok());
   EXPECT_GT(router.ledger_charges(), 0u);
   EXPECT_EQ(router.ledger_charges(), router.ledger_releases());
+}
+
+// ------------------------------------------- node workers and determinism
+
+TEST(NodeWorkers, EachNodeRunsOnceOnItsOwnWorker) {
+  NodeWorkers workers(8);
+  ASSERT_GE(workers.num_workers(), 1u);
+  ASSERT_LE(workers.num_workers(), 8u);
+  const uint32_t w = workers.num_workers();
+  const std::vector<int> nodes = {0, 1, 2, 3, 4, 5, 6, 7};
+  std::vector<std::thread::id> first(8);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::thread::id> ran_on(8);
+    std::vector<int> runs(8, 0);
+    const Status status = workers.ForEachNode(nodes, [&](int node) {
+      ran_on[node] = std::this_thread::get_id();
+      runs[node] += 1;
+      return Status::OK();
+    });
+    ASSERT_TRUE(status.ok());
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(runs[i], 1) << "node " << i;
+      // Worker 0 is the calling thread.
+      EXPECT_EQ(ran_on[i] == std::this_thread::get_id(), i % w == 0)
+          << "node " << i;
+      for (int j = 0; j < 8; ++j) {
+        EXPECT_EQ(ran_on[i] == ran_on[j], i % w == j % w) << i << "," << j;
+      }
+      // Persistent: the same worker on every call.
+      if (round > 0) {
+        EXPECT_EQ(ran_on[i], first[i]) << "node " << i;
+      }
+    }
+    if (round == 0) first = ran_on;
+  }
+}
+
+TEST(NodeWorkers, FirstFailureInNodeOrderAndWorkersSurviveIt) {
+  NodeWorkers workers(4);
+  // Nodes 3 and 1 fail (and 2 throws); the verdict is the first failing
+  // entry of the node list, whatever order the workers finished in.
+  const Status failed = workers.ForEachNode({0, 3, 1, 2}, [](int node) {
+    if (node == 2) throw std::runtime_error("boom");
+    if (node == 0) return Status::OK();
+    return Status::InvalidArgument("node" + std::to_string(node));
+  });
+  EXPECT_EQ(failed.ToString(), Status::InvalidArgument("node3").ToString());
+  const Status threw = workers.ForEachNode({0, 2}, [](int node) -> Status {
+    if (node == 2) throw std::runtime_error("boom");
+    return Status::OK();
+  });
+  EXPECT_FALSE(threw.ok());
+  EXPECT_NE(threw.ToString().find("boom"), std::string::npos);
+  const auto noop = [](int) { return Status::OK(); };
+  EXPECT_FALSE(workers.ForEachNode({4}, noop).ok());
+  EXPECT_TRUE(workers.ForEachNode({}, noop).ok());
+  // The pool keeps serving after failures.
+  int sum = 0;
+  const Status after = workers.ForEachNode({0, 1, 2, 3}, [&](int node) {
+    if (node == 0) sum = 1;
+    return Status::OK();
+  });
+  EXPECT_TRUE(after.ok());
+  EXPECT_EQ(sum, 1);
+}
+
+/// Everything a distributed run reports that must not depend on thread
+/// timing: outcome, result (canonical fingerprint and the raw chunk
+/// order), makespan, exchange counters, straggler count, and the task
+/// list in order.
+std::string RunSignature(const DistributedResult& dr) {
+  std::ostringstream os;
+  os << dr.outcome << " rows=" << dr.total_rows
+     << " fp=" << CanonicalizeChunks(dr.chunks).fingerprint << " raw=";
+  for (const DataChunk& chunk : dr.chunks) os << ChecksumChunk(chunk) << ",";
+  os << " makespan=" << dr.makespan_ns << " xchg=" << dr.exchange.bytes << "/"
+     << dr.exchange.frames << "/" << dr.exchange.retransmits << "/"
+     << dr.exchange.frames_lost << "/" << dr.exchange.credit_stall_ns
+     << " stragglers=" << dr.straggler_events << " tasks=";
+  for (const TaskInfo& t : dr.tasks) {
+    os << t.node << ":" << t.fragment << ":" << static_cast<int>(t.state)
+       << ":" << t.local_ns << ":" << t.straggler << ";";
+  }
+  return os.str();
+}
+
+/// A join then a grouped aggregate through `router`, links reset before
+/// each as a fresh run.
+std::string JoinThenAggregate(Cluster* cl, QueryRouter* router) {
+  cl->ResetLinks();
+  std::string out =
+      RunSignature(router->ExecuteJoin(PartKeyJoin()).ValueOrDie());
+  cl->ResetLinks();
+  out += "\n";
+  out += RunSignature(router->ExecuteQuery(GroupedAggSpec()).ValueOrDie());
+  return out;
+}
+
+TEST(ClusterDeterminism, RepeatedRunsMatchOnFreshClustersAndOneRouter) {
+  constexpr int kRuns = 20;
+  ClusterFaultConfig slow;
+  slow.slow_node = 2;
+  slow.slow_factor = 10.0;
+  ClusterFaultConfig lost;
+  lost.lose_node = 1;
+  lost.lose_node_at_ns = 1;
+  const std::vector<std::pair<std::string, ClusterFaultConfig>> cases = {
+      {"clean", {}}, {"slow node", slow}, {"lost node", lost}};
+  for (const auto& [name, fault] : cases) {
+    // Fresh clusters: every run from scratch gives the same answer.
+    std::string fresh;
+    for (int run = 0; run < kRuns; ++run) {
+      auto cl = MakeTestCluster(4, fault, TinyLineitem());
+      QueryRouter router(cl.get(), {});
+      const std::string got = JoinThenAggregate(cl.get(), &router);
+      if (run == 0) fresh = got;
+      EXPECT_EQ(got, fresh) << name << " fresh run " << run;
+    }
+    EXPECT_NE(fresh.find(name == "lost node" ? "NODE_LOST" : "DONE"),
+              std::string::npos)
+        << name;
+    if (name == "slow node") {
+      EXPECT_NE(fresh.find("stragglers=1"), std::string::npos) << fresh;
+    }
+
+    // One router reused: its first run is a fresh run, and every later run
+    // repeats the second (the lost-node case re-routes after its first).
+    auto cl = MakeTestCluster(4, fault, TinyLineitem());
+    QueryRouter router(cl.get(), {});
+    EXPECT_EQ(JoinThenAggregate(cl.get(), &router), fresh) << name;
+    const std::string second = JoinThenAggregate(cl.get(), &router);
+    if (name != "lost node") {
+      EXPECT_EQ(second, fresh) << name;
+    }
+    for (int run = 2; run < kRuns; ++run) {
+      EXPECT_EQ(JoinThenAggregate(cl.get(), &router), second)
+          << name << " reused run " << run;
+    }
+  }
+}
+
+TEST(ClusterFailures, FirstAliveNodesErrorWinsAndTheRouterRecovers) {
+  // Table "t" differs per node, so a fragment over it fails on several
+  // nodes with different errors: node 0 (the coordinator) has the
+  // kv-shaped table, node 1 is lost, node 2 has a "t" without column k,
+  // and node 3 has no "t" at all.
+  auto cl = MakeTestCluster(4);
+  KvSpec kv = SmallKv();
+  kv.name = "t";
+  ASSERT_TRUE(
+      cl->node(0).catalog().Register(MakeKvTable(kv).ValueOrDie()).ok());
+  LineitemSpec other = SmallLineitem();
+  other.name = "t";
+  ASSERT_TRUE(cl->node(2)
+                  .catalog()
+                  .Register(MakeLineitemTable(other).ValueOrDie())
+                  .ok());
+  cl->MarkNodeLost(1);
+  QueryRouter router(cl.get(), {});
+  const QuerySpec spec = Sql("SELECT COUNT(*) FROM t WHERE k < 100");
+
+  const Status node2 = cl->node(2).Compile(spec).status();
+  const Status node3 = cl->node(3).Compile(spec).status();
+  ASSERT_FALSE(node2.ok());
+  ASSERT_FALSE(node3.ok());
+  ASSERT_NE(node2.ToString(), node3.ToString());
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    Result<DistributedResult> failed = router.ExecuteQuery(spec);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().ToString(), node2.ToString());
+  }
+
+  // The workers survive the failed phase: the same router answers the next
+  // queries over the three survivors.
+  const DistributedResult join =
+      router.ExecuteJoin(PartKeyJoin()).ValueOrDie();
+  EXPECT_EQ(join.outcome, "DONE");
+  EXPECT_EQ(join.total_rows, SingleNodeJoinCount());
+  EXPECT_EQ(router.ExecuteQuery(GroupedAggSpec()).ValueOrDie().outcome,
+            "DONE");
+  EXPECT_EQ(router.ledger_charges(), router.ledger_releases());
+}
+
+TEST(ClusterFailures, DestroyedClustersJoinTheirWorkers) {
+  // Under ASan and TSan a worker that outlives its cluster is a leak
+  // report; build and drop clusters, some mid-way through failed work.
+  for (int round = 0; round < 8; ++round) {
+    auto cl = MakeTestCluster(1 + round % 4, {}, TinyLineitem());
+    QueryRouter router(cl.get(), {});
+    if (round % 2 == 0) {
+      EXPECT_FALSE(
+          router.ExecuteQuery(Sql("SELECT COUNT(*) FROM nope")).ok());
+    } else {
+      EXPECT_EQ(router.ExecuteJoin(PartKeyJoin()).ValueOrDie().outcome,
+                "DONE");
+    }
+  }
 }
 
 // --------------------------------------- per-node epochs and cache keys
