@@ -107,6 +107,7 @@ class PlanRunner {
   /// Runs the VY_XCHG_* family over the plan into the result; strict mode
   /// refuses a plan with errors.
   Status Verify() {
+    result_->plan = plan_;
     result_->verify = verify::VerifyExchangePlan(plan_);
     if (options_.verify == verify::VerifyMode::kStrict &&
         !result_->verify.ok()) {
@@ -409,13 +410,17 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
   DFLOW_RETURN_NOT_OK(CheckJoinKeyTypes(build_schema.field(build_key).type,
                                         probe_schema.field(probe_key).type));
 
-  // ---- Phase A: scan both sides locally (filter pushed to the probe
-  // scan), so exchange volume is already post-filter.
+  // ---- Phase A: each side's fragment is SELECT <key> FROM t [WHERE f], so
+  // the shard filters in place and only keys cross the links.
   QuerySpec build_scan;
   build_scan.table = spec.build_table;
+  build_scan.projections = {Expr::Col(spec.build_key)};
+  build_scan.projection_names = {spec.build_key};
   QuerySpec probe_scan;
   probe_scan.table = spec.probe_table;
   probe_scan.filter = spec.probe_filter;
+  probe_scan.projections = {Expr::Col(spec.probe_key)};
+  probe_scan.projection_names = {spec.probe_key};
   std::vector<NodeChunks> rows;
   DFLOW_ASSIGN_OR_RETURN(
       std::vector<sim::SimTime> ready,
@@ -429,16 +434,14 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
   // ---- Exchange plan, verified before any frame moves: the build side
   // shuffles on its key (or broadcasts when small), the probe side
   // shuffles too (it stays local under broadcast), and the per-node counts
-  // gather to the coordinator.
+  // gather to the coordinator. Each side's rows are its key alone.
   std::vector<Spread> spreads;
   if (broadcast) {
     spreads.push_back({"broadcast.build", verify::ExchangeKind::kBroadcast,
-                       build_key, build_schema.num_fields()});
+                       0, 1});
   } else {
-    spreads.push_back({"shuffle.build", verify::ExchangeKind::kShuffle,
-                       build_key, build_schema.num_fields()});
-    spreads.push_back({"shuffle.probe", verify::ExchangeKind::kShuffle,
-                       probe_key, probe_schema.num_fields()});
+    spreads.push_back({"shuffle.build", verify::ExchangeKind::kShuffle, 0, 1});
+    spreads.push_back({"shuffle.probe", verify::ExchangeKind::kShuffle, 0, 1});
   }
   PlanRunner plan(cluster_,
                   BuildExchangePlan(*cluster_, alive, coord, "join", spreads,
@@ -467,17 +470,13 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
   // Each node counts its matches straight off the probe loop: no joined
   // row is materialized, and the one-row count chunk is what gathers.
   DFLOW_RETURN_NOT_OK(cluster_->ForEachNode(alive, [&](int i) -> Status {
-    JoinHashTable table(build_schema, build_key);
+    JoinHashTable table(build_schema.Select({build_key}), 0);
     for (const DataChunk& chunk : bx->received[i]) {
       DFLOW_RETURN_NOT_OK(table.Insert(chunk));
     }
     uint64_t matches = 0;
     for (const DataChunk& chunk : px.received[i]) {
-      if (chunk.num_columns() != probe_schema.num_fields()) {
-        return Status::InvalidArgument("join probe chunk arity mismatch");
-      }
-      DFLOW_ASSIGN_OR_RETURN(uint64_t n,
-                             table.CountMatches(chunk.column(probe_key)));
+      DFLOW_ASSIGN_OR_RETURN(uint64_t n, table.CountMatches(chunk.column(0)));
       matches += n;
     }
     counts[i].emplace_back(std::vector<ColumnVector>{

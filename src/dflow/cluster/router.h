@@ -60,6 +60,8 @@ struct DistributedResult {
   ExchangeStats exchange;
   uint64_t straggler_events = 0;
   std::vector<TaskInfo> tasks;
+  /// The query's exchange plan, as verified and run.
+  verify::ExchangePlanSpec plan;
   verify::VerifyReport verify;
 };
 
@@ -91,9 +93,10 @@ class QueryRouter {
   Result<DistributedResult> ExecuteQuery(const QuerySpec& spec);
 
   /// Distributed partitioned equi-join: both sides scan their shards
-  /// locally, hash-shuffle on the join key (or broadcast the build side
-  /// when small), build+probe per node, and gather per-node counts to the
-  /// coordinator. total_rows matches the single-node join count.
+  /// locally, filtered and projected to the join key, hash-shuffle the keys
+  /// (or broadcast the build keys when small), build+probe per node, and
+  /// gather per-node counts to the coordinator. total_rows matches the
+  /// single-node join count.
   Result<DistributedResult> ExecuteJoin(const JoinSpec& spec);
 
   /// The node a tenant's queries are routed to (stable hash over the

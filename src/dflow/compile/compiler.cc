@@ -418,7 +418,10 @@ Result<compile::JoinProgramPtr> Engine::LowerJoin(const JoinSpec& spec,
     DFLOW_ASSIGN_OR_RETURN(phase->table, catalog_.Lookup(table_name));
     // The join's one column rule: the simulated join ships whole tuples
     // (every report's bytes depend on it); the kParallel join reads only
-    // the key and the filter's columns, in table order.
+    // the key and the filter's columns, in table order. The third consumer,
+    // the cluster join (QueryRouter::ExecuteJoin), does not lower here: its
+    // per-node fragments are SELECT <key> FROM t [WHERE f] queries, which
+    // read the same columns as kParallel and ship the key alone.
     std::set<std::string> needed{key};
     CollectColumnNames(filter, &needed);
     const Schema& schema = phase->table->schema();

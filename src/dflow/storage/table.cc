@@ -1,5 +1,7 @@
 #include "dflow/storage/table.h"
 
+#include <algorithm>
+
 #include "dflow/common/logging.h"
 
 namespace dflow {
@@ -134,8 +136,14 @@ Status TableBuilder::Append(const DataChunk& chunk) {
   if (!chunk.IsWellFormed()) {
     return Status::InvalidArgument("chunk columns have unequal lengths");
   }
-  for (size_t r = 0; r < chunk.num_rows(); ++r) {
-    pending_.AppendRowFrom(chunk, r);
+  // Copy up to the row-group boundary a column at a time, then flush.
+  for (size_t r = 0; r < chunk.num_rows();) {
+    const size_t count =
+        std::min(chunk.num_rows() - r, row_group_size_ - pending_.num_rows());
+    for (size_t c = 0; c < chunk.num_columns(); ++c) {
+      pending_.column(c).AppendRange(chunk.column(c), r, count);
+    }
+    r += count;
     if (pending_.num_rows() >= row_group_size_) {
       DFLOW_RETURN_NOT_OK(FlushRowGroup());
     }

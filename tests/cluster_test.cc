@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -364,7 +365,7 @@ TEST(Partitioner, RunExchangeRefusesEndpointsOutsideTheCluster) {
 /// Single-fabric reference for the cluster join: the intra-node
 /// partitioned join over the unsharded tables (needs a 2-compute-node
 /// fabric, JoinSpec::num_nodes' default).
-int64_t SingleNodeJoinCount() {
+int64_t SingleNodeJoinCount(const JoinSpec& join = PartKeyJoin()) {
   sim::FabricConfig config;
   config.num_compute_nodes = 2;
   Engine reference(config);
@@ -373,14 +374,23 @@ int64_t SingleNodeJoinCount() {
                   .ok());
   DFLOW_CHECK(
       reference.catalog().Register(MakeKvTable(SmallKv()).ValueOrDie()).ok());
-  Result<JoinRunResult> run = reference.ExecutePartitionedJoin(PartKeyJoin());
+  Result<JoinRunResult> run = reference.ExecutePartitionedJoin(join);
   DFLOW_CHECK(run.ok());
   return run.ValueOrDie().total_rows;
 }
 
+/// PartKeyJoin with a probe filter on a column other than the join key,
+/// which the key-only fragment must read and then drop.
+JoinSpec FilteredPartKeyJoin() {
+  JoinSpec join = PartKeyJoin();
+  join.probe_filter = Expr::Cmp(CompareOp::kLt, Expr::Col("l_discount"),
+                                Expr::Lit(Value::Double(0.05)));
+  return join;
+}
+
 /// One query shape the router lowers: a single-table query, matched
 /// against the single-node engine's fingerprint, or (no query) the
-/// kv x lineitem join, matched against the single-node join count.
+/// kv x lineitem `join`, matched against the single-node join count.
 struct RouterShape {
   std::string name;
   std::optional<QuerySpec> query;
@@ -388,6 +398,7 @@ struct RouterShape {
   /// Whether rows cross the links at more than one node (the zero-rows
   /// fallback answers on the coordinator alone).
   bool moves_rows = true;
+  JoinSpec join = PartKeyJoin();
 };
 
 QuerySpec Sql(const char* sql) { return ParseQuery(sql).ValueOrDie(); }
@@ -397,9 +408,6 @@ TEST(DistributedEquivalence, EveryRouterShapeMatchesSingleNode) {
   DFLOW_CHECK(reference.catalog()
                   .Register(MakeLineitemTable(SmallLineitem()).ValueOrDie())
                   .ok());
-  const int64_t join_rows = SingleNodeJoinCount();
-  ASSERT_GT(join_rows, 0);
-
   const std::vector<RouterShape> shapes = {
       {"count", Sql("SELECT COUNT(*) FROM lineitem")},
       {"global aggregate",
@@ -423,12 +431,19 @@ TEST(DistributedEquivalence, EveryRouterShapeMatchesSingleNode) {
        0, /*moves_rows=*/false},
       {"shuffle join", std::nullopt},
       {"broadcast join", std::nullopt, ~0ULL},
+      {"filtered shuffle join", std::nullopt, 0, true, FilteredPartKeyJoin()},
+      {"filtered broadcast join", std::nullopt, ~0ULL, true,
+       FilteredPartKeyJoin()},
   };
   for (const RouterShape& shape : shapes) {
     std::string ref_fingerprint;
+    int64_t join_rows = 0;
     if (shape.query.has_value()) {
       ref_fingerprint = CanonicalizeChunks(
           reference.Execute(*shape.query).ValueOrDie().chunks).fingerprint;
+    } else {
+      join_rows = SingleNodeJoinCount(shape.join);
+      ASSERT_GT(join_rows, 0) << shape.name;
     }
     for (int n : {1, 2, 4}) {
       auto cl = MakeTestCluster(n);
@@ -438,7 +453,7 @@ TEST(DistributedEquivalence, EveryRouterShapeMatchesSingleNode) {
       QueryRouter router(cl.get(), options);
       DistributedResult dr =
           (shape.query.has_value() ? router.ExecuteQuery(*shape.query)
-                                   : router.ExecuteJoin(PartKeyJoin()))
+                                   : router.ExecuteJoin(shape.join))
               .ValueOrDie();
       const std::string where = shape.name + " at " + std::to_string(n);
       EXPECT_EQ(dr.outcome, "DONE") << where;
@@ -449,6 +464,13 @@ TEST(DistributedEquivalence, EveryRouterShapeMatchesSingleNode) {
             << where;
       } else {
         EXPECT_EQ(dr.total_rows, join_rows) << where;
+        // Each side's fragment returns its key alone, and so each exchange
+        // that spreads join rows carries one column.
+        for (const verify::ExchangeSpec& x : dr.plan.exchanges) {
+          if (x.kind == verify::ExchangeKind::kGather) continue;
+          EXPECT_EQ(x.input_arity, 1) << where << ": " << x.name;
+          EXPECT_EQ(x.key_col, 0) << where << ": " << x.name;
+        }
       }
       if (n > 1) {
         EXPECT_EQ(dr.exchange.frames > 0, shape.moves_rows) << where;
@@ -471,21 +493,53 @@ TEST(DistributedEquivalence, RunsAreByteDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
+/// SELECT <key> FROM <table> [WHERE <filter>]: a join side's fragment.
+QuerySpec KeyScan(const std::string& table, const std::string& key,
+                  ExprPtr filter) {
+  QuerySpec spec;
+  spec.table = table;
+  spec.filter = std::move(filter);
+  spec.projections = {Expr::Col(key)};
+  spec.projection_names = {key};
+  return spec;
+}
+
 TEST(DistributedEquivalence, FragmentsScanOnlyWhatThePlanScans) {
-  // An aggregate over raw columns: each node's fragment reads exactly the
-  // encoded bytes the node's own Engine::Execute of the query reads, not
-  // every column of its shard.
-  auto cl = MakeTestCluster(2);
-  QueryRouter router(cl.get(), {});
-  ASSERT_EQ(router.ExecuteQuery(GroupedAggSpec()).ValueOrDie().outcome,
-            "DONE");
-  for (int i = 0; i < cl->num_nodes(); ++i) {
-    Engine& node = cl->node(i);
-    const uint64_t fragment_bytes =
-        node.fabric().store_media()->bytes_processed();
-    const QueryResult single = node.Execute(GroupedAggSpec()).ValueOrDie();
-    EXPECT_GT(fragment_bytes, 0u) << "node " << i;
-    EXPECT_EQ(fragment_bytes, single.report.media_bytes) << "node " << i;
+  // A node's fabric counts one query's media bytes, so after a distributed
+  // query it holds the node's last fragment's. That must be exactly what
+  // the node's own Engine::Execute of the fragment's query reads, not
+  // every column of its shard: for an aggregate over raw columns, the
+  // query itself; for a join, the probe side's SELECT <key> FROM t
+  // [WHERE f] (the mirrored join puts kv on the probe side).
+  const JoinSpec filtered = FilteredPartKeyJoin();
+  JoinSpec mirrored;
+  mirrored.build_table = "lineitem";
+  mirrored.build_key = "l_partkey";
+  mirrored.probe_table = "kv";
+  mirrored.probe_key = "k";
+  using Run = std::function<Result<DistributedResult>(QueryRouter&)>;
+  const std::vector<std::pair<Run, QuerySpec>> cases = {
+      {[](QueryRouter& r) { return r.ExecuteQuery(GroupedAggSpec()); },
+       GroupedAggSpec()},
+      {[&](QueryRouter& r) { return r.ExecuteJoin(filtered); },
+       KeyScan("lineitem", "l_partkey", filtered.probe_filter)},
+      {[&](QueryRouter& r) { return r.ExecuteJoin(mirrored); },
+       KeyScan("kv", "k", nullptr)},
+  };
+  for (const auto& [run, single_spec] : cases) {
+    auto cl = MakeTestCluster(2);
+    QueryRouter router(cl.get(), {});
+    ASSERT_EQ(run(router).ValueOrDie().outcome, "DONE");
+    for (int i = 0; i < cl->num_nodes(); ++i) {
+      Engine& node = cl->node(i);
+      const std::string where =
+          single_spec.table + " on node " + std::to_string(i);
+      const uint64_t fragment_bytes =
+          node.fabric().store_media()->bytes_processed();
+      const QueryResult single = node.Execute(single_spec).ValueOrDie();
+      EXPECT_GT(fragment_bytes, 0u) << where;
+      EXPECT_EQ(fragment_bytes, single.report.media_bytes) << where;
+    }
   }
 }
 

@@ -214,6 +214,62 @@ TEST(TableBuilderTest, RejectsSchemaMismatch) {
   EXPECT_TRUE(builder.Append(bad_type).IsInvalidArgument());
 }
 
+TEST(TableBuilderTest, ChunkAppendsBuildWhatRowAppendsBuild) {
+  // 700-row chunks over 1000-row groups, so chunks straddle every group
+  // boundary. Ids are NULL only before row 1500: the chunk holding rows
+  // 1400-2099 carries a mask, yet group 2 has no NULL and must get none.
+  // Names are NULL around each group boundary.
+  constexpr size_t kRows = 3'500;
+  constexpr size_t kGroupRows = 1'000;
+  DataChunk all = DataChunk::EmptyFromSchema(TwoColSchema());
+  for (size_t i = 0; i < kRows; ++i) {
+    if (i < 1'500 && i % 97 == 0) {
+      all.column(0).AppendNull();
+    } else {
+      all.column(0).AppendValue(Value::Int64(static_cast<int64_t>(i % 300)));
+    }
+    if (i % kGroupRows >= 990 || i % kGroupRows < 5) {
+      all.column(1).AppendNull();
+    } else {
+      all.column(1).AppendValue(Value::String(std::to_string(1000 + i % 40)));
+    }
+  }
+  TableBuilder by_chunk("t", TwoColSchema(), kGroupRows);
+  for (size_t start = 0; start < kRows; start += 700) {
+    ASSERT_TRUE(
+        by_chunk.Append(all.Slice(start, std::min<size_t>(700, kRows - start)))
+            .ok());
+  }
+  TableBuilder by_row("t", TwoColSchema(), kGroupRows);
+  for (size_t r = 0; r < kRows; ++r) {
+    DataChunk row = DataChunk::EmptyFromSchema(TwoColSchema());
+    row.AppendRowFrom(all, r);
+    ASSERT_TRUE(by_row.Append(row).ok());
+  }
+  const Table got = by_chunk.Finish().ValueOrDie();
+  const Table want = by_row.Finish().ValueOrDie();
+  ASSERT_EQ(got.num_row_groups(), want.num_row_groups());
+  ASSERT_EQ(got.num_row_groups(), 4u);
+  for (size_t g = 0; g < got.num_row_groups(); ++g) {
+    const RowGroup& a = got.row_group(g);
+    const RowGroup& b = want.row_group(g);
+    ASSERT_EQ(a.num_rows(), b.num_rows()) << "group " << g;
+    for (size_t c = 0; c < TwoColSchema().num_fields(); ++c) {
+      SCOPED_TRACE(::testing::Message() << "group " << g << " column " << c);
+      EXPECT_EQ(a.encoded_column(c).encoding, b.encoded_column(c).encoding);
+      EXPECT_EQ(a.encoded_column(c).data, b.encoded_column(c).data);
+      const ZoneMap& za = a.zone_map(c);
+      const ZoneMap& zb = b.zone_map(c);
+      EXPECT_EQ(za.valid, zb.valid);
+      EXPECT_EQ(za.has_nulls, zb.has_nulls);
+      EXPECT_EQ(za.min.ToString(), zb.min.ToString());
+      EXPECT_EQ(za.max.ToString(), zb.max.ToString());
+    }
+  }
+  EXPECT_TRUE(got.row_group(1).zone_map(0).has_nulls);
+  EXPECT_FALSE(got.row_group(2).zone_map(0).has_nulls);
+}
+
 TEST(TableTest, RoundtripThroughChunks) {
   TableBuilder builder("t", TwoColSchema(), 1000);
   ASSERT_TRUE(builder.Append(MakeChunk({1, 2, 3}, {"a", "b", "c"})).ok());
